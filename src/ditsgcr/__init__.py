@@ -1,16 +1,3 @@
 """Structural node embeddings for directed temporal transaction graphs."""
 
-from .clustering import (compute_subx, kmeanspp_init, normalize_rows,  # noqa: F401
-                         soft_kmeans)
-from .evaluation import (Forest, ForestConfig, Metrics, SplitSpec,  # noqa: F401
-                         compute_metrics, predict_scores, split, train_forest)
-from .graph_model import (EdgeSchema, LabelSet, TemporalGraph,  # noqa: F401
-                          adjacency_weights, build_graph, ingest_csv,
-                          ingest_labels, write_edge_csv, write_label_csv)
-from .laplacian import LaplacianParams, SolverConvergenceError, solve  # noqa: F401
-from .pipeline import (PipelineConfig, PipelineResult,  # noqa: F401
-                       count_unique_embeddings, run)
-from .synthgen import SynthConfig, generate  # noqa: F401
-from .temporal_aggregation import aggregate, output_width  # noqa: F401
-
 __version__ = "0.1.0"

@@ -16,7 +16,7 @@ import os
 import sys
 import time
 
-__version__ = "0.1.0"
+from . import __version__
 
 _LOG_LEVELS = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
 
@@ -31,7 +31,8 @@ def _configure_logging():
 
 def _configure_threads(n):
     # honored by BLAS/OpenMP only if set before numpy loads, which is why
-    # the heavy imports in this module sit inside the command handlers
+    # the package __init__ imports nothing and the heavy imports in this
+    # module sit inside the command handlers
     if n is None:
         return
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
@@ -254,9 +255,10 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     _configure_threads(args.threads)
     _configure_logging()
+    from .laplacian import SolverConvergenceError  # numpy loads after the thread cap
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, SolverConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

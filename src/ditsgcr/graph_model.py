@@ -2,24 +2,26 @@
 
 Edge lists arrive as CSV rows (source account, target account, integer
 timestamp). Ingestion assigns dense integer ids in first-seen order and
-builds one timeline per node: a list of (t, incoming neighbor ids,
-outgoing neighbor ids) entries stored descending by timestamp. Only the
-timestamp is kept per transaction; extra columns (amounts, gas, ...) are
-ignored. Duplicate rows are kept, each counts as its own transaction.
+stores the graph columnar, in CSR style: each node owns a run of timeline
+entries (one per distinct timestamp, int64, descending), and each entry
+owns a run of incoming and a run of outgoing neighbor ids. Ingest, synth,
+the temporal lift and the adjacency weights all read these flat arrays.
+Only the timestamp is kept per transaction; extra columns (amounts,
+gas, ...) are ignored. Duplicate rows are kept, each counts as its own
+transaction.
 """
 
 import csv
 import logging
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 logger = logging.getLogger(__name__)
 
-_EMPTY_IDS = np.empty(0, dtype=np.int64)
-
 WEIGHT_MODES = ("count", "recency")
+
+_T_MAX = 2**63 - 1  # timestamps are stored as int64
 
 
 @dataclass(frozen=True)
@@ -36,51 +38,54 @@ class EdgeSchema:
 
 
 @dataclass(eq=False)
-class TimelineEntry:
-    """One timestamp of a node's history.
-
-    At least one neighbor list is nonempty; duplicate ids mean repeated
-    transactions with the same counterparty within the same second.
-    Self-loops appear in both lists.
-    """
-
-    t: int
-    in_neighbors: np.ndarray
-    out_neighbors: np.ndarray
-
-
-@dataclass(eq=False)
 class TemporalGraph:
-    """A directed multigraph with per-node transaction timelines.
+    """A directed multigraph stored as flat per-node timelines.
 
     Node ids are dense ints 0..n_nodes-1, bijective with the original
-    account keys via key_to_id / id_to_key. timelines[v] is sorted by
-    descending timestamp; isolated nodes never occur (every node comes
-    from at least one edge row).
+    account keys via key_to_id / id_to_key. A timeline entry is one
+    (node, timestamp) pair: node v owns entries entry_ptr[v] to
+    entry_ptr[v+1] - 1, ordered by strictly descending entry_t. Entry e's
+    in-neighbors are in_ids[in_ptr[e]:in_ptr[e+1]] (out_ids alike), in
+    input row order with duplicates kept; a self-loop appears on both
+    sides. Every entry has at least one neighbor.
     """
 
     n_nodes: int
     n_edges: int
     key_to_id: dict
     id_to_key: list
-    timelines: list
+    entry_ptr: np.ndarray
+    entry_t: np.ndarray
+    in_ptr: np.ndarray
+    in_ids: np.ndarray
+    out_ptr: np.ndarray
+    out_ids: np.ndarray
+
+    @property
+    def timelines(self):
+        """Read-only per-node views of the entry timestamps (diagnostics)."""
+        t = self.entry_t.view()
+        t.flags.writeable = False
+        return [t[a:b] for a, b in zip(self.entry_ptr[:-1], self.entry_ptr[1:])]
 
     def max_timestamp(self):
         """Largest timestamp of any edge, or None for an edgeless graph."""
-        tmax = None
-        for timeline in self.timelines:
-            if timeline:
-                t = timeline[0].t
-                if tmax is None or t > tmax:
-                    tmax = t
-        return tmax
+        return int(self.entry_t.max()) if len(self.entry_t) else None
+
+    def out_edges(self):
+        """(u, v, t) int64 arrays of every directed edge, one per transaction.
+
+        Ordered by source node, then descending t, then input row order.
+        """
+        n_entries = len(self.entry_t)
+        owner = np.repeat(np.arange(self.n_nodes), np.diff(self.entry_ptr))
+        entry = np.repeat(np.arange(n_entries), np.diff(self.out_ptr))
+        return owner[entry], self.out_ids, self.entry_t[entry]
 
     def iter_edges(self):
-        """Yield every directed edge as (u, v, t), one tuple per transaction."""
-        for u, timeline in enumerate(self.timelines):
-            for entry in timeline:
-                for v in entry.out_neighbors:
-                    yield u, int(v), entry.t
+        """Iterate every directed edge as (u, v, t) ints, in out_edges() order."""
+        u, v, t = self.out_edges()
+        return zip(u.tolist(), v.tolist(), t.tolist())
 
 
 @dataclass
@@ -94,60 +99,50 @@ class LabelSet:
         return len(self.labels)
 
 
+def _csr(rows, cols, n_rows):
+    """(ptr, ids) grouping cols by rows, stable within a row."""
+    ptr = np.zeros(n_rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n_rows), out=ptr[1:])
+    return ptr, cols[np.argsort(rows, kind="stable")]
+
+
 def build_graph(edges) -> TemporalGraph:
     """Build a TemporalGraph from an iterable of (src_key, dst_key, t) tuples.
 
     Ids are assigned in first-seen order, source field before target field
-    within a row. Timestamps must already be validated non-negative ints.
+    within a row. Timestamps must already be validated ints in
+    0..2**63-1.
     """
     key_to_id = {}
-    id_to_key = []
-    per_node = []  # per node: {t: ([in ids], [out ids])}
-
-    def node_id(key):
-        i = key_to_id.get(key)
-        if i is None:
-            i = len(id_to_key)
-            key_to_id[key] = i
-            id_to_key.append(key)
-            per_node.append({})
-        return i
-
-    n_edges = 0
+    ends = []
+    times = []
     for src_key, dst_key, t in edges:
-        u = node_id(src_key)
-        v = node_id(dst_key)
-        slot_u = per_node[u].get(t)
-        if slot_u is None:
-            slot_u = ([], [])
-            per_node[u][t] = slot_u
-        slot_u[1].append(v)
-        slot_v = per_node[v].get(t)
-        if slot_v is None:
-            slot_v = ([], [])
-            per_node[v][t] = slot_v
-        slot_v[0].append(u)
-        n_edges += 1
+        ends.append(key_to_id.setdefault(src_key, len(key_to_id)))
+        ends.append(key_to_id.setdefault(dst_key, len(key_to_id)))
+        times.append(t)
+    n = len(key_to_id)
+    src, dst = np.array(ends, dtype=np.int64).reshape(-1, 2).T
+    t = np.array(times, dtype=np.int64)
 
-    timelines = []
-    for v in range(len(id_to_key)):
-        entries = []
-        for t in sorted(per_node[v], reverse=True):
-            ins, outs = per_node[v][t]
-            entries.append(TimelineEntry(
-                t=t,
-                in_neighbors=np.asarray(ins, dtype=np.int64) if ins else _EMPTY_IDS,
-                out_neighbors=np.asarray(outs, dtype=np.int64) if outs else _EMPTY_IDS,
-            ))
-        timelines.append(entries)
-        per_node[v] = None  # free as we go
+    # one half-edge per endpoint: the source's out side, then the target's in side
+    owner = np.concatenate([src, dst])
+    t2 = np.concatenate([t, t])
+    order = np.lexsort((-t2, owner))
+    owner_s, t_s = owner[order], t2[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (owner_s[1:] != owner_s[:-1]) | (t_s[1:] != t_s[:-1])
+    entry_of = np.empty(len(order), dtype=np.int64)
+    entry_of[order] = np.cumsum(first) - 1
+    n_entries = int(first.sum())
 
+    m = len(t)
+    entry_ptr, entry_t = _csr(owner_s[first], t_s[first], n)
+    out_ptr, out_ids = _csr(entry_of[:m], dst, n_entries)
+    in_ptr, in_ids = _csr(entry_of[m:], src, n_entries)
     return TemporalGraph(
-        n_nodes=len(id_to_key),
-        n_edges=n_edges,
-        key_to_id=key_to_id,
-        id_to_key=id_to_key,
-        timelines=timelines,
+        n_nodes=n, n_edges=m, key_to_id=key_to_id, id_to_key=list(key_to_id),
+        entry_ptr=entry_ptr, entry_t=entry_t,
+        in_ptr=in_ptr, in_ids=in_ids, out_ptr=out_ptr, out_ids=out_ids,
     )
 
 
@@ -170,6 +165,8 @@ def _parse_timestamp(raw: str, lineno: int) -> int:
         raise ValueError(f"line {lineno}: unparsable timestamp {s!r}")
     if t < 0:
         raise ValueError(f"line {lineno}: negative timestamp {s!r}")
+    if t > _T_MAX:
+        raise ValueError(f"line {lineno}: timestamp {s!r} exceeds 2**63-1")
     return t
 
 
@@ -197,8 +194,8 @@ def ingest_csv(path, schema: EdgeSchema = EdgeSchema()) -> TemporalGraph:
     Raises
     ------
     ValueError
-        On rows with too few columns, unparsable or negative timestamps,
-        or fractional timestamps. The message carries the line number.
+        On rows with too few columns, unparsable, negative, fractional or
+        above 2**63-1 timestamps. The message carries the line number.
     """
 
     def edge_rows():
@@ -262,21 +259,19 @@ def adjacency_weights(graph: TemporalGraph, mode: str = "count", alpha: float = 
         raise ValueError(f"unknown weight mode {mode!r}")
     if mode == "recency" and alpha <= 0:
         raise ValueError("recency weighting needs alpha > 0")
-    weights = {}
-    tmax = graph.max_timestamp()
-    for u, timeline in enumerate(graph.timelines):
-        for entry in timeline:
-            if mode == "count":
-                w = 1.0
-            else:
-                w = math.exp(-(tmax - entry.t) / alpha)
-            for v_raw in entry.out_neighbors:
-                v = int(v_raw)
-                if v == u:
-                    continue  # self-loops stay in timelines only
-                key = (u, v) if u < v else (v, u)
-                weights[key] = weights.get(key, 0.0) + w
-    return weights
+    u, v, t = graph.out_edges()
+    keep = u != v  # self-loops stay in timelines only
+    u, v, t = u[keep], v[keep], t[keep]
+    if mode == "count":
+        w = np.ones(len(t))
+    else:
+        w = np.exp((t - graph.entry_t.max(initial=0)) / alpha)
+    n = graph.n_nodes
+    pairs, inverse = np.unique(np.minimum(u, v) * n + np.maximum(u, v),
+                               return_inverse=True)
+    # bincount adds each pair's weights in out_edges() order
+    sums = np.bincount(inverse, weights=w, minlength=len(pairs))
+    return dict(zip(zip((pairs // n).tolist(), (pairs % n).tolist()), sums.tolist()))
 
 
 def write_edge_csv(graph: TemporalGraph, path, header: bool = True) -> None:

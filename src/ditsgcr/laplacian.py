@@ -27,7 +27,6 @@ class LaplacianParams:
     mu: float = 1.0
     cg_tol: float = 1e-6
     cg_max_iters: int | None = None  # None: max(1000, 10 * ceil(sqrt(n)))
-    jacobi: bool = False
 
     def validate(self) -> None:
         if self.lam < 0:
@@ -81,25 +80,6 @@ def build_graph_laplacian(weights: dict, n: int) -> sp.csr_matrix:
     return _laplacian_from_arrays(u, v, w, n)
 
 
-def build_cluster_laplacians(weights: dict, R: np.ndarray) -> list:
-    """One Laplacian per cluster, edge weights scaled by r_uc * r_vc.
-
-    R is the n x k responsibility matrix; row v of R holds node v's
-    cluster memberships. Zero responsibility products leave explicit
-    zero-weight edges out of the picture naturally (weight 0 edges add
-    nothing to D or A).
-    """
-    n, k = R.shape
-    u, v, w = _edge_arrays(weights)
-    if (w < 0).any():
-        raise ValueError("negative edge weight")
-    out = []
-    for c in range(k):
-        wc = w * R[u, c] * R[v, c]
-        out.append(_laplacian_from_arrays(u, v, wc, n))
-    return out
-
-
 def assemble_system(weights: dict, R: np.ndarray, params: LaplacianParams) -> sp.csr_matrix:
     """M = L + lam * sum_c L_c + mu * I as CSR."""
     n = R.shape[0]
@@ -112,8 +92,7 @@ def assemble_system(weights: dict, R: np.ndarray, params: LaplacianParams) -> sp
     return (M + params.mu * sp.identity(n, format="csr")).tocsr()
 
 
-def cg_solve(M, b: np.ndarray, tol: float, max_iters: int,
-             precond_diag: np.ndarray | None = None) -> np.ndarray:
+def cg_solve(M, b: np.ndarray, tol: float, max_iters: int) -> np.ndarray:
     """Conjugate gradients from a zero start, relative-residual stopping.
 
     Verifies the true residual ||Mx - b|| / ||b|| <= tol on exit and
@@ -125,20 +104,18 @@ def cg_solve(M, b: np.ndarray, tol: float, max_iters: int,
     if b_norm == 0.0:
         return x
     r = b.copy()
-    z = r / precond_diag if precond_diag is not None else r
-    p = z.copy()
-    rz = float(r @ z)
+    p = r.copy()
+    rr = float(r @ r)
     for _ in range(max_iters):
         if np.linalg.norm(r) / b_norm <= tol:
             break
         Mp = M @ p
-        alpha = rz / float(p @ Mp)
+        alpha = rr / float(p @ Mp)
         x += alpha * p
         r -= alpha * Mp
-        z = r / precond_diag if precond_diag is not None else r
-        rz_new = float(r @ z)
-        p = z + (rz_new / rz) * p
-        rz = rz_new
+        rr_new = float(r @ r)
+        p = r + (rr_new / rr) * p
+        rr = rr_new
     achieved = float(np.linalg.norm(b - M @ x) / b_norm)
     if achieved > tol:
         raise SolverConvergenceError(
@@ -160,10 +137,9 @@ def solve(subx: np.ndarray, weights: dict, R: np.ndarray,
     if R.shape[0] != n:
         raise ValueError(f"R has {R.shape[0]} rows, subx has {n}")
     M = assemble_system(weights, R, params)
-    diag = M.diagonal() if params.jacobi else None
     max_iters = params.cg_max_iters if params.cg_max_iters is not None \
         else default_cg_max_iters(n)
     Z = np.empty_like(subx)
     for c in range(k):
-        Z[:, c] = cg_solve(M, params.mu * subx[:, c], params.cg_tol, max_iters, diag)
+        Z[:, c] = cg_solve(M, params.mu * subx[:, c], params.cg_tol, max_iters)
     return Z

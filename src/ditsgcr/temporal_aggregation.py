@@ -1,18 +1,21 @@
 """Directed temporal neighbor aggregation.
 
 Each node starts from a low-dimensional row of Z (|V| x K) and is lifted
-to a high-dimensional structural embedding. Per timeline entry we sum the
-K-dim rows of incoming and of outgoing neighbors, concatenate to a 2K
-vector and L2-normalize it jointly. Summing those vectors over the
-timeline gives the neighborhood term s_v. A recurrent temporal state z
-walks the timeline in chronological order; the outer products of each
-timestep vector with the state accumulate into a 2K x 2K structure
-matrix Z_v. The output row is [flatten(Z_v), s_v], width 4K^2 + 2K.
+to a high-dimensional structural embedding. Per timeline entry the K-dim
+rows of incoming and of outgoing neighbors are summed, concatenated to a
+2K timestep vector w and L2-normalized jointly; for all entries at once
+that is W = normalize([A_in Z, A_out Z]) with the entry x node neighbor
+matrices of the graph's CSR arrays. Summing a node's w over its timeline
+gives the neighborhood term s_v. A recurrent temporal state z walks each
+timeline in chronological order; one Python step advances every node
+that still has entries at that timeline position. The outer products of
+each w with the state accumulate into a 2K x 2K structure matrix Z_v,
+computed as per-node segment sums one 2K-column block at a time. The
+output row is [flatten(Z_v), s_v], width 4K^2 + 2K.
 """
 
-import math
-
 import numpy as np
+import scipy.sparse as sp
 
 EPS = 1e-10
 
@@ -22,99 +25,70 @@ def output_width(k: int) -> int:
     return 4 * k * k + 2 * k
 
 
-def timestep_vector(entry, Z: np.ndarray) -> np.ndarray:
-    """Normalized concat of summed in-neighbor and out-neighbor rows.
-
-    Duplicate neighbor ids count with multiplicity. The 2K concat is
-    normalized jointly by (norm + 1e-10), so a node with no neighbors at
-    this timestamp on one side keeps zeros there.
-    """
-    k = Z.shape[1]
-    w = np.zeros(2 * k)
-    if len(entry.in_neighbors):
-        w[:k] = Z[entry.in_neighbors].sum(axis=0)
-    if len(entry.out_neighbors):
-        w[k:] = Z[entry.out_neighbors].sum(axis=0)
-    return w / (np.linalg.norm(w) + EPS)
+def _row_normalize(X: np.ndarray) -> np.ndarray:
+    return X / (np.sqrt(np.einsum("ij,ij->i", X, X)) + EPS)[:, None]
 
 
-def temporal_structure(timeline_asc, Z: np.ndarray, alpha: float,
-                       literal_eq4: bool = False):
-    """Structure matrix and neighborhood sum for one node.
-
-    Parameters
-    ----------
-    timeline_asc : list of TimelineEntry
-        The node's timeline in ascending timestamp order.
-    Z : ndarray (|V| x K)
-        Current low-dimensional embeddings.
-    alpha : float
-        Temporal decay scale, must be positive.
-    literal_eq4 : bool
-        Default recurrence decays the previous state before adding the
-        previous timestep vector: z_i = normalize(w_{i-1} + exp(-dt/alpha) z_{i-1}).
-        The literal form instead scales the whole sum by exp(+dt/alpha)
-        before renormalizing; that positive scalar cancels under the
-        normalization, so alpha becomes inert. Kept behind this flag for
-        comparison runs.
-
-    Returns
-    -------
-    (Z_v, s_v) : ndarray (2K x 2K), ndarray (2K,)
-        Z_v sums the outer products w_i z_i^T over entries i >= 2
-        (1-based); s_v sums all timestep vectors. Both are zero for
-        empty or single-entry timelines (s_v only for empty ones).
-    """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    k = Z.shape[1]
-    two_k = 2 * k
-    n_t = len(timeline_asc)
-    struct = np.zeros((two_k, two_k))
-    if n_t == 0:
-        return struct, np.zeros(two_k)
-
-    W = np.empty((n_t, two_k))
-    for i, entry in enumerate(timeline_asc):
-        W[i] = timestep_vector(entry, Z)
-    s = W.sum(axis=0)
-
-    if n_t >= 2:
-        zrows = np.zeros((n_t, two_k))
-        z = np.zeros(two_k)
-        for i in range(1, n_t):
-            if literal_eq4:
-                # the exp(+dt/alpha) factor cancels under normalization, so
-                # normalize the bare direction: no overflow, alpha truly inert
-                u = W[i - 1] + z
-            else:
-                dt = timeline_asc[i].t - timeline_asc[i - 1].t
-                u = W[i - 1] + math.exp(-dt / alpha) * z
-            z = u / (np.linalg.norm(u) + EPS)
-            zrows[i] = z
-        struct = W[1:].T @ zrows[1:]
-
-    return struct, s
+def _csr_ones(ptr, ids, n_cols):
+    return sp.csr_matrix((np.ones(len(ids)), ids, ptr), shape=(len(ptr) - 1, n_cols))
 
 
 def aggregate(graph, Z: np.ndarray, alpha: float, literal_eq4: bool = False) -> np.ndarray:
     """Lift Z (|V| x K) to high-dimensional embeddings H (|V| x 4K^2+2K).
 
-    Row v is [flatten(Z_v) row-major, s_v]. Isolated nodes (no timeline)
-    get an all-zero row. Raises ValueError when Z's row count does not
-    match the graph.
+    Row v is [flatten(Z_v) row-major, s_v]. With w_1..w_n the node's
+    timestep vectors in ascending time, s_v = sum_i w_i and
+    Z_v = sum_{i>=2} w_i z_i^T, where z_1 = 0 and
+
+        z_i = normalize(w_{i-1} + exp(-(t_i - t_{i-1}) / alpha) z_{i-1}).
+
+    Duplicate neighbor ids count with multiplicity; normalization divides
+    by (norm + 1e-10), so a side without neighbors keeps zeros. With
+    literal_eq4 the decay factor is 1: the literal recurrence scales the
+    sum by exp(+dt/alpha), a positive scalar that cancels under the
+    normalization, so alpha becomes inert. Nodes without entries get an
+    all-zero row. Raises ValueError when Z's row count does not match the
+    graph or alpha is not positive.
     """
     n = graph.n_nodes
     if Z.ndim != 2 or Z.shape[0] != n:
         raise ValueError(f"Z has shape {Z.shape}, expected ({n}, K)")
+    if alpha <= 0:
+        raise ValueError("alpha must be positive")
     k = Z.shape[1]
-    flat = 4 * k * k
-    H = np.zeros((n, output_width(k)))
-    for v in range(n):
-        timeline = graph.timelines[v]
-        if not timeline:
-            continue
-        struct, s = temporal_structure(timeline[::-1], Z, alpha, literal_eq4)
-        H[v, :flat] = struct.ravel()
-        H[v, flat:] = s
+    two_k = 2 * k
+    entry_ptr, entry_t = graph.entry_ptr, graph.entry_t
+    n_entries = len(entry_t)
+
+    W = _row_normalize(np.hstack([
+        _csr_ones(graph.in_ptr, graph.in_ids, n) @ Z,
+        _csr_ones(graph.out_ptr, graph.out_ids, n) @ Z]))
+
+    # entry e (descending storage) follows entry e + 1 in time within its node
+    lengths = np.diff(entry_ptr)
+    has_prev = np.ones(n_entries, dtype=bool)
+    has_prev[entry_ptr[1:][lengths > 0] - 1] = False
+    decay = np.ones(n_entries)
+    if not literal_eq4:
+        e = np.flatnonzero(has_prev)
+        decay[e] = np.exp(-(entry_t[e] - entry_t[e + 1]) / alpha)
+
+    # step p advances the p-th entry (0-based, ascending time) of every node
+    # longer than p; sorting nodes by length keeps those a prefix of `order`
+    order = np.argsort(-lengths, kind="stable")
+    first = entry_ptr[order + 1] - 1  # each node's earliest entry
+    active = np.searchsorted(-lengths[order], -np.arange(lengths.max(initial=0)),
+                             side="left")
+    zrows = np.zeros((n_entries, two_k))
+    z = np.zeros((n, two_k))
+    for p in range(1, len(active)):
+        e = first[:active[p]] - p
+        z = _row_normalize(W[e + 1] + decay[e, None] * z[:len(e)])
+        zrows[e] = z
+
+    H = np.empty((n, output_width(k)))
+    seg = _csr_ones(entry_ptr, np.arange(n_entries), n_entries)  # node x entry
+    for a in range(two_k):
+        H[:, a * two_k:(a + 1) * two_k] = seg @ (W[:, a:a + 1] * zrows)
+    H[:, two_k * two_k:] = seg @ W
     return H

@@ -44,35 +44,47 @@ def random_connected_graph(rng, n, extra_edges, t_range=1000):
     return build_graph(edges)
 
 
-def canonical_form(graph):
-    """Order-free description keyed by account: {key: ((t, ins, outs), ...)}."""
+def group_rows(rows):
+    """Straight-line timelines of raw (src, dst, t) rows.
+
+    {src or dst: {t: ([in keys], [out keys])}}, neighbor keys in row order.
+    """
     out = {}
-    for v in range(graph.n_nodes):
-        entries = []
-        for e in graph.timelines[v]:
-            ins = tuple(sorted(graph.id_to_key[int(u)] for u in e.in_neighbors))
-            outs = tuple(sorted(graph.id_to_key[int(u)] for u in e.out_neighbors))
-            entries.append((e.t, ins, outs))
-        out[graph.id_to_key[v]] = tuple(sorted(entries, reverse=True))
+    for src, dst, t in rows:
+        out.setdefault(src, {}).setdefault(t, ([], []))[1].append(dst)
+        out.setdefault(dst, {}).setdefault(t, ([], []))[0].append(src)
     return out
 
 
+def edge_rows(graph):
+    """The graph's transactions as (src key, dst key, t) rows."""
+    return [(graph.id_to_key[u], graph.id_to_key[v], t) for u, v, t in graph.iter_edges()]
+
+
+def canonical_form(graph):
+    """Order-free description keyed by account: {key: ((t, ins, outs), ...)}."""
+    return {key: tuple(sorted(((t, tuple(sorted(ins)), tuple(sorted(outs)))
+                               for t, (ins, outs) in per_t.items()), reverse=True))
+            for key, per_t in group_rows(edge_rows(graph)).items()}
+
+
 def brute_force_embeddings(graph, Z, alpha, literal=False):
-    """Straight-line recomputation of the aggregation, one step at a time."""
+    """Straight-line recomputation of the aggregation, one step at a time.
+
+    Reads the graph only through its edge list, so the timelines it walks
+    are grouped here, not taken from the columnar arrays under test."""
     n = graph.n_nodes
     k = Z.shape[1]
     H = np.zeros((n, 4 * k * k + 2 * k))
-    for v in range(n):
-        entries = sorted(graph.timelines[v], key=lambda e: e.t)
-        if not entries:
-            continue
+    for key, per_t in group_rows(edge_rows(graph)).items():
+        entries = sorted(per_t.items())
         ws = []
-        for e in entries:
+        for _, (ins, outs) in entries:
             w = np.zeros(2 * k)
-            for u in e.in_neighbors:
-                w[:k] = w[:k] + Z[int(u)]
-            for u in e.out_neighbors:
-                w[k:] = w[k:] + Z[int(u)]
+            for u in ins:
+                w[:k] = w[:k] + Z[graph.key_to_id[u]]
+            for u in outs:
+                w[k:] = w[k:] + Z[graph.key_to_id[u]]
             ws.append(w / (np.linalg.norm(w) + EPS))
         s = np.zeros(2 * k)
         for w in ws:
@@ -80,14 +92,14 @@ def brute_force_embeddings(graph, Z, alpha, literal=False):
         struct = np.zeros((2 * k, 2 * k))
         z = np.zeros(2 * k)
         for i in range(1, len(entries)):
-            dt = entries[i].t - entries[i - 1].t
+            dt = entries[i][0] - entries[i - 1][0]
             if literal:
                 u_vec = math.exp(dt / alpha) * (ws[i - 1] + z)
             else:
                 u_vec = ws[i - 1] + math.exp(-dt / alpha) * z
             z = u_vec / (np.linalg.norm(u_vec) + EPS)
             struct = struct + np.outer(ws[i], z)
-        H[v] = np.concatenate([struct.reshape(-1), s])
+        H[graph.key_to_id[key]] = np.concatenate([struct.reshape(-1), s])
     return H
 
 
@@ -118,6 +130,25 @@ def dense_system(weights, R, lam, mu):
             M[u, v] -= lam * wc
             M[v, u] -= lam * wc
     return M
+
+
+def cluster_laplacians(weights, R):
+    """One dense Laplacian per cluster, edge weights scaled by r_uc * r_vc.
+
+    Oracle for the <R_u, R_v> identity the solver assembles with:
+    sum_c L_c equals the Laplacian of the weights w * <R_u, R_v>."""
+    n, k = R.shape
+    out = []
+    for c in range(k):
+        L = np.zeros((n, n))
+        for (u, v), w in weights.items():
+            wc = w * R[u, c] * R[v, c]
+            L[u, u] += wc
+            L[v, v] += wc
+            L[u, v] -= wc
+            L[v, u] -= wc
+        out.append(L)
+    return out
 
 
 def dense_solve(subx, weights, R, lam, mu):

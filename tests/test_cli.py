@@ -1,9 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from ditsgcr import cli
+from ditsgcr import cli, laplacian
 
 
 def make_dataset(tmp_path, name="d", normals=20, phishers=2, seed=0):
@@ -150,6 +154,36 @@ def test_bad_timestamp_fails_with_line_number(tmp_path, capsys):
     assert cli.main(["embed", "--input", str(edges)]) == 1
     err = capsys.readouterr().err
     assert "line 2" in err and "oops" in err
+
+
+def test_timestamp_beyond_int64_fails(tmp_path, capsys):
+    edges = tmp_path / "big.csv"
+    edges.write_text("a,b,9223372036854775807\nc,d,9223372036854775808\n",
+                     encoding="utf-8")
+    assert cli.main(["embed", "--input", str(edges)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 2") and "9223372036854775808" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_solver_convergence_error_is_one_line(tmp_path, capsys, monkeypatch):
+    edges, _ = make_dataset(tmp_path)
+    monkeypatch.setattr(laplacian, "default_cg_max_iters", lambda n: 1)
+    out = tmp_path / "emb.csv"
+    assert cli.main(["embed", "--input", str(edges), "--output", str(out),
+                     "--clusters", "3"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: conjugate gradients stopped")
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    # --threads caps BLAS only if numpy is not yet loaded when main() runs
+    src = Path(cli.__file__).resolve().parents[1]
+    code = "import sys, ditsgcr.cli; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)}, check=True).stdout
+    assert out.strip() == "False"
 
 
 def test_bad_label_fails(tmp_path, capsys):

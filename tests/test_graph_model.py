@@ -2,11 +2,26 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ditsgcr.graph_model import (EdgeSchema, adjacency_weights, build_graph,
                                  ingest_csv, ingest_labels, write_edge_csv,
                                  write_label_csv)
-from helpers import canonical_form, random_graph
+from helpers import canonical_form, group_rows, random_graph
+
+KEYS = st.sampled_from(["a", "b", "c", "d", "e"])
+ROWS = st.lists(st.tuples(KEYS, KEYS, st.integers(0, 6)), max_size=25)
+
+
+def node_entries(graph, v):
+    """[(t, [in ids], [out ids]), ...] of node v, read from the arrays."""
+    out = []
+    for e in range(graph.entry_ptr[v], graph.entry_ptr[v + 1]):
+        ins = graph.in_ids[graph.in_ptr[e]:graph.in_ptr[e + 1]].tolist()
+        outs = graph.out_ids[graph.out_ptr[e]:graph.out_ptr[e + 1]].tolist()
+        out.append((int(graph.entry_t[e]), ins, outs))
+    return out
 
 
 def write_lines(path, lines):
@@ -22,9 +37,7 @@ def test_ingest_with_header(tmp_path):
     assert g.id_to_key == ["A", "B"]
     assert g.key_to_id == {"A": 0, "B": 1}
     # duplicate rows each count: B's entry at t=10 has A twice inbound
-    b10 = [e for e in g.timelines[1] if e.t == 10]
-    assert len(b10) == 1
-    assert list(b10[0].in_neighbors) == [0, 0]
+    assert node_entries(g, 1) == [(12, [], [0]), (10, [0, 0], [])]
 
 
 def test_ingest_without_header(tmp_path):
@@ -49,14 +62,18 @@ def test_ingest_empty_file(tmp_path):
     assert g.n_nodes == 0
     assert g.n_edges == 0
     assert g.max_timestamp() is None
+    assert list(g.iter_edges()) == []
+    assert g.entry_ptr.tolist() == [0] and len(g.entry_t) == 0
 
 
 def test_ingest_timelines_sorted_descending(tmp_path):
     p = tmp_path / "g.csv"
     write_lines(p, ["A,B,5", "A,B,50", "A,C,20"])
     g = ingest_csv(p)
-    times = [e.t for e in g.timelines[0]]
-    assert times == [50, 20, 5]
+    assert [t for t, _, _ in node_entries(g, 0)] == [50, 20, 5]
+    assert [tl.tolist() for tl in g.timelines] == [[50, 20, 5], [50, 5], [20]]
+    with pytest.raises(ValueError):
+        g.timelines[0][0] = 1  # the per-node view is read-only
 
 
 def test_ingest_malformed_row_arity(tmp_path):
@@ -87,6 +104,17 @@ def test_ingest_negative_timestamp(tmp_path):
         ingest_csv(p)
 
 
+def test_ingest_timestamp_int64_bounds(tmp_path):
+    p = tmp_path / "g.csv"
+    write_lines(p, ["A,B,0", "B,A,9223372036854775807"])
+    g = ingest_csv(p)
+    assert g.max_timestamp() == 2**63 - 1
+    assert list(g.iter_edges()) == [(0, 1, 0), (1, 0, 2**63 - 1)]
+    write_lines(p, ["A,B,0", "B,A,9223372036854775808"])
+    with pytest.raises(ValueError, match="line 2.*2\\*\\*63-1"):
+        ingest_csv(p)
+
+
 def test_ingest_custom_schema(tmp_path):
     p = tmp_path / "g.csv"
     write_lines(p, ["10,A,B", "11,B,C"])
@@ -109,21 +137,21 @@ def test_edge_count_matches_out_lists():
     rng = np.random.default_rng(1)
     for _ in range(20):
         g = random_graph(rng)
-        total_out = sum(len(e.out_neighbors) for tl in g.timelines for e in tl)
-        total_in = sum(len(e.in_neighbors) for tl in g.timelines for e in tl)
-        assert g.n_edges == total_out == total_in
+        assert g.n_edges == len(g.out_ids) == len(g.in_ids)
+        assert g.out_ptr[-1] == g.in_ptr[-1] == g.n_edges
 
 
 def test_timeline_entries_nonempty_and_strictly_descending():
     rng = np.random.default_rng(2)
     for _ in range(20):
         g = random_graph(rng)
-        for tl in g.timelines:
-            times = [e.t for e in tl]
+        for v in range(g.n_nodes):
+            entries = node_entries(g, v)
+            times = [t for t, _, _ in entries]
             assert times == sorted(times, reverse=True)
             assert len(set(times)) == len(times)
-            for e in tl:
-                assert len(e.in_neighbors) + len(e.out_neighbors) > 0
+            for _, ins, outs in entries:
+                assert len(ins) + len(outs) > 0
 
 
 def test_round_trip_preserves_graph(tmp_path):
@@ -149,9 +177,7 @@ def test_round_trip_is_row_order_free(tmp_path):
 
 def test_self_loop_kept_in_timeline_not_adjacency():
     g = build_graph([("A", "A", 7), ("A", "B", 9)])
-    entry = [e for e in g.timelines[0] if e.t == 7][0]
-    assert list(entry.in_neighbors) == [0]
-    assert list(entry.out_neighbors) == [0]
+    assert node_entries(g, 0) == [(9, [], [1]), (7, [0], [0])]
     w = adjacency_weights(g)
     assert w == {(0, 1): 1.0}
 
@@ -168,6 +194,43 @@ def test_adjacency_recency_mode():
     g2 = build_graph([("A", "B", 10), ("A", "B", 4)])
     w = adjacency_weights(g2, "recency", 3.0)
     assert w[(0, 1)] == pytest.approx(1.0 + math.exp(-2.0), abs=1e-12)
+
+
+def test_adjacency_weights_empty_and_self_loop_only():
+    empty = build_graph([])
+    loops = build_graph([("A", "A", 3), ("B", "B", 4)])
+    for g in (empty, loops):
+        assert adjacency_weights(g) == {}
+        assert adjacency_weights(g, "recency", 2.0) == {}
+
+
+@settings(max_examples=150, deadline=None)
+@given(ROWS)
+def test_columnar_arrays_match_row_grouping(rows):
+    g = build_graph(rows)
+    assert g.n_edges == len(rows)
+    assert g.id_to_key == list(dict.fromkeys(k for r in rows for k in r[:2]))
+    expected = group_rows(rows)
+    for v, key in enumerate(g.id_to_key):
+        ids = [(t, [g.id_to_key[i] for i in ins], [g.id_to_key[i] for i in outs])
+               for t, ins, outs in node_entries(g, v)]
+        assert ids == [(t, ins, outs) for t, (ins, outs)
+                       in sorted(expected[key].items(), reverse=True)]
+    assert list(g.iter_edges()) == [
+        (g.key_to_id[s], g.key_to_id[d], t)
+        for s, d, t in sorted(rows, key=lambda r: (g.key_to_id[r[0]], -r[2]))]
+
+
+@settings(max_examples=100, deadline=None)
+@given(ROWS)
+def test_adjacency_weights_match_row_sums(rows):
+    g = build_graph(rows)
+    expected = {}
+    for s, d, _ in rows:
+        u, v = sorted((g.key_to_id[s], g.key_to_id[d]))
+        if u != v:
+            expected[(u, v)] = expected.get((u, v), 0.0) + 1.0
+    assert adjacency_weights(g) == expected
 
 
 def test_adjacency_rejects_bad_arguments():

@@ -3,9 +3,10 @@ import pytest
 
 from ditsgcr.graph_model import adjacency_weights
 from ditsgcr.laplacian import (LaplacianParams, SolverConvergenceError,
-                               assemble_system, build_cluster_laplacians,
-                               build_graph_laplacian, cg_solve, solve)
-from helpers import dense_solve, dense_system, random_connected_graph
+                               assemble_system, build_graph_laplacian, cg_solve,
+                               solve)
+from helpers import (cluster_laplacians, dense_solve, dense_system,
+                     random_connected_graph)
 
 TRIANGLE = {(0, 1): 1.0, (0, 2): 1.0, (1, 2): 1.0}
 
@@ -51,13 +52,13 @@ def test_cluster_laplacians_uniform_memberships():
     k = 2
     R = np.full((3, k), 1.0 / k)
     L = build_graph_laplacian(TRIANGLE, 3).toarray()
-    for Lc in build_cluster_laplacians(TRIANGLE, R):
-        assert np.allclose(Lc.toarray(), L / k**2, atol=1e-12)
+    for Lc in cluster_laplacians(TRIANGLE, R):
+        assert np.allclose(Lc, L / k**2, atol=1e-12)
 
 
 def test_cluster_laplacians_one_hot_memberships():
     R = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    L0, L1 = (m.toarray() for m in build_cluster_laplacians(TRIANGLE, R))
+    L0, L1 = cluster_laplacians(TRIANGLE, R)
     expect0 = np.array([[1.0, -1.0, 0.0], [-1.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
     assert np.allclose(L0, expect0, atol=1e-12)
     assert np.allclose(L1, np.zeros((3, 3)), atol=1e-12)
@@ -71,8 +72,8 @@ def test_assembled_system_equals_cluster_laplacian_sum():
         params = LaplacianParams(lam=0.7, mu=0.3)
         M = assemble_system(weights, R, params).toarray()
         expected = build_graph_laplacian(weights, n).toarray()
-        for Lc in build_cluster_laplacians(weights, R):
-            expected = expected + params.lam * Lc.toarray()
+        for Lc in cluster_laplacians(weights, R):
+            expected = expected + params.lam * Lc
         expected = expected + params.mu * np.eye(n)
         assert np.abs(M - expected).max() <= 1e-12
 
@@ -152,14 +153,6 @@ def test_deterministic():
     a = solve(subx, weights, R, LaplacianParams())
     b = solve(subx, weights, R, LaplacianParams())
     assert np.array_equal(a, b)
-
-
-def test_jacobi_matches_plain():
-    rng = np.random.default_rng(8)
-    weights, R, subx = random_instance(rng)
-    a = solve(subx, weights, R, LaplacianParams(cg_tol=1e-10))
-    b = solve(subx, weights, R, LaplacianParams(cg_tol=1e-10, jacobi=True))
-    assert np.abs(a - b).max() <= 1e-6
 
 
 def test_zero_rhs_column_yields_zero_column():

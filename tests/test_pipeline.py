@@ -9,10 +9,13 @@ from helpers import random_connected_graph, straight_line_pipeline
 
 def edgeless_graph(n):
     keys = [f"a{i}" for i in range(n)]
+    none = np.empty(0, dtype=np.int64)
     return TemporalGraph(n_nodes=n, n_edges=0,
                          key_to_id={k: i for i, k in enumerate(keys)},
                          id_to_key=list(keys),
-                         timelines=[[] for _ in range(n)])
+                         entry_ptr=np.zeros(n + 1, dtype=np.int64), entry_t=none,
+                         in_ptr=np.zeros(1, dtype=np.int64), in_ids=none,
+                         out_ptr=np.zeros(1, dtype=np.int64), out_ids=none)
 
 
 def test_count_unique_rounding():

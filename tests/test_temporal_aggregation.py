@@ -2,19 +2,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ditsgcr.graph_model import TemporalGraph, TimelineEntry, build_graph
-from ditsgcr.temporal_aggregation import (aggregate, output_width,
-                                          temporal_structure, timestep_vector)
+from ditsgcr.graph_model import TemporalGraph, build_graph
+from ditsgcr.temporal_aggregation import aggregate, output_width
 from helpers import brute_force_embeddings, random_graph
 
-IDS = lambda *xs: np.asarray(xs, dtype=np.int64)
-NONE = np.empty(0, dtype=np.int64)
+KEYS = st.sampled_from(["a", "b", "c", "d", "e", "f"])
+ROWS = st.lists(st.tuples(KEYS, KEYS, st.integers(0, 40)), min_size=1, max_size=30)
 
 
-def entry(t, ins=(), outs=()):
-    return TimelineEntry(t=t, in_neighbors=IDS(*ins) if ins else NONE,
-                         out_neighbors=IDS(*outs) if outs else NONE)
+def lift_row(edges, Z_by_key, key, alpha=1.0, literal_eq4=False):
+    """H row of `key` for the graph of `edges`, Z given per account key."""
+    g = build_graph(edges)
+    Z = np.array([Z_by_key[k] for k in g.id_to_key], dtype=np.float64)
+    return aggregate(g, Z, alpha, literal_eq4)[g.key_to_id[key]]
 
 
 def test_output_width():
@@ -24,64 +27,63 @@ def test_output_width():
 
 
 def test_timestep_vector_in_only():
-    Z = np.array([[3.0, 4.0], [1.0, 0.0]])
-    w = timestep_vector(entry(5, ins=(0,)), Z)
-    assert w == pytest.approx([0.6, 0.8, 0.0, 0.0], abs=1e-9)
+    # B's only entry has in-neighbor A with row (3, 4): w = s_B = (0.6, 0.8, 0, 0)
+    h = lift_row([("A", "B", 5)], {"A": (3.0, 4.0), "B": (1.0, 0.0)}, "B")
+    assert h[16:] == pytest.approx([0.6, 0.8, 0.0, 0.0], abs=1e-9)
 
 
 def test_timestep_vector_duplicates_count():
-    Z = np.array([[1.0], [2.0]])
-    w = timestep_vector(entry(5, ins=(1, 1), outs=(0,)), Z)
-    # raw concat (4, 1), norm sqrt(17)
-    assert w == pytest.approx(np.array([4.0, 1.0]) / math.sqrt(17.0), abs=1e-9)
+    # C: in from B twice, out to A, all at t=5; raw concat (4, 1), norm sqrt(17)
+    edges = [("C", "A", 5), ("B", "C", 5), ("B", "C", 5)]
+    h = lift_row(edges, {"A": (1.0,), "B": (2.0,), "C": (0.0,)}, "C")
+    assert h[4:] == pytest.approx(np.array([4.0, 1.0]) / math.sqrt(17.0), abs=1e-9)
 
 
 def test_timestep_vector_unit_or_zero():
+    # with one timestamp per graph every node has a single entry, so s_v is w
     rng = np.random.default_rng(0)
-    Z = rng.normal(size=(6, 3))
     for _ in range(50):
-        ins = tuple(rng.integers(6, size=rng.integers(0, 4)))
-        outs = tuple(rng.integers(6, size=rng.integers(0, 4)))
-        if not ins and not outs:
-            continue
-        w = timestep_vector(entry(1, ins, outs), Z)
-        n = np.linalg.norm(w)
-        assert n <= 1.0 + 1e-9
-        assert n == 0.0 or n > 1.0 - 1e-6
-    w0 = timestep_vector(entry(1, ins=(0,)), np.zeros((2, 3)))
-    assert np.all(w0 == 0.0)
+        g = random_graph(rng, max_distinct_times=1)
+        s = aggregate(g, rng.normal(size=(g.n_nodes, 3)), alpha=1.0)[:, 36:]
+        for v in range(g.n_nodes):
+            n = np.linalg.norm(s[v])
+            assert n <= 1.0 + 1e-9
+            assert n == 0.0 or n > 1.0 - 1e-6
+    assert np.all(aggregate(g, np.zeros((g.n_nodes, 3)), alpha=1.0) == 0.0)
 
 
 def test_temporal_structure_single_entry():
-    Z = np.array([[1.0, 0.0]])
-    struct, s = temporal_structure([entry(3, ins=(0,))], Z, alpha=1.0)
-    assert np.all(struct == 0.0)
-    assert s == pytest.approx([1.0, 0.0, 0.0, 0.0], abs=1e-9)
+    h = lift_row([("A", "B", 3)], {"A": (1.0, 0.0), "B": (0.0, 1.0)}, "B")
+    assert np.all(h[:16] == 0.0)
+    assert h[16:] == pytest.approx([1.0, 0.0, 0.0, 0.0], abs=1e-9)
 
 
 def test_temporal_structure_two_entry_hand_case():
-    # one neighbor embedding (1,); in at t=0 gives w1=(1,0), out at t=3 gives w2=(0,1)
-    Z = np.array([[1.0]])
-    timeline = [entry(0, ins=(0,)), entry(3, outs=(0,))]
-    struct, s = temporal_structure(timeline, Z, alpha=3.0)
-    assert struct == pytest.approx(np.array([[0.0, 0.0], [1.0, 0.0]]), abs=1e-9)
-    assert s == pytest.approx([1.0, 1.0], abs=1e-9)
+    # B: in from A at t=0 gives w1=(1,0), out to A at t=3 gives w2=(0,1),
+    # z2 = normalize(w1) = (1, 0), so Z_B = w2 z2^T
+    h = lift_row([("A", "B", 0), ("B", "A", 3)], {"A": (1.0,), "B": (1.0,)}, "B",
+                 alpha=3.0)
+    assert h == pytest.approx([0.0, 0.0, 1.0, 0.0, 1.0, 1.0], abs=1e-9)
+
+
+def huge_gap_rows(literal_eq4):
+    """B's row for the two-entry hand case with a 1e9 s gap, near 0 and near 2**63."""
+    for t0 in (0, 2**63 - 1 - 10**9):
+        yield lift_row([("A", "B", t0), ("B", "A", t0 + 10**9)],
+                       {"A": (1.0,), "B": (1.0,)}, "B", alpha=1.0,
+                       literal_eq4=literal_eq4)
 
 
 def test_temporal_structure_huge_gap_default_mode():
-    # decay of the previous state vanishes; z2 is still normalize(w1)
-    Z = np.array([[1.0]])
-    timeline = [entry(0, ins=(0,)), entry(10**9, outs=(0,))]
-    struct, _ = temporal_structure(timeline, Z, alpha=1.0)
-    assert struct == pytest.approx(np.array([[0.0, 0.0], [1.0, 0.0]]), abs=1e-9)
+    # the decay of the previous state vanishes; z2 is still normalize(w1)
+    for h in huge_gap_rows(literal_eq4=False):
+        assert h == pytest.approx([0.0, 0.0, 1.0, 0.0, 1.0, 1.0], abs=1e-9)
 
 
 def test_temporal_structure_huge_gap_literal_mode_no_overflow():
-    Z = np.array([[1.0]])
-    timeline = [entry(0, ins=(0,)), entry(10**9, outs=(0,))]
-    struct, _ = temporal_structure(timeline, Z, alpha=1.0, literal_eq4=True)
-    assert np.all(np.isfinite(struct))
-    assert struct == pytest.approx(np.array([[0.0, 0.0], [1.0, 0.0]]), abs=1e-9)
+    for h in huge_gap_rows(literal_eq4=True):
+        assert np.all(np.isfinite(h))
+        assert h == pytest.approx([0.0, 0.0, 1.0, 0.0, 1.0, 1.0], abs=1e-9)
 
 
 def test_literal_mode_alpha_inert():
@@ -131,11 +133,37 @@ def test_aggregate_isolated_node_zero_row():
     g = TemporalGraph(n_nodes=3, n_edges=1,
                       key_to_id={**base.key_to_id, "C": 2},
                       id_to_key=base.id_to_key + ["C"],
-                      timelines=base.timelines + [[]])
+                      entry_ptr=np.append(base.entry_ptr, base.entry_ptr[-1]),
+                      entry_t=base.entry_t, in_ptr=base.in_ptr, in_ids=base.in_ids,
+                      out_ptr=base.out_ptr, out_ids=base.out_ids)
     H = aggregate(g, np.ones((3, 2)), alpha=1.0)
     assert H.shape == (3, output_width(2))
     assert np.all(H[2] == 0.0)
     assert np.any(H[0] != 0.0)
+
+
+def relabel(g, perm):
+    """g with node v renamed perm[v], its arrays rebuilt entry by entry."""
+    def ptr(lengths):
+        return np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64)
+
+    n = g.n_nodes
+    entry_t, ins, outs, lengths = [], [], [], []
+    for old in np.argsort(perm):  # new node ids in ascending order
+        a, b = g.entry_ptr[old], g.entry_ptr[old + 1]
+        lengths.append(b - a)
+        for e in range(a, b):
+            entry_t.append(g.entry_t[e])
+            ins.append(perm[g.in_ids[g.in_ptr[e]:g.in_ptr[e + 1]]])
+            outs.append(perm[g.out_ids[g.out_ptr[e]:g.out_ptr[e + 1]]])
+    none = [np.empty(0, dtype=np.int64)]
+    return TemporalGraph(
+        n_nodes=n, n_edges=g.n_edges,
+        key_to_id={g.id_to_key[v]: int(perm[v]) for v in range(n)},
+        id_to_key=[g.id_to_key[int(v)] for v in np.argsort(perm)],
+        entry_ptr=ptr(lengths), entry_t=np.array(entry_t, dtype=np.int64),
+        in_ptr=ptr([len(x) for x in ins]), in_ids=np.concatenate(ins + none),
+        out_ptr=ptr([len(x) for x in outs]), out_ids=np.concatenate(outs + none))
 
 
 def test_aggregate_permutation_equivariance():
@@ -143,27 +171,12 @@ def test_aggregate_permutation_equivariance():
     for _ in range(10):
         g = random_graph(rng)
         n = g.n_nodes
-        k = 2
-        Z = rng.normal(size=(n, k))
+        Z = rng.normal(size=(n, 2))
         perm = rng.permutation(n)
-        remap = {old: int(new) for old, new in enumerate(perm)}
-        timelines2 = [None] * n
-        for v in range(n):
-            timelines2[remap[v]] = [
-                TimelineEntry(t=e.t,
-                              in_neighbors=np.array([remap[int(u)] for u in e.in_neighbors],
-                                                    dtype=np.int64),
-                              out_neighbors=np.array([remap[int(u)] for u in e.out_neighbors],
-                                                     dtype=np.int64))
-                for e in g.timelines[v]]
-        g2 = TemporalGraph(n_nodes=n, n_edges=g.n_edges,
-                           key_to_id={g.id_to_key[v]: remap[v] for v in range(n)},
-                           id_to_key=[g.id_to_key[int(v)] for v in np.argsort(perm)],
-                           timelines=timelines2)
         Z2 = np.empty_like(Z)
         Z2[perm] = Z
         H = aggregate(g, Z, alpha=1.0)
-        H2 = aggregate(g2, Z2, alpha=1.0)
+        H2 = aggregate(relabel(g, perm), Z2, alpha=1.0)
         assert np.allclose(H2[perm], H, atol=1e-12)
 
 
@@ -176,7 +189,8 @@ def test_aggregate_neighbor_sum_norm_bounded_by_entries():
         H = aggregate(g, Z, alpha=1.0)
         for v in range(g.n_nodes):
             s = H[v, 4 * k * k:]
-            assert np.linalg.norm(s) <= len(g.timelines[v]) + 1e-9
+            n_entries = g.entry_ptr[v + 1] - g.entry_ptr[v]
+            assert np.linalg.norm(s) <= n_entries + 1e-9
 
 
 def test_aggregate_shape_and_errors():
@@ -187,3 +201,31 @@ def test_aggregate_shape_and_errors():
         aggregate(g, np.ones((3, 2)), alpha=1.0)
     with pytest.raises(ValueError):
         aggregate(g, np.ones((2, 2)), alpha=0.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(ROWS, st.integers(0, 2**63 - 1 - 40), st.booleans())
+def test_timestamp_shift_leaves_embeddings_bit_identical(rows, shift, literal_eq4):
+    g = build_graph(rows)
+    shifted = build_graph([(s, d, t + shift) for s, d, t in rows])
+    Z = np.random.default_rng(len(rows)).normal(size=(g.n_nodes, 2))
+    assert np.array_equal(aggregate(g, Z, 7.0, literal_eq4),
+                          aggregate(shifted, Z, 7.0, literal_eq4))
+
+
+@settings(max_examples=100, deadline=None)
+@given(ROWS, st.permutations(range(6)), st.randoms(use_true_random=False))
+def test_relabeling_equivariance(rows, names, rnd):
+    # rename every account and shuffle the rows, so ids come out in another order
+    rename = {k: f"x{i}" for k, i in zip("abcdef", names)}
+    shuffled = [(rename[s], rename[d], t) for s, d, t in rows]
+    rnd.shuffle(shuffled)
+    g, g2 = build_graph(rows), build_graph(shuffled)
+    back = {new: old for old, new in rename.items()}
+    Z_by_key = dict(zip("abcdef", np.random.default_rng(len(rows)).normal(size=(6, 2))))
+    Z = np.array([Z_by_key[k] for k in g.id_to_key])
+    Z2 = np.array([Z_by_key[back[k]] for k in g2.id_to_key])
+    H = aggregate(g, Z, 50.0)
+    H2 = aggregate(g2, Z2, 50.0)
+    for key, v in g.key_to_id.items():
+        assert np.allclose(H2[g2.key_to_id[rename[key]]], H[v], rtol=0, atol=1e-12)
