@@ -3,8 +3,9 @@
 Three subcommands: embed (graph in, embedding CSV out), evaluate (graph
 plus labels in, metrics line out) and synth (write a synthetic benchmark
 graph). Every produced data file is deterministic for a fixed flag set;
-a JSON run manifest (resolved config, input digests, stage wall-times)
-is written alongside each primary output. DITSGCR_LOG={error|info|debug}
+a JSON run manifest (resolved config, input digests, stage wall-times
+and, for embed and evaluate, why the iteration loop stopped) is written
+alongside each primary output. DITSGCR_LOG={error|info|debug}
 controls diagnostics on stderr.
 """
 
@@ -48,7 +49,7 @@ def _sha256(path):
     return h.hexdigest()
 
 
-def _write_manifest(output_path, config, inputs, stage_seconds):
+def _write_manifest(output_path, config, inputs, stage_seconds, stop_reason=None):
     manifest = {
         "artifact_version": __version__,
         "config": config,
@@ -56,6 +57,8 @@ def _write_manifest(output_path, config, inputs, stage_seconds):
                    for name, p in inputs.items()},
         "stage_seconds": {k: round(v, 6) for k, v in stage_seconds.items()},
     }
+    if stop_reason is not None:
+        manifest["stop_reason"] = stop_reason
     path = f"{output_path}.manifest.json"
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -107,10 +110,6 @@ def _config_dict(args, extra=None):
     return out
 
 
-def _fmt(x):
-    return format(float(x), ".9g")
-
-
 def _cmd_embed(args):
     from . import graph_model, pipeline
 
@@ -120,14 +119,17 @@ def _cmd_embed(args):
     total = time.perf_counter() - started
 
     H = result.embeddings
+    row = "%s," + ",".join(["%.9g"] * H.shape[1]) + "\n"
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.write("node_key," + ",".join(f"e{i}" for i in range(H.shape[1])) + "\n")
-        for v in range(H.shape[0]):
-            fh.write(graph.id_to_key[v] + "," + ",".join(_fmt(x) for x in H[v]) + "\n")
+        for key, values in zip(graph.id_to_key, H):
+            # one row at a time: H.tolist() would hold every value as a Python float
+            fh.write(row % (key, *values.tolist()))
 
     seconds = dict(result.stage_seconds)
     seconds["total"] = total
-    _write_manifest(args.output, _config_dict(args), {"edges": args.input}, seconds)
+    _write_manifest(args.output, _config_dict(args), {"edges": args.input}, seconds,
+                    result.stop_reason)
     print(f"wrote {H.shape[0]} embeddings of width {H.shape[1]} to {args.output} "
           f"({result.iterations_run} iterations)")
     return 0
@@ -166,13 +168,15 @@ def _cmd_evaluate(args):
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(line + "\n")
-        _write_manifest(args.output, _config_dict(args), inputs, seconds)
+        _write_manifest(args.output, _config_dict(args), inputs, seconds,
+                        result.stop_reason)
     if args.emit_roc:
         with open(args.emit_roc, "w", encoding="utf-8") as fh:
             fh.write("fpr,tpr,threshold\n")
             for (fpr, tpr), thr in zip(metrics.roc_points, metrics.roc_thresholds):
-                fh.write(f"{_fmt(fpr)},{_fmt(tpr)},{_fmt(thr)}\n")
-        _write_manifest(args.emit_roc, _config_dict(args), inputs, seconds)
+                fh.write("%.9g,%.9g,%.9g\n" % (fpr, tpr, thr))
+        _write_manifest(args.emit_roc, _config_dict(args), inputs, seconds,
+                        result.stop_reason)
     return 0
 
 

@@ -17,7 +17,6 @@ import numpy as np
 class SplitSpec:
     train_fraction: float = 0.8
     seed: int = 42
-    stratified: bool = True
 
     def validate(self) -> None:
         if not 0.0 < self.train_fraction < 1.0:
@@ -27,7 +26,6 @@ class SplitSpec:
 @dataclass
 class ForestConfig:
     n_trees: int = 100
-    max_depth: int | None = None  # None: grow to purity
     features_per_split: int | None = None  # None: ceil(sqrt(dim))
     bootstrap: bool = True
     seed: int = 42
@@ -35,8 +33,6 @@ class ForestConfig:
     def validate(self) -> None:
         if self.n_trees < 1:
             raise ValueError("need at least one tree")
-        if self.max_depth is not None and self.max_depth < 1:
-            raise ValueError("max_depth must be at least 1 when set")
         if self.features_per_split is not None and self.features_per_split < 1:
             raise ValueError("features_per_split must be at least 1 when set")
 
@@ -48,10 +44,10 @@ def _as_label_dict(labels):
 def split(labels, spec: SplitSpec = SplitSpec()):
     """Split labeled node ids into (train_ids, test_ids), both sorted.
 
-    Stratified mode shuffles each class separately and sends
-    floor(train_fraction * n_c) of class c to train, clamped so both
-    sides keep at least one example; it requires both classes present
-    with >= 2 examples each. Deterministic for a fixed seed.
+    Stratified: each class is shuffled separately and
+    floor(train_fraction * n_c) of class c goes to train, clamped so both
+    sides keep at least one example; both classes must be present with
+    >= 2 examples each. Deterministic for a fixed seed.
     """
     spec.validate()
     label_dict = _as_label_dict(labels)
@@ -61,23 +57,17 @@ def split(labels, spec: SplitSpec = SplitSpec()):
     y = np.array([label_dict[i] for i in ids], dtype=np.int64)
     rng = np.random.default_rng(spec.seed)
     train_parts, test_parts = [], []
-    if spec.stratified:
-        for cls in (0, 1):
-            members = ids[y == cls]
-            if len(members) == 0:
-                raise ValueError(f"class {cls} absent, cannot stratify")
-            if len(members) < 2:
-                raise ValueError(f"class {cls} has a single example, cannot stratify")
-            perm = rng.permutation(len(members))
-            n_train = int(spec.train_fraction * len(members))
-            n_train = min(max(n_train, 1), len(members) - 1)
-            train_parts.append(members[perm[:n_train]])
-            test_parts.append(members[perm[n_train:]])
-    else:
-        perm = rng.permutation(len(ids))
-        n_train = min(max(int(spec.train_fraction * len(ids)), 1), len(ids) - 1)
-        train_parts.append(ids[perm[:n_train]])
-        test_parts.append(ids[perm[n_train:]])
+    for cls in (0, 1):
+        members = ids[y == cls]
+        if len(members) == 0:
+            raise ValueError(f"class {cls} absent, cannot stratify")
+        if len(members) < 2:
+            raise ValueError(f"class {cls} has a single example, cannot stratify")
+        perm = rng.permutation(len(members))
+        n_train = int(spec.train_fraction * len(members))
+        n_train = min(max(n_train, 1), len(members) - 1)
+        train_parts.append(members[perm[:n_train]])
+        test_parts.append(members[perm[n_train:]])
     train = np.sort(np.concatenate(train_parts))
     test = np.sort(np.concatenate(test_parts))
     return train, test
@@ -166,17 +156,17 @@ def _best_split(X, y, idx, feats):
     return int(feats[col]), float((xs[pos, col] + xs[pos + 1, col]) / 2.0)
 
 
-def _grow_tree(X, y, rng, features_per_split, max_depth, bootstrap):
+def _grow_tree(X, y, rng, features_per_split, bootstrap):
+    """Grow one tree to purity, or until no split separates a node."""
     n, dim = X.shape
     idx = rng.integers(0, n, n) if bootstrap else np.arange(n)
     tree = _Tree()
     root = tree.new_node()
-    stack = [(root, idx, 0)]
-    depth_cap = math.inf if max_depth is None else max_depth
+    stack = [(root, idx)]
     while stack:
-        node, members, depth = stack.pop()
+        node, members = stack.pop()
         counts = np.bincount(y[members], minlength=2)
-        if counts[0] == 0 or counts[1] == 0 or depth >= depth_cap or len(members) < 2:
+        if counts[0] == 0 or counts[1] == 0 or len(members) < 2:
             tree.value[node] = int(np.argmax(counts))  # tie goes to class 0
             continue
         feats = rng.choice(dim, size=features_per_split, replace=False)
@@ -193,8 +183,8 @@ def _grow_tree(X, y, rng, features_per_split, max_depth, bootstrap):
         right = tree.new_node()
         tree.left[node] = left
         tree.right[node] = right
-        stack.append((right, members[~go_left], depth + 1))
-        stack.append((left, members[go_left], depth + 1))
+        stack.append((right, members[~go_left]))
+        stack.append((left, members[go_left]))
     tree.freeze()
     return tree
 
@@ -229,7 +219,7 @@ def train_forest(X: np.ndarray, y: np.ndarray, config: ForestConfig = ForestConf
     trees = []
     for s in seeds:
         rng = np.random.default_rng(s)
-        trees.append(_grow_tree(X, y, rng, fps, config.max_depth, config.bootstrap))
+        trees.append(_grow_tree(X, y, rng, fps, config.bootstrap))
     return Forest(trees=trees, n_features=dim)
 
 

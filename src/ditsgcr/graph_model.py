@@ -23,18 +23,8 @@ WEIGHT_MODES = ("count", "recency")
 
 _T_MAX = 2**63 - 1  # timestamps are stored as int64
 
-
-@dataclass(frozen=True)
-class EdgeSchema:
-    """Zero-based column positions of the edge fields in a CSV row."""
-
-    source: int = 0
-    target: int = 1
-    timestamp: int = 2
-
-    @property
-    def min_columns(self) -> int:
-        return max(self.source, self.target, self.timestamp) + 1
+# one undirected node pair u < v and its summed weight w
+PAIR_DTYPE = np.dtype([("u", np.int64), ("v", np.int64), ("w", np.float64)])
 
 
 @dataclass(eq=False)
@@ -67,10 +57,6 @@ class TemporalGraph:
         t = self.entry_t.view()
         t.flags.writeable = False
         return [t[a:b] for a, b in zip(self.entry_ptr[:-1], self.entry_ptr[1:])]
-
-    def max_timestamp(self):
-        """Largest timestamp of any edge, or None for an edgeless graph."""
-        return int(self.entry_t.max()) if len(self.entry_t) else None
 
     def out_edges(self):
         """(u, v, t) int64 arrays of every directed edge, one per transaction.
@@ -179,38 +165,26 @@ def _iter_csv_rows(path):
             yield lineno, row
 
 
-def ingest_csv(path, schema: EdgeSchema = EdgeSchema()) -> TemporalGraph:
-    """Stream an edge CSV into a TemporalGraph.
+def ingest_csv(path) -> TemporalGraph:
+    """Stream a source,target,timestamp CSV into a TemporalGraph.
 
-    Parameters
-    ----------
-    path : str or Path
-        CSV with one transaction per row. A header row is detected by a
-        non-numeric timestamp field in row 1 and skipped.
-    schema : EdgeSchema
-        Column positions of source key, target key and timestamp. Extra
-        columns are ignored.
-
-    Raises
-    ------
-    ValueError
-        On rows with too few columns, unparsable, negative, fractional or
-        above 2**63-1 timestamps. The message carries the line number.
+    One transaction per row; extra columns are ignored. A header row is
+    detected by a non-numeric timestamp field in row 1 and skipped.
+    Raises ValueError, with the line number, on rows with fewer than 3
+    columns and on unparsable, negative, fractional or above 2**63-1
+    timestamps.
     """
 
     def edge_rows():
         first = True
         for lineno, row in _iter_csv_rows(path):
-            if len(row) < schema.min_columns:
-                raise ValueError(
-                    f"line {lineno}: expected at least {schema.min_columns} "
-                    f"columns, got {len(row)}")
+            if len(row) < 3:
+                raise ValueError(f"line {lineno}: expected at least 3 columns, got {len(row)}")
             if first:
                 first = False
-                if not _is_number(row[schema.timestamp].strip()):
+                if not _is_number(row[2].strip()):
                     continue  # header row
-            t = _parse_timestamp(row[schema.timestamp], lineno)
-            yield row[schema.source].strip(), row[schema.target].strip(), t
+            yield row[0].strip(), row[1].strip(), _parse_timestamp(row[2], lineno)
 
     graph = build_graph(edge_rows())
     logger.info("ingested %s: %d nodes, %d edges", path, graph.n_nodes, graph.n_edges)
@@ -248,12 +222,15 @@ def ingest_labels(path, graph: TemporalGraph) -> LabelSet:
     return LabelSet(labels=labels, skipped_keys=skipped)
 
 
-def adjacency_weights(graph: TemporalGraph, mode: str = "count", alpha: float = 1.0) -> dict:
-    """Collapse the multigraph into symmetric edge weights.
+def adjacency_weights(graph: TemporalGraph, mode: str = "count",
+                      alpha: float = 1.0) -> np.ndarray:
+    """Collapse the multigraph into symmetric pair weights.
 
-    Returns {(u, v): w} with u < v. "count" sums transactions per pair;
-    "recency" sums exp(-(T_max - t) / alpha) so old transactions fade.
-    Self-loops are excluded; direction is discarded.
+    Returns one PAIR_DTYPE record per linked node pair, u < v, sorted by
+    (u, v) and unique, so len() is the pair count. "count" sums
+    transactions per pair; "recency" sums exp(-(T_max - t) / alpha) so
+    old transactions fade. Self-loops are excluded; direction is
+    discarded.
     """
     if mode not in WEIGHT_MODES:
         raise ValueError(f"unknown weight mode {mode!r}")
@@ -269,26 +246,26 @@ def adjacency_weights(graph: TemporalGraph, mode: str = "count", alpha: float = 
     n = graph.n_nodes
     pairs, inverse = np.unique(np.minimum(u, v) * n + np.maximum(u, v),
                                return_inverse=True)
+    out = np.empty(len(pairs), dtype=PAIR_DTYPE)
+    out["u"], out["v"] = np.divmod(pairs, n)
     # bincount adds each pair's weights in out_edges() order
-    sums = np.bincount(inverse, weights=w, minlength=len(pairs))
-    return dict(zip(zip((pairs // n).tolist(), (pairs % n).tolist()), sums.tolist()))
+    out["w"] = np.bincount(inverse, weights=w, minlength=len(pairs))
+    return out
 
 
-def write_edge_csv(graph: TemporalGraph, path, header: bool = True) -> None:
-    """Write the graph back out as from,to,timestamp rows."""
+def write_edge_csv(graph: TemporalGraph, path) -> None:
+    """Write the graph back out as from,to,timestamp rows under a header."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        if header:
-            writer.writerow(["from", "to", "timestamp"])
+        writer.writerow(["from", "to", "timestamp"])
         for u, v, t in graph.iter_edges():
             writer.writerow([graph.id_to_key[u], graph.id_to_key[v], t])
 
 
-def write_label_csv(graph: TemporalGraph, labels: LabelSet, path, header: bool = True) -> None:
+def write_label_csv(graph: TemporalGraph, labels: LabelSet, path) -> None:
     """Write account,label rows for every labeled node, ordered by node id."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        if header:
-            writer.writerow(["account", "label"])
+        writer.writerow(["account", "label"])
         for node in sorted(labels.labels):
             writer.writerow([graph.id_to_key[node], labels.labels[node]])

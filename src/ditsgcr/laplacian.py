@@ -11,7 +11,11 @@ definite system per output column,
 
     (L + lam * sum_c L_c + mu * I) z = mu * subx[:, c],
 
-solved by conjugate gradients on CSR matrices.
+solved by conjugate gradients on a CSR matrix. Since
+sum_c r_uc r_vc = <R_u, R_v>, the cluster Laplacians sum to the
+Laplacian of the weights w * <R_u, R_v>, so M is assembled in one COO
+pass straight from the (u, v, w) pair arrays of
+graph_model.adjacency_weights, with no per-cluster matrix.
 """
 
 import math
@@ -49,47 +53,39 @@ def default_cg_max_iters(n: int) -> int:
     return max(1000, 10 * math.ceil(math.sqrt(max(n, 1))))
 
 
-def _edge_arrays(weights: dict):
-    # sorted for a deterministic assembly order regardless of dict history
-    items = sorted(weights.items())
-    u = np.fromiter((p[0][0] for p in items), dtype=np.int64, count=len(items))
-    v = np.fromiter((p[0][1] for p in items), dtype=np.int64, count=len(items))
-    w = np.fromiter((p[1] for p in items), dtype=np.float64, count=len(items))
-    return u, v, w
+def assemble_system(pairs: np.ndarray, R: np.ndarray,
+                    params: LaplacianParams) -> sp.csr_matrix:
+    """M = L + lam * sum_c L_c + mu * I as CSR, in one COO pass.
 
-
-def _laplacian_from_arrays(u, v, w, n) -> sp.csr_matrix:
-    deg = np.zeros(n)
-    np.add.at(deg, u, w)
-    np.add.at(deg, v, w)
-    rows = np.concatenate([u, v, np.arange(n)])
-    cols = np.concatenate([v, u, np.arange(n)])
-    data = np.concatenate([-w, -w, deg])
-    return sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
-
-
-def build_graph_laplacian(weights: dict, n: int) -> sp.csr_matrix:
-    """L = D - A from symmetric {(u, v): w} weights with u < v, w >= 0."""
-    u, v, w = _edge_arrays(weights)
+    pairs holds fields u, v (u < v, both in 0..n-1) and w >= 0, as
+    graph_model.adjacency_weights returns them. Off-diagonal (u, v) is
+    -(w + lam * joint) with joint = w * <R_u, R_v>; the diagonal is
+    (deg_w + lam * deg_joint) + mu. Pairs whose off-diagonal value is
+    zero are not stored.
+    """
+    n = R.shape[0]
+    u, v, w = pairs["u"], pairs["v"], pairs["w"]
     if (w < 0).any():
         raise ValueError("negative edge weight")
     if (u == v).any():
         raise ValueError("self-loop in adjacency weights")
-    if ((u < 0) | (v >= n)).any():
+    if ((u < 0) | (v < 0) | (u >= n) | (v >= n)).any():
         raise ValueError("edge endpoint outside 0..n-1")
-    return _laplacian_from_arrays(u, v, w, n)
-
-
-def assemble_system(weights: dict, R: np.ndarray, params: LaplacianParams) -> sp.csr_matrix:
-    """M = L + lam * sum_c L_c + mu * I as CSR."""
-    n = R.shape[0]
-    M = build_graph_laplacian(weights, n)
-    if params.lam != 0.0 and weights:
-        u, v, w = _edge_arrays(weights)
-        # sum_c r_uc r_vc w == <R_u, R_v> w, one combined Laplacian
+    ends = np.concatenate([u, v])
+    off = w
+    diag = np.bincount(ends, weights=np.concatenate([w, w]), minlength=n)
+    if params.lam != 0.0:
         joint = w * np.einsum("ij,ij->i", R[u], R[v])
-        M = M + params.lam * _laplacian_from_arrays(u, v, joint, n)
-    return (M + params.mu * sp.identity(n, format="csr")).tocsr()
+        off = w + params.lam * joint
+        diag = diag + params.lam * np.bincount(
+            ends, weights=np.concatenate([joint, joint]), minlength=n)
+    keep = off != 0.0
+    u, v, off = u[keep], v[keep], off[keep]
+    diagonal = np.arange(n)
+    rows = np.concatenate([u, v, diagonal])
+    cols = np.concatenate([v, u, diagonal])
+    data = np.concatenate([-off, -off, diag + params.mu])
+    return sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
 
 
 def cg_solve(M, b: np.ndarray, tol: float, max_iters: int) -> np.ndarray:
@@ -107,7 +103,7 @@ def cg_solve(M, b: np.ndarray, tol: float, max_iters: int) -> np.ndarray:
     p = r.copy()
     rr = float(r @ r)
     for _ in range(max_iters):
-        if np.linalg.norm(r) / b_norm <= tol:
+        if math.sqrt(rr) / b_norm <= tol:
             break
         Mp = M @ p
         alpha = rr / float(p @ Mp)
@@ -124,19 +120,19 @@ def cg_solve(M, b: np.ndarray, tol: float, max_iters: int) -> np.ndarray:
     return x
 
 
-def solve(subx: np.ndarray, weights: dict, R: np.ndarray,
+def solve(subx: np.ndarray, pairs: np.ndarray, R: np.ndarray,
           params: LaplacianParams = LaplacianParams()) -> np.ndarray:
     """Solve M z = mu * subx[:, c] for every column c.
 
-    subx and R must both have one row per node. Deterministic: assembly
-    order is sorted, the start vector is zero and there is no randomized
-    component.
+    subx and R must both have one row per node; pairs is as for
+    assemble_system. Deterministic: the start vector is zero and there
+    is no randomized component.
     """
     params.validate()
     n, k = subx.shape
     if R.shape[0] != n:
         raise ValueError(f"R has {R.shape[0]} rows, subx has {n}")
-    M = assemble_system(weights, R, params)
+    M = assemble_system(pairs, R, params)
     max_iters = params.cg_max_iters if params.cg_max_iters is not None \
         else default_cg_max_iters(n)
     Z = np.empty_like(subx)

@@ -5,8 +5,9 @@ Z to high-dimensional embeddings H (temporal aggregation), soft-clusters
 the normalized H, converts centroid distances to a fresh low-dimensional
 Z (subx), smooths Z over the transaction graph (Laplacian solve) and
 re-aggregates. Iteration stops early once the number of distinct
-embedding rows stops increasing; the result of the non-improving
-iteration is discarded.
+embedding rows stops increasing (the result of the non-improving
+iteration is discarded) or, before clustering, once every row is
+distinct, since no later iteration could then be adopted.
 """
 
 import logging
@@ -64,6 +65,7 @@ class PipelineResult:
     embeddings: np.ndarray
     iterations_run: int
     unique_counts: list
+    stop_reason: str  # "saturated", "no_gain" or "max_iters", see run()
     stage_counters: dict = field(default_factory=dict)
     stage_seconds: dict = field(default_factory=dict)
 
@@ -96,17 +98,23 @@ def run(graph, config: PipelineConfig = PipelineConfig()) -> PipelineResult:
 
     Returns embeddings of width 4K^2 + 2K along with the number of loop
     iterations entered, the per-iteration distinct-row counts (initial
-    count first) and stage counters/wall-times. Deterministic for a fixed
-    config: centroid seeding derives from config.seed + iteration index.
-    Raises ValueError for invalid configs or graphs with fewer (but more
-    than zero) nodes than clusters; an empty graph returns an empty result.
+    count first), why the loop stopped and stage counters/wall-times:
+    "saturated" when every row was distinct before an iteration began,
+    "no_gain" when an iteration did not add a distinct row (its result is
+    not adopted and its count is the last one), "max_iters" otherwise.
+    Deterministic for a fixed config: centroid seeding derives from
+    config.seed + iteration index. Raises ValueError for invalid configs
+    or graphs with fewer (but more than zero) nodes than clusters; an
+    empty graph returns an empty, saturated result.
     """
     config.validate()
     n = graph.n_nodes
     k = config.clusters
     width = temporal_aggregation.output_width(k)
     if n == 0:
-        return PipelineResult(np.zeros((0, width)), 0, [0])
+        return PipelineResult(np.zeros((0, width)), 0, [0], "saturated")
+    if n < k:
+        raise ValueError(f"{k} clusters need at least {k} nodes, the graph has {n}")
 
     stages = _Stages()
     flat = 4 * k * k
@@ -121,7 +129,7 @@ def run(graph, config: PipelineConfig = PipelineConfig()) -> PipelineResult:
         return H
 
     smooth = "no_laplacian" not in config.ablation
-    weights = None
+    pairs = None
     lap_params = laplacian.LaplacianParams(lam=config.lam, mu=config.mu)
 
     Z = np.full((n, k), 1.0 / k)
@@ -129,8 +137,12 @@ def run(graph, config: PipelineConfig = PipelineConfig()) -> PipelineResult:
     count = count_unique_embeddings(H)
     unique_counts = [count]
     iterations_run = 0
+    stop_reason = "max_iters"
 
     for i in range(1, config.max_iters + 1):
+        if count == n:
+            stop_reason = "saturated"  # the count cannot grow past n
+            break
         iterations_run = i
         H_norm = clustering.normalize_rows(H)
         R, centroids = stages.run("soft_kmeans", clustering.soft_kmeans,
@@ -138,10 +150,10 @@ def run(graph, config: PipelineConfig = PipelineConfig()) -> PipelineResult:
                                   config.seed + i)
         subx = stages.run("subx", clustering.compute_subx, H_norm, centroids)
         if smooth:
-            if weights is None:
-                weights = adjacency_weights(graph, config.weight_mode, config.alpha)
+            if pairs is None:
+                pairs = adjacency_weights(graph, config.weight_mode, config.alpha)
             Z = stages.run("laplacian_solve", laplacian.solve,
-                           subx, weights, R, lap_params)
+                           subx, pairs, R, lap_params)
         else:
             Z = subx
         H_new = lift(Z)
@@ -151,9 +163,11 @@ def run(graph, config: PipelineConfig = PipelineConfig()) -> PipelineResult:
                     i, count_new, count,
                     {s: round(t, 3) for s, t in stages.seconds.items()})
         if count >= count_new:
-            break  # the non-improving result is not adopted
+            stop_reason = "no_gain"  # the non-improving result is not adopted
+            break
         H = H_new
         count = count_new
 
-    return PipelineResult(H, iterations_run, unique_counts,
+    logger.info("stopped after %d iterations: %s", iterations_run, stop_reason)
+    return PipelineResult(H, iterations_run, unique_counts, stop_reason,
                           stages.counters, stages.seconds)

@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from ditsgcr.graph_model import build_graph
+from ditsgcr.graph_model import PAIR_DTYPE, build_graph
 
 EPS = 1e-10
 
@@ -113,8 +113,22 @@ def hard_assign_onehot(H, centroids):
     return out, sims
 
 
+def weight_dict(weights):
+    """{(u, v): w} from adjacency_weights' pair records; a dict passes through."""
+    if isinstance(weights, dict):
+        return weights
+    return {(u, v): w for u, v, w in weights.tolist()}
+
+
+def pair_array(weights):
+    """Pair records, sorted by (u, v), from a {(u, v): w} dict."""
+    return np.array([(u, v, w) for (u, v), w in sorted(weights.items())],
+                    dtype=PAIR_DTYPE)
+
+
 def dense_system(weights, R, lam, mu):
     """M = L + lam * sum_c L_c + mu * I assembled densely, loop by loop."""
+    weights = weight_dict(weights)
     n, k = R.shape
     M = mu * np.eye(n)
     for (u, v), w in weights.items():
@@ -137,6 +151,7 @@ def cluster_laplacians(weights, R):
 
     Oracle for the <R_u, R_v> identity the solver assembles with:
     sum_c L_c equals the Laplacian of the weights w * <R_u, R_v>."""
+    weights = weight_dict(weights)
     n, k = R.shape
     out = []
     for c in range(k):
@@ -172,7 +187,7 @@ def pairwise_auc(scores, y):
     return total / (len(pos) * len(neg))
 
 
-def cart_fit(X, y, max_depth=None):
+def cart_fit(X, y):
     """Exhaustive CART oracle: every feature ascending, every midpoint
     between consecutive distinct sorted values ascending, strict
     improvement keeps the first winner."""
@@ -185,11 +200,10 @@ def cart_fit(X, y, max_depth=None):
         p0 = 1.0 - p1
         return 1.0 - p1 * p1 - p0 * p0
 
-    def grow(idx, depth):
+    def grow(idx):
         ys = y[idx]
         counts = np.bincount(ys, minlength=2)
-        if counts[0] == 0 or counts[1] == 0 or len(idx) < 2 or \
-                (max_depth is not None and depth >= max_depth):
+        if counts[0] == 0 or counts[1] == 0 or len(idx) < 2:
             return ("leaf", int(np.argmax(counts)))
         m = len(idx)
         best = None
@@ -212,9 +226,9 @@ def cart_fit(X, y, max_depth=None):
         _, f, thr = best
         mask = X[idx, f] <= thr
         return ("node", f, thr,
-                grow(idx[mask], depth + 1), grow(idx[~mask], depth + 1))
+                grow(idx[mask]), grow(idx[~mask]))
 
-    return grow(np.arange(len(y)), 0)
+    return grow(np.arange(len(y)))
 
 
 def cart_predict(tree, X):

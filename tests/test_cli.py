@@ -5,12 +5,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from ditsgcr import cli, laplacian
+from ditsgcr import cli, laplacian, pipeline
+
+SRC = Path(cli.__file__).resolve().parents[1]
 
 
-def make_dataset(tmp_path, name="d", normals=20, phishers=2, seed=0):
+def make_dataset(tmp_path, name="d", normals=30, phishers=3, seed=0):
+    # 34 nodes: the first lift leaves duplicate rows, so the loop runs
     edges = tmp_path / f"{name}_edges.csv"
     labels = tmp_path / f"{name}_labels.csv"
     code = cli.main(["synth", "--normal", str(normals), "--phishers", str(phishers),
@@ -55,6 +59,7 @@ def test_embed_flow(tmp_path, capsys):
     digest = hashlib.sha256(edges.read_bytes()).hexdigest()
     assert manifest["inputs"]["edges"]["sha256"] == digest
     assert manifest["stage_seconds"]["total"] > 0
+    assert manifest["stop_reason"] == "saturated"
 
 
 def test_embed_byte_identical_reruns(tmp_path):
@@ -66,6 +71,39 @@ def test_embed_byte_identical_reruns(tmp_path):
     assert cli.main(["embed", "--input", str(edges), "--output", str(out2),
                      "--clusters", "3"]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_embed_byte_identical_across_processes(tmp_path):
+    edges, _ = make_dataset(tmp_path)
+    outs = []
+    for hash_seed in ("1", "2"):
+        out = tmp_path / f"emb{hash_seed}.csv"
+        env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONHASHSEED": hash_seed}
+        subprocess.run([sys.executable, "-m", "ditsgcr.cli", "embed", "--input", str(edges),
+                        "--output", str(out), "--clusters", "3", "--threads", "1"],
+                       env=env, check=True, capture_output=True)
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+
+
+def test_embedding_csv_fields_match_format(tmp_path, monkeypatch):
+    edges, _ = make_dataset(tmp_path)
+    specials = [0.0, -0.0, 1e-310, -1e-310, float("inf"), float("-inf"), float("nan"),
+                123456789012.0, 1 / 3, -2.5e-7, 1e300]
+
+    def fake_run(graph, config):
+        values = np.resize(np.array(specials), graph.n_nodes * 7)
+        return pipeline.PipelineResult(values.reshape(graph.n_nodes, 7), 0, [0], "saturated")
+
+    monkeypatch.setattr(pipeline, "run", fake_run)
+    out = tmp_path / "emb.csv"
+    assert cli.main(["embed", "--input", str(edges), "--output", str(out)]) == 0
+    rows = read_rows(out)
+    assert rows[0] == "node_key,e0,e1,e2,e3,e4,e5,e6"
+    expected = np.resize(np.array(specials), (len(rows) - 1) * 7).tolist()
+    fields = [f for r in rows[1:] for f in r.split(",")[1:]]
+    assert fields == [format(float(x), ".9g") for x in expected]
+    assert {"-0", "1e-310", "inf", "-inf", "nan", "1.23456789e+11"} <= set(fields)
 
 
 def test_synth_byte_identical_reruns(tmp_path):
@@ -179,10 +217,9 @@ def test_solver_convergence_error_is_one_line(tmp_path, capsys, monkeypatch):
 
 def test_cli_import_leaves_numpy_unloaded():
     # --threads caps BLAS only if numpy is not yet loaded when main() runs
-    src = Path(cli.__file__).resolve().parents[1]
     code = "import sys, ditsgcr.cli; print('numpy' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env={**os.environ, "PYTHONPATH": str(src)}, check=True).stdout
+                         env={**os.environ, "PYTHONPATH": str(SRC)}, check=True).stdout
     assert out.strip() == "False"
 
 
@@ -224,6 +261,7 @@ def test_log_env_controls_diagnostics(tmp_path, capsys, monkeypatch):
                      "--clusters", "3"]) == 0
     err = capsys.readouterr().err
     assert "iteration 1:" in err and "ingested" in err
+    assert "stopped after 1 iterations: saturated" in err
 
     monkeypatch.delenv("DITSGCR_LOG")
     assert cli.main(["embed", "--input", str(edges), "--output", str(out),

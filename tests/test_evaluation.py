@@ -70,14 +70,6 @@ def test_split_rejects_missing_or_singleton_class():
         split({0: 0, 1: 0, 2: 1}, SplitSpec())
 
 
-def test_split_non_stratified():
-    labels = {i: (1 if i < 3 else 0) for i in range(10)}
-    train, test = split(labels, SplitSpec(train_fraction=0.8, seed=3,
-                                          stratified=False))
-    assert len(train) == 8 and len(test) == 2
-    assert set(train.tolist()).isdisjoint(test.tolist())
-
-
 def test_forest_learns_separable_data():
     rng = np.random.default_rng(4)
     X, y = blob_data(rng)

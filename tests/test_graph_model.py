@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ditsgcr.graph_model import (EdgeSchema, adjacency_weights, build_graph,
+from ditsgcr.graph_model import (PAIR_DTYPE, adjacency_weights, build_graph,
                                  ingest_csv, ingest_labels, write_edge_csv,
                                  write_label_csv)
-from helpers import canonical_form, group_rows, random_graph
+from helpers import canonical_form, group_rows, random_graph, weight_dict
 
 KEYS = st.sampled_from(["a", "b", "c", "d", "e"])
 ROWS = st.lists(st.tuples(KEYS, KEYS, st.integers(0, 6)), max_size=25)
@@ -61,7 +61,7 @@ def test_ingest_empty_file(tmp_path):
     g = ingest_csv(p)
     assert g.n_nodes == 0
     assert g.n_edges == 0
-    assert g.max_timestamp() is None
+    assert len(g.entry_t) == 0
     assert list(g.iter_edges()) == []
     assert g.entry_ptr.tolist() == [0] and len(g.entry_t) == 0
 
@@ -108,19 +108,11 @@ def test_ingest_timestamp_int64_bounds(tmp_path):
     p = tmp_path / "g.csv"
     write_lines(p, ["A,B,0", "B,A,9223372036854775807"])
     g = ingest_csv(p)
-    assert g.max_timestamp() == 2**63 - 1
+    assert g.entry_t.dtype == np.int64 and g.entry_t.max() == 2**63 - 1
     assert list(g.iter_edges()) == [(0, 1, 0), (1, 0, 2**63 - 1)]
     write_lines(p, ["A,B,0", "B,A,9223372036854775808"])
     with pytest.raises(ValueError, match="line 2.*2\\*\\*63-1"):
         ingest_csv(p)
-
-
-def test_ingest_custom_schema(tmp_path):
-    p = tmp_path / "g.csv"
-    write_lines(p, ["10,A,B", "11,B,C"])
-    g = ingest_csv(p, EdgeSchema(source=1, target=2, timestamp=0))
-    assert g.n_nodes == 3
-    assert g.n_edges == 2
 
 
 def test_ids_dense_and_bijective():
@@ -178,21 +170,20 @@ def test_round_trip_is_row_order_free(tmp_path):
 def test_self_loop_kept_in_timeline_not_adjacency():
     g = build_graph([("A", "A", 7), ("A", "B", 9)])
     assert node_entries(g, 0) == [(9, [], [1]), (7, [0], [0])]
-    w = adjacency_weights(g)
-    assert w == {(0, 1): 1.0}
+    assert weight_dict(adjacency_weights(g)) == {(0, 1): 1.0}
 
 
 def test_adjacency_count_mode_sums_directions():
     g = build_graph([("A", "B", 1), ("B", "A", 5), ("A", "B", 5)])
-    assert adjacency_weights(g) == {(0, 1): 3.0}
+    assert weight_dict(adjacency_weights(g)) == {(0, 1): 3.0}
 
 
 def test_adjacency_recency_mode():
     g = build_graph([("A", "B", 10)])
     for alpha in (0.5, 1.0, 60.0):
-        assert adjacency_weights(g, "recency", alpha) == {(0, 1): 1.0}
+        assert weight_dict(adjacency_weights(g, "recency", alpha)) == {(0, 1): 1.0}
     g2 = build_graph([("A", "B", 10), ("A", "B", 4)])
-    w = adjacency_weights(g2, "recency", 3.0)
+    w = weight_dict(adjacency_weights(g2, "recency", 3.0))
     assert w[(0, 1)] == pytest.approx(1.0 + math.exp(-2.0), abs=1e-12)
 
 
@@ -200,8 +191,8 @@ def test_adjacency_weights_empty_and_self_loop_only():
     empty = build_graph([])
     loops = build_graph([("A", "A", 3), ("B", "B", 4)])
     for g in (empty, loops):
-        assert adjacency_weights(g) == {}
-        assert adjacency_weights(g, "recency", 2.0) == {}
+        for w in (adjacency_weights(g), adjacency_weights(g, "recency", 2.0)):
+            assert w.dtype == PAIR_DTYPE and len(w) == 0
 
 
 @settings(max_examples=150, deadline=None)
@@ -230,7 +221,13 @@ def test_adjacency_weights_match_row_sums(rows):
         u, v = sorted((g.key_to_id[s], g.key_to_id[d]))
         if u != v:
             expected[(u, v)] = expected.get((u, v), 0.0) + 1.0
-    assert adjacency_weights(g) == expected
+    pairs = adjacency_weights(g)
+    assert pairs.dtype == PAIR_DTYPE and len(pairs) == len(expected)
+    assert weight_dict(pairs) == expected
+    # sorted by (u, v), each pair once, u < v
+    assert pairs.tolist() == sorted(pairs.tolist())
+    assert len({(u, v) for u, v, _ in pairs.tolist()}) == len(pairs)
+    assert np.all(pairs["u"] < pairs["v"])
 
 
 def test_adjacency_rejects_bad_arguments():

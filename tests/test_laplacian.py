@@ -1,14 +1,23 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from ditsgcr.graph_model import adjacency_weights
 from ditsgcr.laplacian import (LaplacianParams, SolverConvergenceError,
-                               assemble_system, build_graph_laplacian, cg_solve,
-                               solve)
-from helpers import (cluster_laplacians, dense_solve, dense_system,
+                               assemble_system, cg_solve, solve)
+from helpers import (cluster_laplacians, dense_solve, dense_system, pair_array,
                      random_connected_graph)
 
-TRIANGLE = {(0, 1): 1.0, (0, 2): 1.0, (1, 2): 1.0}
+TRIANGLE = pair_array({(0, 1): 1.0, (0, 2): 1.0, (1, 2): 1.0})
+TRIANGLE_L = np.array([[2.0, -1.0, -1.0],
+                       [-1.0, 2.0, -1.0],
+                       [-1.0, -1.0, 2.0]])
+
+
+def graph_laplacian(pairs, n):
+    """L = D - A through assemble_system with lam = 0 and mu = 1."""
+    params = LaplacianParams(lam=0.0, mu=1.0)
+    return assemble_system(pairs, np.zeros((n, 1)), params).toarray() - np.eye(n)
 
 
 def random_instance(rng, n_max=50):
@@ -23,10 +32,8 @@ def random_instance(rng, n_max=50):
 
 
 def test_triangle_laplacian():
-    L = build_graph_laplacian(TRIANGLE, 3).toarray()
-    assert np.array_equal(L, np.array([[2.0, -1.0, -1.0],
-                                       [-1.0, 2.0, -1.0],
-                                       [-1.0, -1.0, 2.0]]))
+    L = graph_laplacian(TRIANGLE, 3)
+    assert np.array_equal(L, TRIANGLE_L)
     eig = np.sort(np.linalg.eigvalsh(L))
     assert eig == pytest.approx([0.0, 3.0, 3.0], abs=1e-9)
 
@@ -34,26 +41,36 @@ def test_triangle_laplacian():
 def test_laplacian_row_sums_zero_and_symmetry():
     rng = np.random.default_rng(0)
     for _ in range(10):
-        weights, _, _ = random_instance(rng, n_max=30)
-        n = 1 + max(max(u, v) for u, v in weights)
-        L = build_graph_laplacian(weights, n).toarray()
+        weights, R, _ = random_instance(rng, n_max=30)
+        n = R.shape[0]
+        L = graph_laplacian(weights, n)
         assert np.abs(L.sum(axis=1)).max() <= 1e-9
         assert np.abs(L - L.T).max() == 0.0
+        assert np.abs(L - dense_system(weights, R, 0.0, 0.0)).max() <= 1e-12
 
 
 def test_laplacian_rejects_bad_weights():
-    with pytest.raises(ValueError):
-        build_graph_laplacian({(0, 1): -2.0}, 2)
-    with pytest.raises(ValueError):
-        build_graph_laplacian({(1, 1): 1.0}, 2)
+    R = np.full((2, 2), 0.5)
+    for bad in ({(0, 1): -2.0}, {(1, 1): 1.0}, {(0, 2): 1.0}, {(-1, 1): 1.0}):
+        with pytest.raises(ValueError):
+            assemble_system(pair_array(bad), R, LaplacianParams())
+
+
+def test_zero_weight_pairs_are_not_stored():
+    pairs = pair_array({(0, 1): 0.0, (1, 2): 2.0})
+    R = np.full((3, 2), 0.5)
+    for lam in (0.0, 1.0):
+        M = assemble_system(pairs, R, LaplacianParams(lam=lam, mu=1.0))
+        assert M.nnz == 3 + 2  # the diagonal and the (1, 2) pair both ways
+        assert np.all(M.data != 0.0)
+        assert np.abs(M.toarray() - dense_system(pairs, R, lam, 1.0)).max() <= 1e-12
 
 
 def test_cluster_laplacians_uniform_memberships():
     k = 2
     R = np.full((3, k), 1.0 / k)
-    L = build_graph_laplacian(TRIANGLE, 3).toarray()
     for Lc in cluster_laplacians(TRIANGLE, R):
-        assert np.allclose(Lc, L / k**2, atol=1e-12)
+        assert np.allclose(Lc, TRIANGLE_L / k**2, atol=1e-12)
 
 
 def test_cluster_laplacians_one_hot_memberships():
@@ -71,7 +88,7 @@ def test_assembled_system_equals_cluster_laplacian_sum():
         n, _ = R.shape
         params = LaplacianParams(lam=0.7, mu=0.3)
         M = assemble_system(weights, R, params).toarray()
-        expected = build_graph_laplacian(weights, n).toarray()
+        expected = dense_system(weights, R, 0.0, 0.0)  # L alone
         for Lc in cluster_laplacians(weights, R):
             expected = expected + params.lam * Lc
         expected = expected + params.mu * np.eye(n)
@@ -103,7 +120,7 @@ def test_system_positive_definite():
 def test_no_edges_returns_anchor():
     subx = np.array([[0.2, 0.8], [0.5, 0.5], [1.0, 0.0]])
     R = np.full((3, 2), 0.5)
-    Z = solve(subx, {}, R, LaplacianParams(lam=1.0, mu=1.0))
+    Z = solve(subx, pair_array({}), R, LaplacianParams(lam=1.0, mu=1.0))
     assert np.allclose(Z, subx, atol=1e-12)
 
 
@@ -127,7 +144,7 @@ def test_solution_objective_not_above_anchor_point():
             return float(np.trace(X.T @ M @ X) + mu * ((X - subx) ** 2).sum())
 
         assert objective(Z) <= objective(subx) + 1e-9
-        L = build_graph_laplacian(weights, n).toarray()
+        L = dense_system(weights, R, 0.0, 0.0)
         assert np.trace(Z.T @ L @ Z) <= np.trace(subx.T @ L @ subx) + 1e-9
 
 
@@ -141,8 +158,8 @@ def test_component_locality():
     R = rng.dirichlet(np.ones(3), size=10)
     subx = rng.dirichlet(np.ones(3), size=10)
     params = LaplacianParams(lam=1.0, mu=1.0, cg_tol=1e-12)
-    Z1 = solve(subx, base, R, params)
-    Z2 = solve(subx, edited, R, params)
+    Z1 = solve(subx, pair_array(base), R, params)
+    Z2 = solve(subx, pair_array(edited), R, params)
     assert np.abs(Z1[:5] - Z2[:5]).max() <= 1e-6
     assert np.abs(Z1[5:] - Z2[5:]).max() > 1e-6
 
@@ -156,7 +173,7 @@ def test_deterministic():
 
 
 def test_zero_rhs_column_yields_zero_column():
-    weights = {(0, 1): 1.0, (1, 2): 1.0}
+    weights = pair_array({(0, 1): 1.0, (1, 2): 1.0})
     R = np.full((3, 2), 0.5)
     subx = np.array([[1.0, 0.0], [1.0, 0.0], [1.0, 0.0]])
     Z = solve(subx, weights, R, LaplacianParams())
@@ -172,9 +189,7 @@ def test_cg_error_carries_residual():
 
 
 def test_cg_solve_simple_identity():
-    M = build_graph_laplacian({}, 4) + 1.0 * np.eye(4)
-    import scipy.sparse as sp
-    M = sp.csr_matrix(M)
+    M = sp.identity(4, format="csr")
     b = np.array([1.0, -2.0, 0.0, 3.0])
     x = cg_solve(M, b, tol=1e-10, max_iters=10)
     assert np.allclose(x, b, atol=1e-9)

@@ -4,7 +4,7 @@ import pytest
 from ditsgcr.graph_model import TemporalGraph, build_graph
 from ditsgcr.pipeline import (PipelineConfig, count_unique_embeddings, run)
 from ditsgcr.temporal_aggregation import output_width
-from helpers import random_connected_graph, straight_line_pipeline
+from helpers import edge_rows, random_connected_graph, straight_line_pipeline
 
 
 def edgeless_graph(n):
@@ -41,6 +41,7 @@ def test_empty_graph():
     assert res.embeddings.shape == (0, output_width(3))
     assert res.iterations_run == 0
     assert res.unique_counts == [0]
+    assert res.stop_reason == "saturated"
 
 
 def test_edgeless_graph_collapses_immediately():
@@ -49,6 +50,7 @@ def test_edgeless_graph_collapses_immediately():
     assert np.all(res.embeddings == 0.0)
     assert res.unique_counts == [1, 1]
     assert res.iterations_run == 1
+    assert res.stop_reason == "no_gain"
 
 
 def test_deterministic_bitwise():
@@ -72,21 +74,90 @@ def test_matches_straight_line_rerun():
         assert np.array_equal(res.embeddings, expected)
 
 
+def with_twin_leaves(g):
+    """g plus three leaves that stay identical, so the rows are never all distinct."""
+    return build_graph(edge_rows(g) + [("a0", f"x{i}", 500) for i in range(3)])
+
+
 def test_unique_counts_shape_invariants():
     rng = np.random.default_rng(3)
-    for trial in range(5):
+    reasons = set()
+    for trial in range(6):
         g = random_connected_graph(rng, 18, extra_edges=25)
-        cfg = PipelineConfig(clusters=3, seed=trial, max_iters=8)
-        res = run(g, cfg)
-        counts = res.unique_counts
-        assert len(counts) == res.iterations_run + 1
-        assert 1 <= res.iterations_run <= cfg.max_iters
-        # every adopted step strictly increased the distinct-row count
-        for prev, nxt in zip(counts[:-2], counts[1:-1]):
-            assert nxt > prev
-        if res.iterations_run < cfg.max_iters:
-            assert counts[-1] <= counts[-2]
-        assert all(0 <= c <= g.n_nodes for c in counts)
+        if trial % 2:
+            g = with_twin_leaves(g)
+        for max_iters in (1, 8):
+            cfg = PipelineConfig(clusters=3, seed=trial, max_iters=max_iters)
+            res = run(g, cfg)
+            counts = res.unique_counts
+            assert len(counts) == res.iterations_run + 1
+            assert 0 <= res.iterations_run <= cfg.max_iters
+            assert all(0 <= c <= g.n_nodes for c in counts)
+            # only a no_gain stop leaves a trailing count that was not adopted
+            adopted = counts[:-1] if res.stop_reason == "no_gain" else counts
+            for prev, nxt in zip(adopted[:-1], adopted[1:]):
+                assert nxt > prev
+            if res.stop_reason == "no_gain":
+                assert counts[-1] <= counts[-2]
+            elif res.stop_reason == "saturated":
+                assert counts[-1] == g.n_nodes and res.iterations_run < cfg.max_iters
+            else:
+                assert res.stop_reason == "max_iters"
+                assert res.iterations_run == cfg.max_iters
+            reasons.add(res.stop_reason)
+    assert reasons == {"saturated", "no_gain", "max_iters"}
+
+
+def test_saturation_stops_before_clustering():
+    rng = np.random.default_rng(3)
+    g = random_connected_graph(rng, 18, extra_edges=25)
+    cfg = PipelineConfig(clusters=3, seed=0)
+    res = run(g, cfg)
+    assert res.unique_counts == [17, 18] and g.n_nodes == 18
+    assert res.stop_reason == "saturated" and res.iterations_run == 1
+    assert res.stage_counters["soft_kmeans"] == 1
+    assert res.stage_counters["aggregate"] == 2
+    # the rerun spends one more iteration and still returns the same rows
+    assert np.array_equal(res.embeddings, straight_line_pipeline(g, cfg))
+
+
+def test_one_node_graph():
+    g = build_graph([("a", "a", 1)])
+    res = run(g, PipelineConfig(clusters=1))
+    assert res.embeddings.shape == (1, output_width(1))
+    assert res.unique_counts == [1] and res.iterations_run == 0
+    assert res.stop_reason == "saturated"
+    with pytest.raises(ValueError, match="2 clusters"):
+        run(g, PipelineConfig(clusters=2))
+
+
+def test_self_loop_only_graph():
+    g = build_graph([("a", "a", 1), ("b", "b", 2), ("c", "c", 2)])
+    cfg = PipelineConfig(clusters=2, seed=3)
+    res = run(g, cfg)
+    assert res.embeddings.shape == (3, output_width(2))
+    assert np.array_equal(res.embeddings, straight_line_pipeline(g, cfg))
+    assert res.stop_reason == "no_gain"
+
+
+def test_duplicate_rows():
+    rng = np.random.default_rng(9)
+    g = random_connected_graph(rng, 15, extra_edges=20)
+    doubled = build_graph(edge_rows(g) * 2)
+    cfg = PipelineConfig(clusters=3, seed=1)
+    res = run(doubled, cfg)
+    # row-normalized neighbor sums make the first lift blind to multiplicity
+    assert res.unique_counts[0] == run(g, cfg).unique_counts[0]
+    assert np.array_equal(res.embeddings, straight_line_pipeline(doubled, cfg))
+
+
+def test_more_clusters_than_distinct_rows():
+    star = build_graph([("hub", f"leaf{i}", 5) for i in range(6)])
+    cfg = PipelineConfig(clusters=4, seed=2)
+    res = run(star, cfg)
+    assert res.unique_counts[0] == 2 < cfg.clusters <= star.n_nodes
+    assert res.stop_reason == "no_gain"
+    assert np.array_equal(res.embeddings, straight_line_pipeline(star, cfg))
 
 
 def test_ablations_change_output():
@@ -135,7 +206,7 @@ def test_recency_weight_mode_runs_and_differs():
 
 def test_fewer_nodes_than_clusters():
     g = build_graph([("a", "b", 1)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="10 clusters need at least 10 nodes"):
         run(g, PipelineConfig(clusters=10))
 
 
