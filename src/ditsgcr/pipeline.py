@@ -5,9 +5,8 @@ Z to high-dimensional embeddings H (temporal aggregation), soft-clusters
 the normalized H, converts centroid distances to a fresh low-dimensional
 Z (subx), smooths Z over the transaction graph (Laplacian solve) and
 re-aggregates. Iteration stops early once the number of distinct
-embedding rows stops increasing (the result of the non-improving
-iteration is discarded) or, before clustering, once every row is
-distinct, since no later iteration could then be adopted.
+embedding rows stops increasing; the result of the non-improving
+iteration is discarded.
 """
 
 import logging
@@ -65,7 +64,7 @@ class PipelineResult:
     embeddings: np.ndarray
     iterations_run: int
     unique_counts: list
-    stop_reason: str  # "saturated", "no_gain" or "max_iters", see run()
+    stop_reason: str  # "no_gain" or "max_iters", see run()
     stage_counters: dict = field(default_factory=dict)
     stage_seconds: dict = field(default_factory=dict)
 
@@ -99,20 +98,19 @@ def run(graph, config: PipelineConfig = PipelineConfig()) -> PipelineResult:
     Returns embeddings of width 4K^2 + 2K along with the number of loop
     iterations entered, the per-iteration distinct-row counts (initial
     count first), why the loop stopped and stage counters/wall-times:
-    "saturated" when every row was distinct before an iteration began,
     "no_gain" when an iteration did not add a distinct row (its result is
     not adopted and its count is the last one), "max_iters" otherwise.
     Deterministic for a fixed config: centroid seeding derives from
     config.seed + iteration index. Raises ValueError for invalid configs
     or graphs with fewer (but more than zero) nodes than clusters; an
-    empty graph returns an empty, saturated result.
+    empty graph returns an empty result without iterating ("no_gain").
     """
     config.validate()
     n = graph.n_nodes
     k = config.clusters
     width = temporal_aggregation.output_width(k)
     if n == 0:
-        return PipelineResult(np.zeros((0, width)), 0, [0], "saturated")
+        return PipelineResult(np.zeros((0, width)), 0, [0], "no_gain")
     if n < k:
         raise ValueError(f"{k} clusters need at least {k} nodes, the graph has {n}")
 
@@ -140,9 +138,6 @@ def run(graph, config: PipelineConfig = PipelineConfig()) -> PipelineResult:
     stop_reason = "max_iters"
 
     for i in range(1, config.max_iters + 1):
-        if count == n:
-            stop_reason = "saturated"  # the count cannot grow past n
-            break
         iterations_run = i
         H_norm = clustering.normalize_rows(H)
         R, centroids = stages.run("soft_kmeans", clustering.soft_kmeans,

