@@ -49,7 +49,9 @@ def _sha256(path):
     return h.hexdigest()
 
 
-def _write_manifest(output_path, config, inputs, stage_seconds, stop_reason=None):
+def _write_manifest(args, output_path, inputs, stage_seconds, stop_reason=None):
+    config = {k: (sorted(v) if isinstance(v, list) else v)
+              for k, v in vars(args).items() if k not in ("func", "threads")}
     manifest = {
         "artifact_version": __version__,
         "config": config,
@@ -66,7 +68,10 @@ def _write_manifest(output_path, config, inputs, stage_seconds, stop_reason=None
     return path
 
 
-def _add_pipeline_flags(parser):
+def _shared_flags():
+    """Flags shared by embed and evaluate: input, pipeline knobs, seed, threads."""
+    parser = argparse.ArgumentParser(add_help=False)
+    parser.add_argument("--input", required=True, help="edge CSV: from,to,timestamp[,...]")
     parser.add_argument("--clusters", type=int, default=10,
                         help="number of clusters K, embedding width is 4K^2+2K (default 10)")
     parser.add_argument("--alpha", type=float, default=1.0,
@@ -88,6 +93,10 @@ def _add_pipeline_flags(parser):
     parser.add_argument("--ablate", action="append", default=[],
                         choices=["no_neighbor", "no_temporal", "no_laplacian"],
                         help="disable one signal path; repeatable")
+    parser.add_argument("--seed", type=int, default=42, help="master seed (default 42)")
+    parser.add_argument("--threads", type=int, default=None,
+                        help="cap BLAS/OpenMP threads (applies to fresh processes)")
+    return parser
 
 
 def _pipeline_config(args):
@@ -99,15 +108,6 @@ def _pipeline_config(args):
         literal_eq4=args.literal_eq4, ablation=frozenset(args.ablate),
         weight_mode=args.weight_mode,
     )
-
-
-def _config_dict(args, extra=None):
-    skip = {"func", "threads"}
-    out = {k: (sorted(v) if isinstance(v, list) else v)
-           for k, v in vars(args).items() if k not in skip}
-    if extra:
-        out.update(extra)
-    return out
 
 
 def _cmd_embed(args):
@@ -126,10 +126,8 @@ def _cmd_embed(args):
             # one row at a time: H.tolist() would hold every value as a Python float
             fh.write(row % (key, *values.tolist()))
 
-    seconds = dict(result.stage_seconds)
-    seconds["total"] = total
-    _write_manifest(args.output, _config_dict(args), {"edges": args.input}, seconds,
-                    result.stop_reason)
+    _write_manifest(args, args.output, {"edges": args.input},
+                    {**result.stage_seconds, "total": total}, result.stop_reason)
     print(f"wrote {H.shape[0]} embeddings of width {H.shape[1]} to {args.output} "
           f"({result.iterations_run} iterations)")
     return 0
@@ -162,21 +160,18 @@ def _cmd_evaluate(args):
             f"f1={metrics.f1:.6f} wf1={metrics.weighted_f1:.6f} auc={metrics.auc:.6f}")
     print(line)
 
-    seconds = dict(result.stage_seconds)
-    seconds["total"] = total
-    inputs = {"edges": args.input, "labels": args.labels}
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(line + "\n")
-        _write_manifest(args.output, _config_dict(args), inputs, seconds,
-                        result.stop_reason)
     if args.emit_roc:
         with open(args.emit_roc, "w", encoding="utf-8") as fh:
             fh.write("fpr,tpr,threshold\n")
             for (fpr, tpr), thr in zip(metrics.roc_points, metrics.roc_thresholds):
                 fh.write("%.9g,%.9g,%.9g\n" % (fpr, tpr, thr))
-        _write_manifest(args.emit_roc, _config_dict(args), inputs, seconds,
-                        result.stop_reason)
+    for path in (args.output, args.emit_roc):
+        if path:
+            _write_manifest(args, path, {"edges": args.input, "labels": args.labels},
+                            {**result.stage_seconds, "total": total}, result.stop_reason)
     return 0
 
 
@@ -193,7 +188,7 @@ def _cmd_synth(args):
 
     graph_model.write_edge_csv(graph, args.out_edges)
     graph_model.write_label_csv(graph, labels, args.out_labels)
-    _write_manifest(args.out_edges, _config_dict(args), {}, {"total": total})
+    _write_manifest(args, args.out_edges, {}, {"total": total})
     print(f"wrote {graph.n_edges} edges over {graph.n_nodes} nodes to {args.out_edges}, "
           f"labels to {args.out_labels}")
     return 0
@@ -207,21 +202,17 @@ def build_parser():
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    embed = sub.add_parser("embed", help="compute node embeddings for an edge CSV")
-    embed.add_argument("--input", required=True, help="edge CSV: from,to,timestamp[,...]")
+    shared = [_shared_flags()]
+    embed = sub.add_parser("embed", parents=shared,
+                           help="compute node embeddings for an edge CSV")
     embed.add_argument("--output", default="embeddings.csv",
                        help="embedding CSV destination (default embeddings.csv)")
-    _add_pipeline_flags(embed)
-    embed.add_argument("--seed", type=int, default=42, help="master seed (default 42)")
-    embed.add_argument("--threads", type=int, default=None,
-                       help="cap BLAS/OpenMP threads (applies to fresh processes)")
     embed.set_defaults(func=_cmd_embed)
 
-    ev = sub.add_parser("evaluate", help="train and score a detector on labeled nodes")
-    ev.add_argument("--input", required=True, help="edge CSV: from,to,timestamp[,...]")
+    ev = sub.add_parser("evaluate", parents=shared,
+                        help="train and score a detector on labeled nodes")
     ev.add_argument("--labels", required=True, help="label CSV: account,label with label in {0,1}")
     ev.add_argument("--output", default=None, help="optional file for the metrics line")
-    _add_pipeline_flags(ev)
     ev.add_argument("--threshold", type=float, default=0.35,
                     help="vote fraction above which a node is flagged (default 0.35)")
     ev.add_argument("--trees", type=int, default=100, help="forest size (default 100)")
@@ -229,9 +220,6 @@ def build_parser():
                     help="stratified train fraction (default 0.8)")
     ev.add_argument("--emit-roc", default=None, metavar="PATH",
                     help="write grouped ROC points as fpr,tpr,threshold CSV")
-    ev.add_argument("--seed", type=int, default=42, help="master seed (default 42)")
-    ev.add_argument("--threads", type=int, default=None,
-                    help="cap BLAS/OpenMP threads (applies to fresh processes)")
     ev.set_defaults(func=_cmd_evaluate)
 
     synth = sub.add_parser("synth", help="generate a synthetic labeled benchmark graph")

@@ -9,6 +9,7 @@ support-weighted F1 and the trapezoidal ROC AUC with ties grouped.
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,10 +38,6 @@ class ForestConfig:
             raise ValueError("features_per_split must be at least 1 when set")
 
 
-def _as_label_dict(labels):
-    return getattr(labels, "labels", labels)
-
-
 def split(labels, spec: SplitSpec = SplitSpec()):
     """Split labeled node ids into (train_ids, test_ids), both sorted.
 
@@ -50,7 +47,7 @@ def split(labels, spec: SplitSpec = SplitSpec()):
     >= 2 examples each. Deterministic for a fixed seed.
     """
     spec.validate()
-    label_dict = _as_label_dict(labels)
+    label_dict = getattr(labels, "labels", labels)  # LabelSet or plain dict
     if not label_dict:
         raise ValueError("no labeled nodes")
     ids = np.array(sorted(label_dict), dtype=np.int64)
@@ -73,32 +70,14 @@ def split(labels, spec: SplitSpec = SplitSpec()):
     return train, test
 
 
-class _Tree:
+class _Tree(NamedTuple):
     """Array-encoded binary decision tree. value >= 0 marks a leaf class."""
 
-    __slots__ = ("feature", "threshold", "left", "right", "value")
-
-    def __init__(self):
-        self.feature = []
-        self.threshold = []
-        self.left = []
-        self.right = []
-        self.value = []
-
-    def new_node(self):
-        self.feature.append(-1)
-        self.threshold.append(0.0)
-        self.left.append(-1)
-        self.right.append(-1)
-        self.value.append(-1)
-        return len(self.value) - 1
-
-    def freeze(self):
-        self.feature = np.asarray(self.feature, dtype=np.int64)
-        self.threshold = np.asarray(self.threshold)
-        self.left = np.asarray(self.left, dtype=np.int64)
-        self.right = np.asarray(self.right, dtype=np.int64)
-        self.value = np.asarray(self.value, dtype=np.int64)
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    value: np.ndarray
 
     def predict(self, X):
         node = np.zeros(X.shape[0], dtype=np.int64)
@@ -110,11 +89,6 @@ class _Tree:
             go_left = X[active, self.feature[cur]] <= self.threshold[cur]
             node[active] = np.where(go_left, self.left[cur], self.right[cur])
         return self.value[node]
-
-
-def _gini(counts, total):
-    p = counts / total
-    return 1.0 - float((p * p).sum())
 
 
 def _best_split(X, y, idx, feats):
@@ -150,7 +124,8 @@ def _best_split(X, y, idx, feats):
     best = weighted[pos, col]
     if not np.isfinite(best):
         return None
-    parent = _gini(np.array([m - pos_total, pos_total], dtype=np.float64), m)
+    p = np.array([m - pos_total, pos_total], dtype=np.float64) / m
+    parent = 1.0 - float((p * p).sum())
     if parent - best <= 1e-12:
         return None
     return int(feats[col]), float((xs[pos, col] + xs[pos + 1, col]) / 2.0)
@@ -160,33 +135,30 @@ def _grow_tree(X, y, rng, features_per_split, bootstrap):
     """Grow one tree to purity, or until no split separates a node."""
     n, dim = X.shape
     idx = rng.integers(0, n, n) if bootstrap else np.arange(n)
-    tree = _Tree()
-    root = tree.new_node()
-    stack = [(root, idx)]
+    rows = [None]  # (feature, threshold, left, right, value), filled when popped
+    stack = [(0, idx)]
     while stack:
         node, members = stack.pop()
         counts = np.bincount(y[members], minlength=2)
-        if counts[0] == 0 or counts[1] == 0 or len(members) < 2:
-            tree.value[node] = int(np.argmax(counts))  # tie goes to class 0
-            continue
-        feats = rng.choice(dim, size=features_per_split, replace=False)
-        feats.sort()
-        found = _best_split(X, y, members, feats)
+        found = None
+        if counts.all():
+            feats = rng.choice(dim, size=features_per_split, replace=False)
+            feats.sort()
+            found = _best_split(X, y, members, feats)
         if found is None:
-            tree.value[node] = int(np.argmax(counts))
+            rows[node] = (-1, 0.0, -1, -1, int(np.argmax(counts)))  # tie goes to class 0
             continue
         feat, thr = found
+        left = len(rows)
+        rows[node] = (feat, thr, left, left + 1, -1)
+        rows += [None, None]
         go_left = X[members, feat] <= thr
-        tree.feature[node] = feat
-        tree.threshold[node] = thr
-        left = tree.new_node()
-        right = tree.new_node()
-        tree.left[node] = left
-        tree.right[node] = right
-        stack.append((right, members[~go_left]))
+        stack.append((left + 1, members[~go_left]))
         stack.append((left, members[go_left]))
-    tree.freeze()
-    return tree
+    feature, threshold, left, right, value = zip(*rows)
+    return _Tree(np.array(feature, dtype=np.int64), np.array(threshold, dtype=np.float64),
+                 np.array(left, dtype=np.int64), np.array(right, dtype=np.int64),
+                 np.array(value, dtype=np.int64))
 
 
 @dataclass
@@ -275,29 +247,21 @@ def roc_curve(scores: np.ndarray, y: np.ndarray):
 
     Ties are grouped: one point per distinct score, classification rule
     score >= threshold. Returns (points, thresholds) starting at (0, 0)
-    with threshold inf; the final distinct score yields (1, 1).
+    with threshold inf; the final distinct score yields (1, 1). A group's
+    threshold is its first score in stable descending order, so of tied
+    -0.0 and 0.0 the one listed first is reported.
     """
     n_pos = int((y == 1).sum())
     n_neg = int((y == 0).sum())
     order = np.argsort(-scores, kind="stable")
-    points = [(0.0, 0.0)]
-    thresholds = [math.inf]
-    tp = fp = 0
-    i = 0
-    n = len(scores)
-    while i < n:
-        j = i
-        s = scores[order[i]]
-        while j < n and scores[order[j]] == s:
-            if y[order[j]] == 1:
-                tp += 1
-            else:
-                fp += 1
-            j += 1
-        points.append((fp / n_neg, tp / n_pos))
-        thresholds.append(float(s))
-        i = j
-    return points, thresholds
+    s = np.asarray(scores, dtype=np.float64)[order]
+    change = s[1:] != s[:-1]
+    first = np.flatnonzero(np.insert(change, 0, True)[:len(s)])
+    last = np.flatnonzero(np.append(change, True)[:len(s)])
+    tp = np.cumsum(y[order] == 1)[last]
+    fp = last + 1 - tp
+    points = [(0.0, 0.0)] + [(f / n_neg, t / n_pos) for f, t in zip(fp.tolist(), tp.tolist())]
+    return points, [math.inf] + s[first].tolist()
 
 
 def _trapezoid_auc(points) -> float:
@@ -323,12 +287,14 @@ def compute_metrics(scores: np.ndarray, y: np.ndarray, threshold: float = 0.35) 
     n_neg = int((y == 0).sum())
     if n_pos == 0 or n_neg == 0:
         raise ValueError("need at least one positive and one negative example")
+    if not math.isfinite(threshold):
+        raise ValueError(f"threshold must be finite, got {threshold}")
 
     pred = scores >= threshold
-    tp = int(((pred == 1) & (y == 1)).sum())
-    fp = int(((pred == 1) & (y == 0)).sum())
-    fn = int(((pred == 0) & (y == 1)).sum())
-    tn = int(((pred == 0) & (y == 0)).sum())
+    tp = int((pred & (y == 1)).sum())
+    fp = int((pred & (y == 0)).sum())
+    fn = n_pos - tp
+    tn = n_neg - fp
 
     degenerate = set()
     precision, recall, f1 = _prf(tp, fp, fn, degenerate)

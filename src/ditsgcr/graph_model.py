@@ -196,7 +196,8 @@ def ingest_labels(path, graph: TemporalGraph) -> LabelSet:
 
     Labels must be exactly "0" or "1". Accounts absent from the graph are
     skipped and reported via a warning; a header row is detected by a
-    non-numeric label field in row 1.
+    non-numeric label field in row 1. An account listed twice must carry
+    the same label both times.
     """
     labels = {}
     skipped = []
@@ -216,7 +217,9 @@ def ingest_labels(path, graph: TemporalGraph) -> LabelSet:
         if node is None:
             skipped.append(key)
             continue
-        labels[node] = int(raw)
+        if labels.setdefault(node, int(raw)) != int(raw):
+            raise ValueError(f"line {lineno}: account {key!r} labeled {raw}, "
+                             f"listed earlier as {labels[node]}")
     if skipped:
         logger.warning("%d labeled accounts not present in graph, skipped", len(skipped))
     return LabelSet(labels=labels, skipped_keys=skipped)

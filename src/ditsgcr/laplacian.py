@@ -33,6 +33,9 @@ class LaplacianParams:
     cg_max_iters: int | None = None  # None: max(1000, 10 * ceil(sqrt(n)))
 
     def validate(self) -> None:
+        for name in ("lam", "mu", "cg_tol"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.lam < 0:
             raise ValueError("lam must be non-negative")
         if self.mu <= 0:
@@ -93,7 +96,8 @@ def cg_solve(M, b: np.ndarray, tol: float, max_iters: int) -> np.ndarray:
 
     Verifies the true residual ||Mx - b|| / ||b|| <= tol on exit and
     raises SolverConvergenceError (carrying the achieved residual) when
-    the iteration cap is hit first. A zero right-hand side returns zeros.
+    the iteration cap is hit first or the residual stops being finite (an
+    overflowed or NaN matrix). A zero right-hand side returns zeros.
     """
     b_norm = np.linalg.norm(b)
     x = np.zeros_like(b)
@@ -102,9 +106,9 @@ def cg_solve(M, b: np.ndarray, tol: float, max_iters: int) -> np.ndarray:
     r = b.copy()
     p = r.copy()
     rr = float(r @ r)
-    for _ in range(max_iters):
-        if math.sqrt(rr) / b_norm <= tol:
-            break
+    iters = 0
+    while iters < max_iters and math.sqrt(rr) / b_norm > tol and math.isfinite(rr):
+        iters += 1
         Mp = M @ p
         alpha = rr / float(p @ Mp)
         x += alpha * p
@@ -113,10 +117,10 @@ def cg_solve(M, b: np.ndarray, tol: float, max_iters: int) -> np.ndarray:
         p = r + (rr_new / rr) * p
         rr = rr_new
     achieved = float(np.linalg.norm(b - M @ x) / b_norm)
-    if achieved > tol:
+    if not achieved <= tol:  # NaN fails too
         raise SolverConvergenceError(
             f"conjugate gradients stopped at relative residual {achieved:.3e} "
-            f"after {max_iters} iterations (tolerance {tol:.1e})", achieved)
+            f"after {iters} iterations (tolerance {tol:.1e})", achieved)
     return x
 
 

@@ -10,6 +10,7 @@ iteration is discarded.
 """
 
 import logging
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -40,6 +41,9 @@ class PipelineConfig:
     def validate(self) -> None:
         if self.clusters < 1:
             raise ValueError("clusters must be at least 1")
+        for name in ("alpha", "beta", "lam", "mu"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.alpha <= 0:
             raise ValueError("alpha must be positive")
         if self.beta <= 0:

@@ -8,6 +8,7 @@ window. Everything is driven by one seeded generator, so a config
 regenerates byte-identically.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,8 @@ class SynthConfig:
     def validate(self) -> None:
         if self.n_normal < 0 or self.n_phisher < 0:
             raise ValueError("node counts must be non-negative")
+        if not math.isfinite(self.normal_rate):
+            raise ValueError(f"normal_rate must be finite, got {self.normal_rate}")
         if self.normal_rate < 0:
             raise ValueError("normal_rate must be non-negative")
         if self.time_span < 1:

@@ -187,6 +187,35 @@ def pairwise_auc(scores, y):
     return total / (len(pos) * len(neg))
 
 
+def loop_roc_curve(scores, y):
+    """Grouped ROC by walking the stable descending order one score at a time.
+
+    Each run of equal scores is one group whose threshold is the run's
+    first score; returns (points, thresholds) like evaluation.roc_curve.
+    """
+    n_pos = int((y == 1).sum())
+    n_neg = int((y == 0).sum())
+    order = np.argsort(-scores, kind="stable")
+    points = [(0.0, 0.0)]
+    thresholds = [math.inf]
+    tp = fp = 0
+    i = 0
+    n = len(scores)
+    while i < n:
+        j = i
+        s = scores[order[i]]
+        while j < n and scores[order[j]] == s:
+            if y[order[j]] == 1:
+                tp += 1
+            else:
+                fp += 1
+            j += 1
+        points.append((fp / n_neg, tp / n_pos))
+        thresholds.append(float(s))
+        i = j
+    return points, thresholds
+
+
 def cart_fit(X, y):
     """Exhaustive CART oracle: every feature ascending, every midpoint
     between consecutive distinct sorted values ascending, strict

@@ -232,6 +232,47 @@ def test_bad_label_fails(tmp_path, capsys):
     assert "not in {0,1}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, flag, value", [
+    ("embed", "--alpha", "nan"), ("embed", "--beta", "nan"), ("embed", "--lambda", "nan"),
+    ("embed", "--mu", "nan"), ("embed", "--beta", "inf"), ("embed", "--mu", "inf"),
+    ("evaluate", "--threshold", "nan"), ("synth", "--rate", "nan"),
+])
+def test_non_finite_flags_fail(tmp_path, capsys, command, flag, value):
+    edges, labels = make_dataset(tmp_path)
+    capsys.readouterr()
+    args = {"embed": ["--input", str(edges), "--output", str(tmp_path / "emb.csv"),
+                      "--clusters", "3"],
+            "evaluate": ["--input", str(edges), "--labels", str(labels), "--clusters", "3"],
+            "synth": ["--out-edges", str(tmp_path / "e.csv"),
+                      "--out-labels", str(tmp_path / "l.csv")]}[command]
+    assert cli.main([command, *args, flag, value]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "must be finite" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_overflowing_lambda_fails(tmp_path, capsys):
+    edges, _ = make_dataset(tmp_path)
+    out = tmp_path / "emb.csv"
+    assert cli.main(["embed", "--input", str(edges), "--output", str(out),
+                     "--clusters", "3", "--lambda", "1e308"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: conjugate gradients stopped at relative residual nan")
+    assert len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
+def test_conflicting_labels_fail(tmp_path, capsys):
+    edges = tmp_path / "e.csv"
+    edges.write_text("a,b,1\nb,c,2\nc,a,3\n", encoding="utf-8")
+    labels = tmp_path / "l.csv"
+    labels.write_text("a,1\nb,0\nc,0\na,0\n", encoding="utf-8")
+    assert cli.main(["evaluate", "--input", str(edges), "--labels", str(labels),
+                     "--clusters", "2"]) == 1
+    assert capsys.readouterr().err.startswith("error: line 4: account 'a' labeled 0")
+
+
 def test_single_class_labels_fail(tmp_path, capsys):
     edges = tmp_path / "e.csv"
     edges.write_text("a,b,1\nb,c,2\nc,a,3\n", encoding="utf-8")

@@ -6,7 +6,7 @@ import pytest
 from ditsgcr.evaluation import (ForestConfig, SplitSpec, compute_metrics,
                                 predict_scores, roc_curve, split, train_forest)
 from ditsgcr.graph_model import LabelSet
-from helpers import cart_fit, cart_predict, pairwise_auc
+from helpers import cart_fit, cart_predict, loop_roc_curve, pairwise_auc
 
 
 def blob_data(rng, n_per_class=30, dim=4, gap=4.0):
@@ -207,6 +207,46 @@ def test_roc_shape_and_monotonicity():
     assert thresholds[1:] == sorted(thresholds[1:], reverse=True)
     # one point per distinct score plus the origin
     assert len(points) == len(set(scores.tolist())) + 1
+
+
+def test_roc_matches_loop_oracle_on_ties_and_signed_zeros():
+    rng = np.random.default_rng(11)
+    palette = np.array([0.0, -0.0, 0.35, 0.5, 1.0, -0.25])
+    for trial in range(300):
+        n = int(rng.integers(2, 40))
+        y = rng.integers(0, 2, size=n)
+        y[:2] = [0, 1]
+        scores = rng.choice(palette[:int(rng.integers(1, len(palette) + 1))], size=n)
+        got = roc_curve(scores, y)
+        assert repr(got) == repr(loop_roc_curve(scores, y)), trial
+        assert repr(compute_metrics(scores, y).roc_thresholds) == repr(got[1])
+    # a tied -0.0/0.0 group reports the score that sorts first
+    _, thresholds = roc_curve(np.array([0.0, -0.0, 1.0]), np.array([0, 1, 1]))
+    assert repr(thresholds) == "[inf, 1.0, 0.0]"
+    _, thresholds = roc_curve(np.array([-0.0, 0.0, 1.0]), np.array([0, 1, 1]))
+    assert repr(thresholds) == "[inf, 1.0, -0.0]"
+
+
+def test_tree_arrays_are_immutable_record():
+    rng = np.random.default_rng(12)
+    X, y = blob_data(rng, n_per_class=10, gap=1.0)
+    tree = train_forest(X, y, ForestConfig(n_trees=1, seed=0)).trees[0]
+    n_nodes = len(tree.value)
+    for name, dtype in (("feature", np.int64), ("threshold", np.float64),
+                        ("left", np.int64), ("right", np.int64), ("value", np.int64)):
+        column = getattr(tree, name)
+        assert column.dtype == dtype and column.shape == (n_nodes,)
+    leaf = tree.value >= 0
+    assert np.all(tree.feature[leaf] == -1) and np.all(tree.left[leaf] == -1)
+    assert np.all(tree.left[~leaf] > 0) and np.all(tree.right[~leaf] > 0)
+    with pytest.raises(AttributeError):
+        tree.value = np.zeros(1, dtype=np.int64)
+
+
+@pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf])
+def test_metrics_reject_non_finite_threshold(threshold):
+    with pytest.raises(ValueError, match="threshold must be finite"):
+        compute_metrics(np.array([0.1, 0.9]), np.array([0, 1]), threshold=threshold)
 
 
 def test_perfect_and_inverted_rankings():

@@ -267,6 +267,16 @@ def test_labels_invalid_value(tmp_path):
         ingest_labels(p, g)
 
 
+def test_labels_conflicting_repeat(tmp_path):
+    g = build_graph([("A", "B", 1)])
+    p = tmp_path / "labels.csv"
+    write_lines(p, ["account,label", "A,1", "B,0", "A,1"])
+    assert ingest_labels(p, g).labels == {0: 1, 1: 0}  # an identical repeat is fine
+    write_lines(p, ["account,label", "A,1", "B,0", "A,0"])
+    with pytest.raises(ValueError, match="line 4: account 'A' labeled 0, listed earlier as 1"):
+        ingest_labels(p, g)
+
+
 def test_label_csv_round_trip(tmp_path):
     g = build_graph([("A", "B", 1), ("C", "A", 2)])
     p = tmp_path / "labels.csv"

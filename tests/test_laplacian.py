@@ -196,6 +196,28 @@ def test_cg_solve_simple_identity():
     assert np.all(cg_solve(M, np.zeros(4), tol=1e-10, max_iters=10) == 0.0)
 
 
+def test_cg_solve_rejects_nan_solution():
+    M = sp.csr_matrix(np.array([[2.0, np.nan], [np.nan, 2.0]]))
+    calls = []
+
+    class Counting:
+        def __matmul__(self, other):
+            calls.append(1)
+            return M @ other
+
+    with pytest.raises(SolverConvergenceError, match="residual nan after 1 iterations") as exc:
+        cg_solve(Counting(), np.array([1.0, 1.0]), tol=1e-6, max_iters=50)
+    assert np.isnan(exc.value.residual)
+    assert len(calls) == 2  # one iteration, then the true-residual check
+
+
+@pytest.mark.parametrize("field", ["lam", "mu", "cg_tol"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_params_reject_non_finite(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        LaplacianParams(**{field: value}).validate()
+
+
 def test_params_validate():
     with pytest.raises(ValueError):
         LaplacianParams(mu=0.0).validate()

@@ -199,6 +199,13 @@ def test_fewer_nodes_than_clusters():
         run(g, PipelineConfig(clusters=10))
 
 
+@pytest.mark.parametrize("field", ["alpha", "beta", "lam", "mu"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_parameters_rejected(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        PipelineConfig(**{field: value}).validate()
+
+
 def test_invalid_configs():
     for cfg in (PipelineConfig(clusters=0),
                 PipelineConfig(alpha=0.0),

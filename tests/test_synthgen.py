@@ -98,6 +98,12 @@ def test_validation_errors():
             cfg.validate()
 
 
+@pytest.mark.parametrize("rate", [float("nan"), float("inf")])
+def test_non_finite_rate_rejected(rate):
+    with pytest.raises(ValueError, match="normal_rate must be finite"):
+        SynthConfig(normal_rate=rate).validate()
+
+
 def test_burst_window_cap_accepts_boundary():
     SynthConfig(time_span=60_000, burst_window=600).validate()
 
