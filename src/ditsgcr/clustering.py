@@ -16,11 +16,21 @@ DEAD_CENTROID_TOTAL = 1e-8
 # rows whose centroid-distance spread falls below this get uniform subx
 DEGENERATE_SPREAD = 1e-9
 
+BLOCK_ROWS = 512  # rows per block of squared distances: no n x width temporaries
+
 
 def normalize_rows(H: np.ndarray) -> np.ndarray:
     """Divide each row by (its L2 norm + 1e-10); zero rows stay zero."""
     norms = np.linalg.norm(H, axis=1, keepdims=True)
     return H / (norms + EPS)
+
+
+def _sq_dists(H: np.ndarray, h: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = min(out, ||H_i - h||^2) per row, one block of rows at a time."""
+    for s in range(0, H.shape[0], BLOCK_ROWS):
+        blk = out[s:s + BLOCK_ROWS]
+        np.minimum(blk, ((H[s:s + BLOCK_ROWS] - h) ** 2).sum(axis=1), out=blk)
+    return out
 
 
 def kmeanspp_init(H_norm: np.ndarray, k: int, seed: int) -> np.ndarray:
@@ -40,7 +50,7 @@ def kmeanspp_init(H_norm: np.ndarray, k: int, seed: int) -> np.ndarray:
     is_chosen = np.zeros(n, dtype=bool)
     chosen[0] = rng.integers(n)
     is_chosen[chosen[0]] = True
-    d2 = ((H_norm - H_norm[chosen[0]]) ** 2).sum(axis=1)
+    d2 = _sq_dists(H_norm, H_norm[chosen[0]], np.full(n, np.inf))
     for j in range(1, k):
         d2_eff = np.where(is_chosen, 0.0, d2)
         total = d2_eff.sum()
@@ -50,13 +60,16 @@ def kmeanspp_init(H_norm: np.ndarray, k: int, seed: int) -> np.ndarray:
             idx = int(rng.choice(np.flatnonzero(~is_chosen)))
         chosen[j] = idx
         is_chosen[idx] = True
-        d2 = np.minimum(d2, ((H_norm - H_norm[idx]) ** 2).sum(axis=1))
+        _sq_dists(H_norm, H_norm[idx], d2)
     return H_norm[chosen].copy()
 
 
 def cosine_similarities(H_norm: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     """Pairwise cosine similarities with 1e-10 guards on both norms."""
-    hn = np.linalg.norm(H_norm, axis=1)
+    return _cosine(H_norm, np.linalg.norm(H_norm, axis=1), centroids)
+
+
+def _cosine(H_norm, hn, centroids):  # hn: the row norms of H_norm
     cn = np.linalg.norm(centroids, axis=1)
     return (H_norm @ centroids.T) / ((hn[:, None] + EPS) * (cn[None, :] + EPS))
 
@@ -79,7 +92,7 @@ def _reseed_dead_centroids(H_norm, centroids, totals):
     for c in np.flatnonzero(totals < DEAD_CENTROID_TOTAL):
         d2 = np.full(H_norm.shape[0], np.inf)
         for mu in centroids:
-            d2 = np.minimum(d2, ((H_norm - mu) ** 2).sum(axis=1))
+            _sq_dists(H_norm, mu, d2)
         idx = int(np.argmax(d2))
         row = H_norm[idx]
         centroids[c] = row / (np.linalg.norm(row) + EPS)
@@ -98,9 +111,10 @@ def soft_kmeans(H_norm: np.ndarray, k: int, beta: float, iters: int, seed: int):
     if iters < 1:
         raise ValueError("need at least one iteration")
     centroids = kmeanspp_init(H_norm, k, seed)
+    hn = np.linalg.norm(H_norm, axis=1)
     R = None
     for _ in range(iters):
-        sims = cosine_similarities(H_norm, centroids)
+        sims = _cosine(H_norm, hn, centroids)
         R = soft_assign(sims, beta)
         totals = R.sum(axis=0)
         centroids = (R.T @ H_norm) / (totals[:, None] + EPS)

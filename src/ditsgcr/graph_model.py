@@ -195,12 +195,12 @@ def ingest_labels(path, graph: TemporalGraph) -> LabelSet:
     """Read an account,label CSV and key the labels by node id.
 
     Labels must be exactly "0" or "1". Accounts absent from the graph are
-    skipped and reported via a warning; a header row is detected by a
-    non-numeric label field in row 1. An account listed twice must carry
-    the same label both times.
+    skipped, once each in skipped_keys, and counted in a warning; a header
+    row is detected by a non-numeric label field in row 1. An account
+    listed twice, present or absent, must carry the same label both times.
     """
     labels = {}
-    skipped = []
+    absent = {}  # key -> label of accounts not in the graph
     first = True
     for lineno, row in _iter_csv_rows(path):
         if len(row) < 2:
@@ -214,15 +214,13 @@ def ingest_labels(path, graph: TemporalGraph) -> LabelSet:
         if raw not in ("0", "1"):
             raise ValueError(f"line {lineno}: label {raw!r} not in {{0,1}}")
         node = graph.key_to_id.get(key)
-        if node is None:
-            skipped.append(key)
-            continue
-        if labels.setdefault(node, int(raw)) != int(raw):
+        book, slot = (absent, key) if node is None else (labels, node)
+        if book.setdefault(slot, int(raw)) != int(raw):
             raise ValueError(f"line {lineno}: account {key!r} labeled {raw}, "
-                             f"listed earlier as {labels[node]}")
-    if skipped:
-        logger.warning("%d labeled accounts not present in graph, skipped", len(skipped))
-    return LabelSet(labels=labels, skipped_keys=skipped)
+                             f"listed earlier as {book[slot]}")
+    if absent:
+        logger.warning("%d labeled accounts not present in graph, skipped", len(absent))
+    return LabelSet(labels=labels, skipped_keys=list(absent))
 
 
 def adjacency_weights(graph: TemporalGraph, mode: str = "count",

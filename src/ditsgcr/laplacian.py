@@ -79,9 +79,12 @@ def assemble_system(pairs: np.ndarray, R: np.ndarray,
     diag = np.bincount(ends, weights=np.concatenate([w, w]), minlength=n)
     if params.lam != 0.0:
         joint = w * np.einsum("ij,ij->i", R[u], R[v])
-        off = w + params.lam * joint
-        diag = diag + params.lam * np.bincount(
-            ends, weights=np.concatenate([joint, joint]), minlength=n)
+        with np.errstate(over="ignore"):
+            off = w + params.lam * joint
+            diag = diag + params.lam * np.bincount(
+                ends, weights=np.concatenate([joint, joint]), minlength=n)
+        if not (np.isfinite(off).all() and np.isfinite(diag).all()):
+            raise ValueError(f"lambda {params.lam:g} makes the system matrix overflow")
     keep = off != 0.0
     u, v, off = u[keep], v[keep], off[keep]
     diagonal = np.arange(n)

@@ -148,6 +148,7 @@ def run(graph, config: PipelineConfig = PipelineConfig()) -> PipelineResult:
                                   H_norm, k, config.beta, config.kmeans_iters,
                                   config.seed + i)
         subx = stages.run("subx", clustering.compute_subx, H_norm, centroids)
+        del H_norm  # free an n x width matrix before lift(Z) builds H_new
         if smooth:
             if pairs is None:
                 pairs = adjacency_weights(graph, config.weight_mode, config.alpha)

@@ -8,11 +8,15 @@ that is W = normalize([A_in Z, A_out Z]) with the entry x node neighbor
 matrices of the graph's CSR arrays. Summing a node's w over its timeline
 gives the neighborhood term s_v. A recurrent temporal state z walks each
 timeline in chronological order; one Python step advances every node
-that still has entries at that timeline position. The outer products of
+that still has entries at that timeline position. Once a single node is
+left (a hub's long tail), a second loop steps its contiguous entries
+in place through slice views, without index arrays. The outer products of
 each w with the state accumulate into a 2K x 2K structure matrix Z_v,
 computed as per-node segment sums one 2K-column block at a time. The
 output row is [flatten(Z_v), s_v], width 4K^2 + 2K.
 """
+
+import math
 
 import numpy as np
 import scipy.sparse as sp
@@ -81,10 +85,17 @@ def aggregate(graph, Z: np.ndarray, alpha: float, literal_eq4: bool = False) -> 
                              side="left")
     zrows = np.zeros((n_entries, two_k))
     z = np.zeros((n, two_k))
-    for p in range(1, len(active)):
+    multi = max(1, int(np.count_nonzero(active > 1)))  # steps with 2+ nodes
+    for p in range(1, multi):
         e = first[:active[p]] - p
         z = _row_normalize(W[e + 1] + decay[e, None] * z[:len(e)])
         zrows[e] = z
+    if len(active) > multi:  # one node left: its entries are contiguous, step in place
+        z = z[:1]
+        for e in range(first[0] - multi, first[0] - len(active), -1):
+            z = np.multiply(decay[e], z, out=zrows[e:e + 1])
+            z += W[e + 1:e + 2]
+            z /= math.sqrt(np.einsum("ij,ij->i", z, z)[0]) + EPS  # as _row_normalize
 
     H = np.empty((n, output_width(k)))
     seg = _csr_ones(entry_ptr, np.arange(n_entries), n_entries)  # node x entry

@@ -317,3 +317,100 @@ def straight_line_pipeline(graph, config):
         H = H_new
         count = count_new
     return H
+
+
+def loop_aggregate(graph, Z, alpha, literal_eq4=False):
+    """The lift with every recurrence step taken on index arrays.
+
+    One step per timeline position advances all nodes still active there,
+    down to the last one, with no single-node path; otherwise the same
+    arithmetic as temporal_aggregation.aggregate, so outputs must match
+    it bit for bit."""
+    import scipy.sparse as sp
+
+    def normalize(X):
+        return X / (np.sqrt(np.einsum("ij,ij->i", X, X)) + EPS)[:, None]
+
+    def ones(ptr, ids, n_cols):
+        return sp.csr_matrix((np.ones(len(ids)), ids, ptr), shape=(len(ptr) - 1, n_cols))
+
+    n, k = Z.shape
+    two_k = 2 * k
+    entry_ptr, entry_t = graph.entry_ptr, graph.entry_t
+    n_entries = len(entry_t)
+    W = normalize(np.hstack([ones(graph.in_ptr, graph.in_ids, n) @ Z,
+                             ones(graph.out_ptr, graph.out_ids, n) @ Z]))
+    lengths = np.diff(entry_ptr)
+    has_prev = np.ones(n_entries, dtype=bool)
+    has_prev[entry_ptr[1:][lengths > 0] - 1] = False
+    decay = np.ones(n_entries)
+    if not literal_eq4:
+        e = np.flatnonzero(has_prev)
+        decay[e] = np.exp(-(entry_t[e] - entry_t[e + 1]) / alpha)
+    order = np.argsort(-lengths, kind="stable")
+    first = entry_ptr[order + 1] - 1
+    active = np.searchsorted(-lengths[order], -np.arange(lengths.max(initial=0)),
+                             side="left")
+    zrows = np.zeros((n_entries, two_k))
+    z = np.zeros((n, two_k))
+    for p in range(1, len(active)):
+        e = first[:active[p]] - p
+        z = normalize(W[e + 1] + decay[e, None] * z[:len(e)])
+        zrows[e] = z
+    H = np.empty((n, 4 * k * k + two_k))
+    seg = ones(entry_ptr, np.arange(n_entries), n_entries)
+    for a in range(two_k):
+        H[:, a * two_k:(a + 1) * two_k] = seg @ (W[:, a:a + 1] * zrows)
+    H[:, two_k * two_k:] = seg @ W
+    return H
+
+
+def loop_kmeanspp_init(H_norm, k, seed):
+    """k-means++ seeding with squared distances taken over all rows at once.
+
+    Same draws and arithmetic as clustering.kmeanspp_init otherwise."""
+    n = H_norm.shape[0]
+    rng = np.random.default_rng(seed)
+    chosen = np.empty(k, dtype=np.int64)
+    is_chosen = np.zeros(n, dtype=bool)
+    chosen[0] = rng.integers(n)
+    is_chosen[chosen[0]] = True
+    d2 = ((H_norm - H_norm[chosen[0]]) ** 2).sum(axis=1)
+    for j in range(1, k):
+        d2_eff = np.where(is_chosen, 0.0, d2)
+        total = d2_eff.sum()
+        if total > 0:
+            idx = int(rng.choice(n, p=d2_eff / total))
+        else:
+            idx = int(rng.choice(np.flatnonzero(~is_chosen)))
+        chosen[j] = idx
+        is_chosen[idx] = True
+        d2 = np.minimum(d2, ((H_norm - H_norm[idx]) ** 2).sum(axis=1))
+    return H_norm[chosen].copy()
+
+
+def loop_soft_kmeans(H_norm, centroids, beta, iters):
+    """Soft k-means from the given seed centroids, recomputing the row norms
+    of H_norm on every similarity call and taking squared distances over
+    all rows at once; otherwise the same arithmetic as
+    clustering.soft_kmeans. Returns (R, centroids)."""
+    def cosine(H, C):
+        hn = np.linalg.norm(H, axis=1)
+        cn = np.linalg.norm(C, axis=1)
+        return (H @ C.T) / ((hn[:, None] + EPS) * (cn[None, :] + EPS))
+
+    R = None
+    for _ in range(iters):
+        logits = beta * cosine(H_norm, centroids)
+        e = np.exp(logits - logits.max(axis=1, keepdims=True))
+        R = e / e.sum(axis=1, keepdims=True)
+        totals = R.sum(axis=0)
+        centroids = (R.T @ H_norm) / (totals[:, None] + EPS)
+        centroids = centroids / (np.linalg.norm(centroids, axis=1, keepdims=True) + EPS)
+        for c in np.flatnonzero(totals < 1e-8):  # dead centroid: move to the farthest row
+            d2 = np.full(H_norm.shape[0], np.inf)
+            for mu in centroids:
+                d2 = np.minimum(d2, ((H_norm - mu) ** 2).sum(axis=1))
+            row = H_norm[int(np.argmax(d2))]
+            centroids[c] = row / (np.linalg.norm(row) + EPS)
+    return R, centroids

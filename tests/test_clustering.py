@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from ditsgcr import clustering
 from ditsgcr.clustering import (_reseed_dead_centroids, compute_subx,
                                 cosine_similarities, kmeanspp_init,
                                 normalize_rows, soft_assign, soft_kmeans)
-from helpers import hard_assign_onehot
+from helpers import hard_assign_onehot, loop_kmeanspp_init, loop_soft_kmeans
 
 
 def unit_rows(rng, n, d):
@@ -170,3 +171,52 @@ def test_compute_subx_degenerate_rows_uniform():
     # all-zero row: every similarity is 0, both clusters tie
     h3 = np.array([[0.0, 0.0]])
     assert compute_subx(h3, C2)[0] == pytest.approx([0.5, 0.5], abs=1e-9)
+
+
+def kmeans_cases():
+    """(name, H_norm, k) covering every block-boundary and degenerate shape."""
+    rng = np.random.default_rng(12)
+    distinct = unit_rows(rng, 5, 20)
+    with_zeros = unit_rows(rng, 600, 20)
+    with_zeros[rng.choice(600, size=100, replace=False)] = 0.0
+    return [
+        ("fewer rows than a block", unit_rows(rng, 37, 6), 4),
+        ("rows not a multiple of a block", unit_rows(rng, 1300, 20), 10),
+        ("rows a multiple of a block", unit_rows(rng, 1024, 12), 7),
+        ("duplicate rows", distinct[rng.integers(5, size=700)], 8),
+        ("all-zero rows", normalize_rows(with_zeros), 6),
+        ("raw rows", rng.normal(size=(900, 9)) * 3.0, 5),
+    ]
+
+
+@pytest.mark.parametrize("name,H,k", kmeans_cases())
+def test_soft_kmeans_matches_loop_oracle_bit_for_bit(name, H, k):
+    for seed, beta in ((3, 10.0), (4, 200.0)):
+        init = kmeanspp_init(H, k, seed)
+        assert init.tobytes() == loop_kmeanspp_init(H, k, seed).tobytes()
+        R, C = soft_kmeans(H, k, beta, 10, seed)
+        R_ref, C_ref = loop_soft_kmeans(H, init, beta, 10)
+        assert R.tobytes() == R_ref.tobytes()
+        assert C.tobytes() == C_ref.tobytes()
+
+
+def test_soft_kmeans_reseed_matches_loop_oracle_bit_for_bit(monkeypatch):
+    # angles 3, 8, 9, 11, 18, 18, 19 (x 4.5 degrees), 80 copies each; seeded
+    # at 18, 19 and 3, hard assignment empties the first cluster in round 2
+    angles = np.repeat([3, 8, 9, 11, 18, 18, 19.0], 80) * np.pi / 40
+    H = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    seeded = H[[4 * 80, 6 * 80, 0]]
+    reseed = clustering._reseed_dead_centroids
+    reseeds = []
+
+    def counted(H_norm, centroids, totals):
+        reseeds.append(int((totals < clustering.DEAD_CENTROID_TOTAL).sum()))
+        return reseed(H_norm, centroids, totals)
+
+    monkeypatch.setattr(clustering, "kmeanspp_init", lambda H_norm, k, seed: seeded.copy())
+    monkeypatch.setattr(clustering, "_reseed_dead_centroids", counted)
+    R, C = soft_kmeans(H, 3, 1e4, 10, 0)
+    R_ref, C_ref = loop_soft_kmeans(H, seeded.copy(), 1e4, 10)
+    assert reseeds and reseeds[0] == 1
+    assert R.tobytes() == R_ref.tobytes()
+    assert C.tobytes() == C_ref.tobytes()

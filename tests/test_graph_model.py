@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -274,6 +275,25 @@ def test_labels_conflicting_repeat(tmp_path):
     assert ingest_labels(p, g).labels == {0: 1, 1: 0}  # an identical repeat is fine
     write_lines(p, ["account,label", "A,1", "B,0", "A,0"])
     with pytest.raises(ValueError, match="line 4: account 'A' labeled 0, listed earlier as 1"):
+        ingest_labels(p, g)
+
+
+def test_labels_absent_account_listed_twice(tmp_path, caplog):
+    g = build_graph([("A", "B", 1)])
+    p = tmp_path / "labels.csv"
+    write_lines(p, ["A,1", "Z,1", "Z,1"])
+    with caplog.at_level(logging.WARNING, logger="ditsgcr.graph_model"):
+        ls = ingest_labels(p, g)
+    assert ls.labels == {0: 1}
+    assert ls.skipped_keys == ["Z"]
+    assert "1 labeled accounts not present in graph" in caplog.text
+
+
+def test_labels_absent_account_conflicting_repeat(tmp_path):
+    g = build_graph([("A", "B", 1)])
+    p = tmp_path / "labels.csv"
+    write_lines(p, ["A,1", "Z,1", "Z,0"])
+    with pytest.raises(ValueError, match="line 3: account 'Z' labeled 0, listed earlier as 1"):
         ingest_labels(p, g)
 
 

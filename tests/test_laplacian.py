@@ -218,6 +218,14 @@ def test_params_reject_non_finite(field, value):
         LaplacianParams(**{field: value}).validate()
 
 
+@pytest.mark.parametrize("w", [1.0, 2.0])
+def test_overflowing_lambda_rejected(w):
+    # at w = 1 only the diagonal (two pairs per node) overflows, at w = 2 all entries
+    pairs = pair_array({(0, 1): w, (0, 2): w, (1, 2): w})
+    with pytest.raises(ValueError, match="lambda 1e\\+308 makes the system matrix overflow"):
+        assemble_system(pairs, np.ones((3, 1)), LaplacianParams(lam=1e308))
+
+
 def test_params_validate():
     with pytest.raises(ValueError):
         LaplacianParams(mu=0.0).validate()

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from ditsgcr.graph_model import TemporalGraph, build_graph
 from ditsgcr.temporal_aggregation import aggregate, output_width
-from helpers import brute_force_embeddings, random_graph
+from helpers import brute_force_embeddings, loop_aggregate, random_graph
 
 KEYS = st.sampled_from(["a", "b", "c", "d", "e", "f"])
 ROWS = st.lists(st.tuples(KEYS, KEYS, st.integers(0, 40)), min_size=1, max_size=30)
@@ -229,3 +230,66 @@ def test_relabeling_equivariance(rows, names, rnd):
     H2 = aggregate(g2, Z2, 50.0)
     for key, v in g.key_to_id.items():
         assert np.allclose(H2[g2.key_to_id[rename[key]]], H[v], rtol=0, atol=1e-12)
+
+
+def hub_graph(rng, hubs=(300,), n_other=40):
+    """Hub accounts receiving at len distinct times each, over short timelines."""
+    edges = []
+    for h, n_times in enumerate(hubs):
+        t = np.cumsum(1 + rng.integers(0, 4, size=n_times))  # gaps 1..4
+        edges += [(f"o{rng.integers(n_other)}", f"hub{h}", int(x)) for x in t]
+    edges += [(f"o{rng.integers(n_other)}", f"o{rng.integers(n_other)}", int(rng.integers(3)))
+              for _ in range(2 * n_other)]
+    return build_graph(edges)
+
+
+def with_isolated(g, m):
+    """g plus m accounts that have no timeline entries."""
+    keys = [f"iso{i}" for i in range(m)]
+    return dataclasses.replace(
+        g, n_nodes=g.n_nodes + m, id_to_key=g.id_to_key + keys,
+        key_to_id={**g.key_to_id, **{k: g.n_nodes + i for i, k in enumerate(keys)}},
+        entry_ptr=np.append(g.entry_ptr, np.full(m, g.entry_ptr[-1])))
+
+
+def timeline_lengths(g):
+    return np.sort(np.diff(g.entry_ptr))[::-1]
+
+
+@pytest.mark.parametrize("literal_eq4", [False, True])
+def test_aggregate_matches_loop_oracle_bit_for_bit(literal_eq4):
+    rng = np.random.default_rng(61)
+    hub = hub_graph(rng)
+    tied = hub_graph(rng, hubs=(80, 80))
+    flat = build_graph([(f"o{rng.integers(30)}", f"o{rng.integers(30)}", 7) for _ in range(60)])
+    empty = build_graph([])
+    self_loops = build_graph([("s", "s", t) for t in (1, 2, 4, 9)])
+    cases = {
+        "hub tail": hub,
+        "two tied longest": tied,
+        "no timeline above one entry": flat,
+        "hub with isolated accounts": with_isolated(hub, 3),
+        "one account with entries": with_isolated(self_loops, 2),
+        "only isolated accounts": with_isolated(empty, 4),
+        "no accounts": empty,
+    }
+    top = timeline_lengths(hub)
+    assert top[0] > top[1] + 1  # the single-node tail takes several steps
+    top = timeline_lengths(tied)
+    assert top[0] == top[1] > top[2]  # no step is left with one node
+    assert timeline_lengths(flat)[0] == 1
+    for name, g in cases.items():
+        for Z in (np.full((g.n_nodes, 3), 1 / 3), rng.normal(size=(g.n_nodes, 3))):
+            got = aggregate(g, Z, 2.0, literal_eq4)
+            want = loop_aggregate(g, Z, 2.0, literal_eq4)
+            assert got.shape == want.shape, name
+            assert got.tobytes() == want.tobytes(), name
+
+
+def test_aggregate_hub_tail_matches_loop_oracle_on_random_hubs():
+    rng = np.random.default_rng(62)
+    for _ in range(20):
+        g = hub_graph(rng, hubs=(int(rng.integers(2, 60)),), n_other=int(rng.integers(2, 12)))
+        Z = rng.normal(size=(g.n_nodes, 2))
+        alpha = float(rng.choice([0.5, 3.0, 1e6]))
+        assert aggregate(g, Z, alpha).tobytes() == loop_aggregate(g, Z, alpha).tobytes()
