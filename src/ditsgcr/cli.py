@@ -4,8 +4,8 @@ Three subcommands: embed (graph in, embedding CSV out), evaluate (graph
 plus labels in, metrics line out) and synth (write a synthetic benchmark
 graph). Every produced data file is deterministic for a fixed flag set;
 a JSON run manifest (resolved config, input digests, stage wall-times
-and, for embed and evaluate, why the iteration loop stopped) is written
-alongside each primary output. DITSGCR_LOG={error|info|debug}
+and, for embed and evaluate, why the iteration loop stopped and peak RSS)
+is written alongside each primary output. DITSGCR_LOG={error|info|debug}
 controls diagnostics on stderr.
 """
 
@@ -14,6 +14,7 @@ import hashlib
 import json
 import logging
 import os
+import resource
 import sys
 import time
 
@@ -59,8 +60,9 @@ def _write_manifest(args, output_path, inputs, stage_seconds, stop_reason=None):
                    for name, p in inputs.items()},
         "stage_seconds": {k: round(v, 6) for k, v in stage_seconds.items()},
     }
-    if stop_reason is not None:
+    if stop_reason is not None:  # embed and evaluate
         manifest["stop_reason"] = stop_reason
+        manifest["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     path = f"{output_path}.manifest.json"
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)

@@ -16,13 +16,20 @@ DEAD_CENTROID_TOTAL = 1e-8
 # rows whose centroid-distance spread falls below this get uniform subx
 DEGENERATE_SPREAD = 1e-9
 
-BLOCK_ROWS = 512  # rows per block of squared distances: no n x width temporaries
+BLOCK_ROWS = 512  # rows per block of norms and distances: no n x width temporaries
 
 
 def normalize_rows(H: np.ndarray) -> np.ndarray:
     """Divide each row by (its L2 norm + 1e-10); zero rows stay zero."""
-    norms = np.linalg.norm(H, axis=1, keepdims=True)
-    return H / (norms + EPS)
+    return H / (_row_norms(H) + EPS)[:, None]
+
+
+def _row_norms(H: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(H, axis=1), one block of rows at a time."""
+    out = np.empty(H.shape[0])
+    for s in range(0, H.shape[0], BLOCK_ROWS):
+        out[s:s + BLOCK_ROWS] = np.linalg.norm(H[s:s + BLOCK_ROWS], axis=1)
+    return out
 
 
 def _sq_dists(H: np.ndarray, h: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -66,7 +73,7 @@ def kmeanspp_init(H_norm: np.ndarray, k: int, seed: int) -> np.ndarray:
 
 def cosine_similarities(H_norm: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     """Pairwise cosine similarities with 1e-10 guards on both norms."""
-    return _cosine(H_norm, np.linalg.norm(H_norm, axis=1), centroids)
+    return _cosine(H_norm, _row_norms(H_norm), centroids)
 
 
 def _cosine(H_norm, hn, centroids):  # hn: the row norms of H_norm
@@ -111,7 +118,7 @@ def soft_kmeans(H_norm: np.ndarray, k: int, beta: float, iters: int, seed: int):
     if iters < 1:
         raise ValueError("need at least one iteration")
     centroids = kmeanspp_init(H_norm, k, seed)
-    hn = np.linalg.norm(H_norm, axis=1)
+    hn = _row_norms(H_norm)
     R = None
     for _ in range(iters):
         sims = _cosine(H_norm, hn, centroids)

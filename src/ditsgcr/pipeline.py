@@ -75,10 +75,11 @@ class PipelineResult:
 
 def count_unique_embeddings(H: np.ndarray) -> int:
     """Distinct rows of H after rounding every entry to 6 decimals."""
-    if H.shape[0] == 0:
-        return 0
-    rounded = np.round(H, 6) + 0.0  # +0.0 folds -0.0 into +0.0
-    return len({row.tobytes() for row in rounded})
+    seen = set()
+    for s in range(0, H.shape[0], clustering.BLOCK_ROWS):
+        rounded = np.round(H[s:s + clustering.BLOCK_ROWS], 6) + 0.0  # +0.0 folds -0.0
+        seen.update(row.tobytes() for row in rounded)
+    return len(seen)
 
 
 class _Stages:

@@ -12,8 +12,9 @@ that still has entries at that timeline position. Once a single node is
 left (a hub's long tail), a second loop steps its contiguous entries
 in place through slice views, without index arrays. The outer products of
 each w with the state accumulate into a 2K x 2K structure matrix Z_v,
-computed as per-node segment sums one 2K-column block at a time. The
-output row is [flatten(Z_v), s_v], width 4K^2 + 2K.
+computed as per-node segment sums one 2K-column block at a time, per
+block of whole nodes so the products stay small; each node still sums its
+entries in entry order. The output row is [flatten(Z_v), s_v], width 4K^2 + 2K.
 """
 
 import math
@@ -22,6 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 
 EPS = 1e-10
+BLOCK_ENTRIES = 2048  # timeline entries per block of whole nodes in the structure sums
 
 
 def output_width(k: int) -> int:
@@ -64,9 +66,10 @@ def aggregate(graph, Z: np.ndarray, alpha: float, literal_eq4: bool = False) -> 
     entry_ptr, entry_t = graph.entry_ptr, graph.entry_t
     n_entries = len(entry_t)
 
-    W = _row_normalize(np.hstack([
-        _csr_ones(graph.in_ptr, graph.in_ids, n) @ Z,
-        _csr_ones(graph.out_ptr, graph.out_ids, n) @ Z]))
+    W = np.empty((n_entries, two_k))  # [A_in Z, A_out Z], then normalized in place
+    W[:, :k] = _csr_ones(graph.in_ptr, graph.in_ids, n) @ Z
+    W[:, k:] = _csr_ones(graph.out_ptr, graph.out_ids, n) @ Z
+    W /= (np.sqrt(np.einsum("ij,ij->i", W, W)) + EPS)[:, None]  # as _row_normalize
 
     # entry e (descending storage) follows entry e + 1 in time within its node
     lengths = np.diff(entry_ptr)
@@ -98,8 +101,15 @@ def aggregate(graph, Z: np.ndarray, alpha: float, literal_eq4: bool = False) -> 
             z /= math.sqrt(np.einsum("ij,ij->i", z, z)[0]) + EPS  # as _row_normalize
 
     H = np.empty((n, output_width(k)))
-    seg = _csr_ones(entry_ptr, np.arange(n_entries), n_entries)  # node x entry
-    for a in range(two_k):
-        H[:, a * two_k:(a + 1) * two_k] = seg @ (W[:, a:a + 1] * zrows)
-    H[:, two_k * two_k:] = seg @ W
+    v0 = 0
+    while v0 < n:  # nodes v0..v1-1: at most BLOCK_ENTRIES entries, or one node
+        e0 = entry_ptr[v0]
+        v1 = max(v0 + 1, np.searchsorted(entry_ptr, e0 + BLOCK_ENTRIES, "right") - 1)
+        e1 = entry_ptr[v1]
+        seg = _csr_ones(entry_ptr[v0:v1 + 1] - e0, np.arange(e1 - e0), e1 - e0)  # node x entry
+        Wb, zb = W[e0:e1], zrows[e0:e1]
+        for a in range(two_k):
+            H[v0:v1, a * two_k:(a + 1) * two_k] = seg @ (Wb[:, a:a + 1] * zb)
+        H[v0:v1, two_k * two_k:] = seg @ Wb
+        v0 = v1
     return H

@@ -6,10 +6,11 @@ by computing the same mathematics.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 
-from ditsgcr.graph_model import PAIR_DTYPE, build_graph
+from ditsgcr.graph_model import PAIR_DTYPE, TemporalGraph, build_graph
 
 EPS = 1e-10
 
@@ -42,6 +43,32 @@ def random_connected_graph(rng, n, extra_edges, t_range=1000):
         v = int(rng.integers(n))
         edges.append((f"a{u}", f"a{v}", int(rng.integers(t_range))))
     return build_graph(edges)
+
+
+def edgeless_graph(n):
+    """n accounts without a single timeline entry."""
+    keys = [f"a{i}" for i in range(n)]
+    none = np.empty(0, dtype=np.int64)
+    return TemporalGraph(n_nodes=n, n_edges=0,
+                         key_to_id={k: i for i, k in enumerate(keys)},
+                         id_to_key=list(keys),
+                         entry_ptr=np.zeros(n + 1, dtype=np.int64), entry_t=none,
+                         in_ptr=np.zeros(1, dtype=np.int64), in_ids=none,
+                         out_ptr=np.zeros(1, dtype=np.int64), out_ids=none)
+
+
+def extra_peak(fn, *args):
+    """(fn(*args), peak bytes the call held on top of what was live before).
+
+    tracemalloc sees every numpy buffer, so the peak counts temporaries
+    exactly, the returned arrays included."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 def group_rows(rows):
@@ -320,12 +347,14 @@ def straight_line_pipeline(graph, config):
 
 
 def loop_aggregate(graph, Z, alpha, literal_eq4=False):
-    """The lift with every recurrence step taken on index arrays.
+    """The lift with every recurrence step taken on index arrays and
+    whole-array products.
 
     One step per timeline position advances all nodes still active there,
-    down to the last one, with no single-node path; otherwise the same
-    arithmetic as temporal_aggregation.aggregate, so outputs must match
-    it bit for bit."""
+    down to the last one, with no single-node path. W comes from np.hstack,
+    and each structure block is one product over all timeline entries, with
+    no blocks of nodes. Otherwise this is the same arithmetic as
+    temporal_aggregation.aggregate, so outputs must match it bit for bit."""
     import scipy.sparse as sp
 
     def normalize(X):

@@ -59,6 +59,7 @@ def test_embed_flow(tmp_path, capsys):
     assert manifest["inputs"]["edges"]["sha256"] == digest
     assert manifest["stage_seconds"]["total"] > 0
     assert manifest["stop_reason"] == "no_gain"
+    assert isinstance(manifest["peak_rss_mb"], float) and manifest["peak_rss_mb"] > 0
 
 
 def test_embed_byte_identical_reruns(tmp_path):
@@ -138,7 +139,8 @@ def test_evaluate_flow(tmp_path, capsys):
     tprs = [float(r.split(",")[1]) for r in rows[1:]]
     assert fprs == sorted(fprs) and tprs == sorted(tprs)
     assert fprs[-1] == 1.0 and tprs[-1] == 1.0
-    assert json.loads((tmp_path / "roc.csv.manifest.json").read_text())
+    roc_manifest = json.loads((tmp_path / "roc.csv.manifest.json").read_text())
+    assert isinstance(roc_manifest["peak_rss_mb"], float) and roc_manifest["peak_rss_mb"] > 0
 
 
 def test_evaluate_roc_byte_identical(tmp_path, capsys):

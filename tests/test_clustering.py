@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from ditsgcr import clustering
+from ditsgcr import clustering, synthgen
 from ditsgcr.clustering import (_reseed_dead_centroids, compute_subx,
                                 cosine_similarities, kmeanspp_init,
                                 normalize_rows, soft_assign, soft_kmeans)
-from helpers import hard_assign_onehot, loop_kmeanspp_init, loop_soft_kmeans
+from ditsgcr.pipeline import count_unique_embeddings
+from ditsgcr.temporal_aggregation import aggregate
+from helpers import extra_peak, hard_assign_onehot, loop_kmeanspp_init, loop_soft_kmeans
 
 
 def unit_rows(rng, n, d):
@@ -220,3 +222,43 @@ def test_soft_kmeans_reseed_matches_loop_oracle_bit_for_bit(monkeypatch):
     assert reseeds and reseeds[0] == 1
     assert R.tobytes() == R_ref.tobytes()
     assert C.tobytes() == C_ref.tobytes()
+
+
+def test_row_blocks_match_unblocked_oracles_bit_for_bit():
+    rng = np.random.default_rng(14)
+    raw = rng.normal(size=(41, 7)) * 3.0  # 41 rows: the last block is short
+    raw[[0, 20, 40]] = 0.0
+    raw[21] = raw[22]
+    want_norm = raw / (np.linalg.norm(raw, axis=1, keepdims=True) + 1e-10)
+    C = unit_rows(rng, 5, 7)
+    want_sims = (want_norm @ C.T) / ((np.linalg.norm(want_norm, axis=1)[:, None] + 1e-10)
+                                     * (np.linalg.norm(C, axis=1)[None, :] + 1e-10))
+    want_subx = compute_subx(want_norm, C)  # 41 rows < BLOCK_ROWS: a single block
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(clustering, "BLOCK_ROWS", 3)
+        H = normalize_rows(raw)
+        assert H.tobytes() == want_norm.tobytes()
+        assert cosine_similarities(H, C).tobytes() == want_sims.tobytes()
+        assert compute_subx(H, C).tobytes() == want_subx.tobytes()
+        for seed, beta in ((3, 10.0), (4, 200.0)):
+            R, C_got = soft_kmeans(H, 5, beta, 10, seed)
+            R_ref, C_ref = loop_soft_kmeans(H, loop_kmeanspp_init(H, 5, seed), beta, 10)
+            assert R.tobytes() == R_ref.tobytes()
+            assert C_got.tobytes() == C_ref.tobytes()
+
+
+def test_row_block_memory_budget():
+    # the bounds hold for many more rows than a block (hub-embed: 16k rows,
+    # 512-row blocks); this 2k-row lift keeps that ratio with 64-row blocks
+    g, _ = synthgen.generate(synthgen.SynthConfig())
+    H = aggregate(g, np.random.default_rng(15).random((g.n_nodes, 10)), 1.0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(clustering, "BLOCK_ROWS", 64)
+        H_norm, peak = extra_peak(normalize_rows, H)
+        assert peak <= 1.1 * H.nbytes
+        (_, C), peak = extra_peak(soft_kmeans, H_norm, 10, 10.0, 10, 1)
+        assert peak <= 0.25 * H.nbytes
+        _, peak = extra_peak(compute_subx, H_norm, C)
+        assert peak <= 0.25 * H.nbytes
+        _, peak = extra_peak(count_unique_embeddings, H)
+        assert peak <= 1.25 * H.nbytes

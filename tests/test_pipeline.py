@@ -1,21 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ditsgcr.graph_model import TemporalGraph, build_graph
+from ditsgcr import clustering
+from ditsgcr.graph_model import build_graph
 from ditsgcr.pipeline import (PipelineConfig, count_unique_embeddings, run)
 from ditsgcr.temporal_aggregation import output_width
-from helpers import edge_rows, random_connected_graph, straight_line_pipeline
-
-
-def edgeless_graph(n):
-    keys = [f"a{i}" for i in range(n)]
-    none = np.empty(0, dtype=np.int64)
-    return TemporalGraph(n_nodes=n, n_edges=0,
-                         key_to_id={k: i for i, k in enumerate(keys)},
-                         id_to_key=list(keys),
-                         entry_ptr=np.zeros(n + 1, dtype=np.int64), entry_t=none,
-                         in_ptr=np.zeros(1, dtype=np.int64), in_ids=none,
-                         out_ptr=np.zeros(1, dtype=np.int64), out_ids=none)
+from helpers import edge_rows, edgeless_graph, random_connected_graph, straight_line_pipeline
 
 
 def test_count_unique_rounding():
@@ -34,6 +26,22 @@ def test_count_unique_matches_np_unique():
         H = np.round(rng.normal(size=(30, 4)), int(rng.integers(0, 9)))
         expected = np.unique(np.round(H, 6) + 0.0, axis=0).shape[0]
         assert count_unique_embeddings(H) == expected
+
+
+# 1e-9 and -1e-9 round to +0.0 and -0.0; the last two values round to 1e-6 apart
+VALUES = st.sampled_from([0.0, 1e-9, -1e-9, 2.5, -1.0, 0.1234564, 0.1234566])
+
+
+@settings(max_examples=200, deadline=None)
+@given(pool=st.lists(st.tuples(VALUES, VALUES, VALUES), min_size=1, max_size=4),
+       picks=st.lists(st.integers(0, 3), max_size=24), block=st.integers(1, 5))
+def test_count_unique_matches_np_unique_across_row_blocks(pool, picks, block):
+    # few pool rows and many picks: duplicates straddle the block edges
+    H = np.array([pool[i % len(pool)] for i in picks], dtype=np.float64).reshape(-1, 3)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(clustering, "BLOCK_ROWS", block)
+        got = count_unique_embeddings(H)
+    assert got == np.unique(np.round(H, 6) + 0.0, axis=0).shape[0]
 
 
 def test_empty_graph():

@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ditsgcr import synthgen, temporal_aggregation
 from ditsgcr.graph_model import TemporalGraph, build_graph
 from ditsgcr.temporal_aggregation import aggregate, output_width
-from helpers import brute_force_embeddings, loop_aggregate, random_graph
+from helpers import (brute_force_embeddings, edgeless_graph, extra_peak, loop_aggregate,
+                     random_graph)
 
 KEYS = st.sampled_from(["a", "b", "c", "d", "e", "f"])
 ROWS = st.lists(st.tuples(KEYS, KEYS, st.integers(0, 40)), min_size=1, max_size=30)
@@ -293,3 +295,46 @@ def test_aggregate_hub_tail_matches_loop_oracle_on_random_hubs():
         Z = rng.normal(size=(g.n_nodes, 2))
         alpha = float(rng.choice([0.5, 3.0, 1e6]))
         assert aggregate(g, Z, alpha).tobytes() == loop_aggregate(g, Z, alpha).tobytes()
+
+
+def block_edge_graph():
+    """Timelines of 1, 2, 4 and 3 entries (prefix sums 1, 3, 7, 10), so blocks
+    of 3 and of 7 entries end exactly on a node boundary, and the 4-entry
+    node is longer than a 3-entry block."""
+    edges = [("a", "b", 1), ("b", "c", 2), ("c", "c", 3), ("c", "c", 4), ("c", "d", 5),
+             ("d", "d", 6), ("d", "d", 7)]
+    return build_graph(edges)
+
+
+@pytest.mark.parametrize("block", [1, 3, 7])
+@pytest.mark.parametrize("literal_eq4", [False, True])
+def test_aggregate_node_blocks_match_loop_oracle_bit_for_bit(block, literal_eq4):
+    rng = np.random.default_rng(63)
+    edge = block_edge_graph()
+    assert list(edge.entry_ptr) == [0, 1, 3, 7, 10]
+    cases = {f"random {i}": random_graph(rng, max_nodes=9, max_distinct_times=6)
+             for i in range(8)}
+    cases.update({
+        "block edge on a node boundary": edge,
+        "hub longer than a block": hub_graph(rng, hubs=(30,), n_other=6),
+        "hub with isolated accounts": with_isolated(hub_graph(rng, hubs=(12, 5)), 3),
+        "edgeless": edgeless_graph(5),
+    })
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(temporal_aggregation, "BLOCK_ENTRIES", block)
+        for name, g in cases.items():
+            Z = rng.normal(size=(g.n_nodes, 3))
+            got = aggregate(g, Z, 2.0, literal_eq4)
+            assert got.tobytes() == loop_aggregate(g, Z, 2.0, literal_eq4).tobytes(), name
+
+
+def test_aggregate_memory_budget():
+    # far more timeline entries than a block: the lift may hold W, the
+    # recurrent states (same size) and small blocks on top of its output
+    g, _ = synthgen.generate(synthgen.SynthConfig())
+    n_entries = len(g.entry_t)
+    assert n_entries > 8 * temporal_aggregation.BLOCK_ENTRIES
+    Z = np.random.default_rng(64).random((g.n_nodes, 10))
+    H, peak = extra_peak(aggregate, g, Z, 1.0)
+    W_bytes = n_entries * 20 * 8
+    assert peak <= H.nbytes + 2.5 * W_bytes
