@@ -50,7 +50,8 @@ def _sha256(path):
     return h.hexdigest()
 
 
-def _write_manifest(args, output_path, inputs, stage_seconds, stop_reason=None):
+def _write_manifest(args, output_path, inputs, stage_seconds, stop_reason=None,
+                    write_workers=None):
     config = {k: (sorted(v) if isinstance(v, list) else v)
               for k, v in vars(args).items() if k not in ("func", "threads")}
     manifest = {
@@ -63,6 +64,8 @@ def _write_manifest(args, output_path, inputs, stage_seconds, stop_reason=None):
     if stop_reason is not None:  # embed and evaluate
         manifest["stop_reason"] = stop_reason
         manifest["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    if write_workers is not None:  # embed
+        manifest["write_workers"] = write_workers
     path = f"{output_path}.manifest.json"
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -97,7 +100,8 @@ def _shared_flags():
                         help="disable one signal path; repeatable")
     parser.add_argument("--seed", type=int, default=42, help="master seed (default 42)")
     parser.add_argument("--threads", type=int, default=None,
-                        help="cap BLAS/OpenMP threads (applies to fresh processes)")
+                        help="cap BLAS/OpenMP threads (applies to fresh processes) and "
+                             "embedding CSV writer processes")
     return parser
 
 
@@ -112,24 +116,57 @@ def _pipeline_config(args):
     )
 
 
+WRITE_BLOCK_ROWS = 512  # embedding CSV rows formatted as one string
+_write_rows = None  # (keys, H, row template) while the embedding CSV is written
+
+
+def _format_block(start):
+    """Embedding CSV rows start .. start + WRITE_BLOCK_ROWS as one string."""
+    keys, H, row = _write_rows
+    stop = start + WRITE_BLOCK_ROWS
+    return "".join([row % (key, *values)
+                    for key, values in zip(keys[start:stop], H[start:stop].tolist())])
+
+
 def _cmd_embed(args):
+    global _write_rows
     from . import graph_model, pipeline
 
+    started = time.perf_counter()
     graph = graph_model.ingest_csv(args.input)
+    ingest = time.perf_counter() - started
     started = time.perf_counter()
     result = pipeline.run(graph, _pipeline_config(args))
     total = time.perf_counter() - started
 
+    started = time.perf_counter()
     H = result.embeddings
+    # quoted once, as csv.writer's QUOTE_MINIMAL would
+    keys = ['"' + k.replace('"', '""') + '"' if set(k) & set(',"\r\n') else k
+            for k in graph.id_to_key]
     row = "%s," + ",".join(["%.9g"] * H.shape[1]) + "\n"
-    with open(args.output, "w", encoding="utf-8") as fh:
-        fh.write("node_key," + ",".join(f"e{i}" for i in range(H.shape[1])) + "\n")
-        for key, values in zip(graph.id_to_key, H):
-            # one row at a time: H.tolist() would hold every value as a Python float
-            fh.write(row % (key, *values.tolist()))
+    starts = range(0, H.shape[0], WRITE_BLOCK_ROWS)
+    workers = min(len(os.sched_getaffinity(0)), args.threads or len(starts), len(starts))
+    _write_rows = keys, H, row
+    try:
+        with open(args.output, "w", encoding="utf-8") as fh:
+            fh.write("node_key," + ",".join(f"e{i}" for i in range(H.shape[1])) + "\n")
+            if workers > 1:
+                import multiprocessing
+                # fork, so that the workers inherit _write_rows instead of a
+                # pickled H. They only format strings and never call BLAS, so
+                # forking after OpenBLAS has started its threads is safe.
+                with multiprocessing.get_context("fork").Pool(workers) as pool:
+                    fh.writelines(pool.imap(_format_block, starts))
+            else:
+                fh.writelines(map(_format_block, starts))
+    finally:
+        _write_rows = None
+    write = time.perf_counter() - started
 
     _write_manifest(args, args.output, {"edges": args.input},
-                    {**result.stage_seconds, "total": total}, result.stop_reason)
+                    {**result.stage_seconds, "total": total, "ingest": ingest,
+                     "write": write}, result.stop_reason, write_workers=workers)
     print(f"wrote {H.shape[0]} embeddings of width {H.shape[1]} to {args.output} "
           f"({result.iterations_run} iterations)")
     return 0
@@ -247,6 +284,9 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    if args.threads is not None and args.threads < 1:
+        print(f"error: --threads must be at least 1, got {args.threads}", file=sys.stderr)
+        return 1
     _configure_threads(args.threads)
     _configure_logging()
     from .laplacian import SolverConvergenceError  # numpy loads after the thread cap

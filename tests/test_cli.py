@@ -1,12 +1,18 @@
+import csv
 import hashlib
 import json
+import multiprocessing
 import os
+import signal
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ditsgcr import cli, laplacian, pipeline
 
@@ -58,6 +64,9 @@ def test_embed_flow(tmp_path, capsys):
     digest = hashlib.sha256(edges.read_bytes()).hexdigest()
     assert manifest["inputs"]["edges"]["sha256"] == digest
     assert manifest["stage_seconds"]["total"] > 0
+    assert manifest["stage_seconds"]["ingest"] > 0
+    assert manifest["stage_seconds"]["write"] > 0
+    assert manifest["write_workers"] == 1  # fewer rows than one block
     assert manifest["stop_reason"] == "no_gain"
     assert isinstance(manifest["peak_rss_mb"], float) and manifest["peak_rss_mb"] > 0
 
@@ -74,16 +83,63 @@ def test_embed_byte_identical_reruns(tmp_path):
 
 
 def test_embed_byte_identical_across_processes(tmp_path):
-    edges, _ = make_dataset(tmp_path)
+    # more nodes than one block, so that the default run formats on every core
+    edges, _ = make_dataset(tmp_path, normals=600, phishers=10)
     outs = []
-    for hash_seed in ("1", "2"):
-        out = tmp_path / f"emb{hash_seed}.csv"
+    for hash_seed, threads in (("1", ["--threads", "1"]), ("2", ["--threads", "1"]),
+                               ("1", [])):
+        out = tmp_path / f"emb{hash_seed}{len(threads)}.csv"
         env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONHASHSEED": hash_seed}
         subprocess.run([sys.executable, "-m", "ditsgcr.cli", "embed", "--input", str(edges),
-                        "--output", str(out), "--clusters", "3", "--threads", "1"],
+                        "--output", str(out), "--clusters", "3", *threads],
                        env=env, check=True, capture_output=True)
         outs.append(out.read_bytes())
-    assert outs[0] == outs[1]
+    assert outs[0] == outs[1] == outs[2]
+    assert len(read_rows(out)) - 1 > cli.WRITE_BLOCK_ROWS
+    manifest = json.loads(out.with_name(out.name + ".manifest.json").read_text())
+    assert manifest["write_workers"] == min(len(os.sched_getaffinity(0)), 2)
+
+
+def fake_pipeline(H):
+    """A pipeline.run stand-in that returns H as the embeddings."""
+    return lambda graph, config: pipeline.PipelineResult(H, 0, [0], "no_gain")
+
+
+def write_chain(path, n):
+    """Edge CSV over accounts a0 .. a{n-1}, each appearing first in id order."""
+    rows = [f"a{i},a{i + 1},{i}" for i in range(n - 1)] or ["a0,a0,0"]
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(1, 8), width=st.integers(1, 4), block=st.integers(1, 5),
+       data=st.data())
+def test_parallel_writer_matches_one_worker(n, width, block, data):
+    specials = st.sampled_from([0.0, -0.0, float("inf"), float("-inf"), float("nan")])
+    values = data.draw(st.lists(st.one_of(st.floats(), specials),
+                                min_size=n * width, max_size=n * width))
+    H = np.array(values, dtype=float).reshape(n, width)
+    n_blocks = -(-n // block)
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        edges = Path(tmp) / "edges.csv"
+        write_chain(edges, n)
+        mp.setattr(pipeline, "run", fake_pipeline(H))
+        mp.setattr(cli, "WRITE_BLOCK_ROWS", block)
+        mp.setattr(cli, "_configure_threads", lambda threads: None)
+        mp.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
+        outputs = []
+        for workers in (1, 2, 3, n_blocks + 1):
+            out = Path(tmp) / f"emb{workers}.csv"
+            assert cli.main(["embed", "--input", str(edges), "--output", str(out),
+                             "--threads", str(workers)]) == 0
+            manifest = json.loads(Path(f"{out}.manifest.json").read_text())
+            assert manifest["write_workers"] == min(workers, n_blocks)
+            outputs.append(out.read_bytes())
+    assert all(o == outputs[0] for o in outputs[1:])
+    rows = list(csv.reader(outputs[0].decode("utf-8").splitlines()))
+    assert [r[0] for r in rows[1:]] == [f"a{i}" for i in range(n)]
+    assert [r[1:] for r in rows[1:]] == [[format(x, ".9g") for x in r] for r in H.tolist()]
+    assert not multiprocessing.active_children()
 
 
 def test_embedding_csv_fields_match_format(tmp_path, monkeypatch):
@@ -171,14 +227,80 @@ def test_ablation_changes_embeddings(tmp_path):
     assert manifest["config"]["ablate"] == ["no_temporal"]
 
 
-def test_embed_empty_input(tmp_path, capsys):
+def test_embed_empty_input(tmp_path, capsys, monkeypatch):
     edges = tmp_path / "empty.csv"
     edges.write_text("from,to,timestamp\n", encoding="utf-8")
     out = tmp_path / "emb.csv"
+
+    def no_pool(method):
+        raise AssertionError("an empty graph must start no writer process")
+
+    monkeypatch.setattr(multiprocessing, "get_context", no_pool)
     assert cli.main(["embed", "--input", str(edges), "--output", str(out)]) == 0
     rows = read_rows(out)
     assert len(rows) == 1 and rows[0].startswith("node_key,e0,")
     assert "wrote 0 embeddings" in capsys.readouterr().out
+    assert json.loads((tmp_path / "emb.csv.manifest.json").read_text())["write_workers"] == 0
+
+
+class Unformattable:
+    def __float__(self):
+        raise ValueError("value cannot be formatted")
+
+
+def test_writer_error_in_worker_is_one_line(tmp_path, capsys, monkeypatch):
+    edges = tmp_path / "edges.csv"
+    write_chain(edges, 4)
+    H = np.array([[0.5], [1.5], [Unformattable()], [2.5]], dtype=object)
+    monkeypatch.setattr(pipeline, "run", fake_pipeline(H))
+    monkeypatch.setattr(cli, "WRITE_BLOCK_ROWS", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+    def hang(signum, frame):
+        pytest.fail("the writer hung after a worker failed")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(60)
+    try:
+        code = cli.main(["embed", "--input", str(edges), "--output", str(tmp_path / "e.csv")])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == "error: value cannot be formatted\n"
+    assert not multiprocessing.active_children()
+    with pytest.raises(ChildProcessError):  # every worker has been reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_quoted_keys_round_trip(tmp_path):
+    edges = tmp_path / "edges.csv"
+    edges.write_text('"a,b",c,5\nc,"q""r",6\n"n\nl",c,7\n', encoding="utf-8")
+    out = tmp_path / "emb.csv"
+    assert cli.main(["embed", "--input", str(edges), "--output", str(out),
+                     "--clusters", "2"]) == 0
+    with open(out, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert [len(r) for r in rows] == [21] * 5  # node_key + 4*2^2 + 2*2 values
+    assert [r[0] for r in rows[1:]] == ["a,b", "c", 'q"r', "n\nl"]
+
+
+@pytest.mark.parametrize("command", ["embed", "evaluate"])
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_threads_below_one_fail(tmp_path, capsys, monkeypatch, command, threads):
+    edges, labels = make_dataset(tmp_path)
+    capsys.readouterr()
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                "NUMEXPR_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    args = {"embed": ["--output", str(tmp_path / "emb.csv")],
+            "evaluate": ["--labels", str(labels)]}[command]
+    assert cli.main([command, "--input", str(edges), *args, "--clusters", "3",
+                     "--threads", threads]) == 1
+    assert capsys.readouterr().err == f"error: --threads must be at least 1, got {threads}\n"
+    assert "OPENBLAS_NUM_THREADS" not in os.environ
+    assert not (tmp_path / "emb.csv").exists()
 
 
 def test_missing_input_fails(tmp_path, capsys):
