@@ -31,15 +31,15 @@ def _configure_logging():
                         force=True)  # repeated main() calls must re-apply the env
 
 
-def _configure_threads(n):
-    # honored by BLAS/OpenMP only if set before numpy loads, which is why
-    # the package __init__ imports nothing and the heavy imports in this
-    # module sit inside the command handlers
-    if n is None:
-        return
+def _configure_threads():
+    # one BLAS/OpenMP thread whatever the environment says: the bits of the
+    # gemms and dot products in soft k-means and CG depend on the thread
+    # count. Honored only if set before numpy loads, which is why the
+    # package __init__ imports nothing and the heavy imports in this module
+    # sit inside the command handlers
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                 "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-        os.environ[var] = str(n)
+        os.environ[var] = "1"
 
 
 def _sha256(path):
@@ -100,8 +100,8 @@ def _shared_flags():
                         help="disable one signal path; repeatable")
     parser.add_argument("--seed", type=int, default=42, help="master seed (default 42)")
     parser.add_argument("--threads", type=int, default=None,
-                        help="cap BLAS/OpenMP threads (applies to fresh processes) and "
-                             "embedding CSV writer processes")
+                        help="cap the embedding CSV writer processes (default: one per "
+                             "available core)")
     return parser
 
 
@@ -147,9 +147,10 @@ def _cmd_embed(args):
     row = "%s," + ",".join(["%.9g"] * H.shape[1]) + "\n"
     starts = range(0, H.shape[0], WRITE_BLOCK_ROWS)
     workers = min(len(os.sched_getaffinity(0)), args.threads or len(starts), len(starts))
+    part = f"{args.output}.part"  # renamed onto --output once whole
     _write_rows = keys, H, row
     try:
-        with open(args.output, "w", encoding="utf-8") as fh:
+        with open(part, "w", encoding="utf-8") as fh:
             fh.write("node_key," + ",".join(f"e{i}" for i in range(H.shape[1])) + "\n")
             if workers > 1:
                 import multiprocessing
@@ -160,8 +161,11 @@ def _cmd_embed(args):
                     fh.writelines(pool.imap(_format_block, starts))
             else:
                 fh.writelines(map(_format_block, starts))
+        os.replace(part, args.output)
     finally:
         _write_rows = None
+        if os.path.exists(part):
+            os.remove(part)
     write = time.perf_counter() - started
 
     _write_manifest(args, args.output, {"edges": args.input},
@@ -184,12 +188,11 @@ def _cmd_evaluate(args):
     result = pipeline.run(graph, _pipeline_config(args))
     H = result.embeddings
 
-    train_ids, test_ids = evaluation.split(
-        labels, evaluation.SplitSpec(train_fraction=args.train_frac, seed=args.seed))
+    train_ids, test_ids = evaluation.split(labels, train_fraction=args.train_frac,
+                                           seed=args.seed)
     y = labels.labels
-    forest = evaluation.train_forest(
-        H[train_ids], [y[i] for i in train_ids],
-        evaluation.ForestConfig(n_trees=args.trees, seed=args.seed))
+    forest = evaluation.train_forest(H[train_ids], [y[i] for i in train_ids],
+                                     n_trees=args.trees, seed=args.seed)
     scores = evaluation.predict_scores(forest, H[test_ids])
     metrics = evaluation.compute_metrics(
         scores, [y[i] for i in test_ids], threshold=args.threshold)
@@ -287,7 +290,7 @@ def main(argv=None):
     if args.threads is not None and args.threads < 1:
         print(f"error: --threads must be at least 1, got {args.threads}", file=sys.stderr)
         return 1
-    _configure_threads(args.threads)
+    _configure_threads()
     _configure_logging()
     from .laplacian import SolverConvergenceError  # numpy loads after the thread cap
     try:

@@ -14,31 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 
-@dataclass
-class SplitSpec:
-    train_fraction: float = 0.8
-    seed: int = 42
-
-    def validate(self) -> None:
-        if not 0.0 < self.train_fraction < 1.0:
-            raise ValueError("train_fraction must be strictly between 0 and 1")
-
-
-@dataclass
-class ForestConfig:
-    n_trees: int = 100
-    features_per_split: int | None = None  # None: ceil(sqrt(dim))
-    bootstrap: bool = True
-    seed: int = 42
-
-    def validate(self) -> None:
-        if self.n_trees < 1:
-            raise ValueError("need at least one tree")
-        if self.features_per_split is not None and self.features_per_split < 1:
-            raise ValueError("features_per_split must be at least 1 when set")
-
-
-def split(labels, spec: SplitSpec = SplitSpec()):
+def split(labels, train_fraction: float = 0.8, seed: int = 42):
     """Split labeled node ids into (train_ids, test_ids), both sorted.
 
     Stratified: each class is shuffled separately and
@@ -46,13 +22,14 @@ def split(labels, spec: SplitSpec = SplitSpec()):
     sides keep at least one example; both classes must be present with
     >= 2 examples each. Deterministic for a fixed seed.
     """
-    spec.validate()
+    if not 0.0 < train_fraction < 1.0:
+        raise ValueError("train_fraction must be strictly between 0 and 1")
     label_dict = getattr(labels, "labels", labels)  # LabelSet or plain dict
     if not label_dict:
         raise ValueError("no labeled nodes")
     ids = np.array(sorted(label_dict), dtype=np.int64)
     y = np.array([label_dict[i] for i in ids], dtype=np.int64)
-    rng = np.random.default_rng(spec.seed)
+    rng = np.random.default_rng(seed)
     train_parts, test_parts = [], []
     for cls in (0, 1):
         members = ids[y == cls]
@@ -61,7 +38,7 @@ def split(labels, spec: SplitSpec = SplitSpec()):
         if len(members) < 2:
             raise ValueError(f"class {cls} has a single example, cannot stratify")
         perm = rng.permutation(len(members))
-        n_train = int(spec.train_fraction * len(members))
+        n_train = int(train_fraction * len(members))
         n_train = min(max(n_train, 1), len(members) - 1)
         train_parts.append(members[perm[:n_train]])
         test_parts.append(members[perm[n_train:]])
@@ -167,14 +144,15 @@ class Forest:
     n_features: int
 
 
-def train_forest(X: np.ndarray, y: np.ndarray, config: ForestConfig = ForestConfig()) -> Forest:
+def train_forest(X: np.ndarray, y: np.ndarray, n_trees: int = 100, seed: int = 42) -> Forest:
     """Fit a random forest on rows of X with binary labels y.
 
     Deterministic for a fixed seed: per-tree generators are spawned from
     one seed sequence, so tree structures and predictions repeat exactly.
-    Raises ValueError on a single-class training set.
+    Raises ValueError on a single-class training set or n_trees < 1.
     """
-    config.validate()
+    if n_trees < 1:
+        raise ValueError("need at least one tree")
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     if X.ndim != 2 or X.shape[0] != len(y):
@@ -183,15 +161,9 @@ def train_forest(X: np.ndarray, y: np.ndarray, config: ForestConfig = ForestConf
     if not np.array_equal(classes, np.array([0, 1])):
         raise ValueError("training labels must contain both classes 0 and 1")
     dim = X.shape[1]
-    fps = config.features_per_split
-    if fps is None:
-        fps = math.ceil(math.sqrt(dim))
-    fps = min(fps, dim)
-    seeds = np.random.SeedSequence(config.seed).spawn(config.n_trees)
-    trees = []
-    for s in seeds:
-        rng = np.random.default_rng(s)
-        trees.append(_grow_tree(X, y, rng, fps, config.bootstrap))
+    features = min(math.ceil(math.sqrt(dim)), dim)
+    trees = [_grow_tree(X, y, np.random.default_rng(s), features, True)
+             for s in np.random.SeedSequence(seed).spawn(n_trees)]
     return Forest(trees=trees, n_features=dim)
 
 

@@ -19,29 +19,11 @@ graph_model.adjacency_weights, with no per-cluster matrix.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
-
-@dataclass
-class LaplacianParams:
-    lam: float = 1.0
-    mu: float = 1.0
-    cg_tol: float = 1e-6
-    cg_max_iters: int | None = None  # None: max(1000, 10 * ceil(sqrt(n)))
-
-    def validate(self) -> None:
-        for name in ("lam", "mu", "cg_tol"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.lam < 0:
-            raise ValueError("lam must be non-negative")
-        if self.mu <= 0:
-            raise ValueError("mu must be positive, the system is singular otherwise")
-        if self.cg_tol <= 0:
-            raise ValueError("cg_tol must be positive")
+CG_TOL = 1e-6  # relative residual ||Mz - b|| / ||b|| each column must reach
 
 
 class SolverConvergenceError(RuntimeError):
@@ -56,8 +38,8 @@ def default_cg_max_iters(n: int) -> int:
     return max(1000, 10 * math.ceil(math.sqrt(max(n, 1))))
 
 
-def assemble_system(pairs: np.ndarray, R: np.ndarray,
-                    params: LaplacianParams) -> sp.csr_matrix:
+def assemble_system(pairs: np.ndarray, R: np.ndarray, lam: float,
+                    mu: float) -> sp.csr_matrix:
     """M = L + lam * sum_c L_c + mu * I as CSR, in one COO pass.
 
     pairs holds fields u, v (u < v, both in 0..n-1) and w >= 0, as
@@ -77,20 +59,20 @@ def assemble_system(pairs: np.ndarray, R: np.ndarray,
     ends = np.concatenate([u, v])
     off = w
     diag = np.bincount(ends, weights=np.concatenate([w, w]), minlength=n)
-    if params.lam != 0.0:
+    if lam != 0.0:
         joint = w * np.einsum("ij,ij->i", R[u], R[v])
         with np.errstate(over="ignore"):
-            off = w + params.lam * joint
-            diag = diag + params.lam * np.bincount(
+            off = w + lam * joint
+            diag = diag + lam * np.bincount(
                 ends, weights=np.concatenate([joint, joint]), minlength=n)
         if not (np.isfinite(off).all() and np.isfinite(diag).all()):
-            raise ValueError(f"lambda {params.lam:g} makes the system matrix overflow")
+            raise ValueError(f"lambda {lam:g} makes the system matrix overflow")
     keep = off != 0.0
     u, v, off = u[keep], v[keep], off[keep]
     diagonal = np.arange(n)
     rows = np.concatenate([u, v, diagonal])
     cols = np.concatenate([v, u, diagonal])
-    data = np.concatenate([-off, -off, diag + params.mu])
+    data = np.concatenate([-off, -off, diag + mu])
     return sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
 
 
@@ -128,21 +110,26 @@ def cg_solve(M, b: np.ndarray, tol: float, max_iters: int) -> np.ndarray:
 
 
 def solve(subx: np.ndarray, pairs: np.ndarray, R: np.ndarray,
-          params: LaplacianParams = LaplacianParams()) -> np.ndarray:
+          lam: float = 1.0, mu: float = 1.0) -> np.ndarray:
     """Solve M z = mu * subx[:, c] for every column c.
 
     subx and R must both have one row per node; pairs is as for
-    assemble_system. Deterministic: the start vector is zero and there
-    is no randomized component.
+    assemble_system. Each column runs CG to CG_TOL within
+    default_cg_max_iters(n) iterations, from a zero start, so the result
+    is deterministic. lam must be finite and >= 0, mu finite and > 0.
     """
-    params.validate()
+    for name, value in (("lam", lam), ("mu", mu)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+    if lam < 0:
+        raise ValueError("lam must be non-negative")
+    if mu <= 0:
+        raise ValueError("mu must be positive, the system is singular otherwise")
     n, k = subx.shape
     if R.shape[0] != n:
         raise ValueError(f"R has {R.shape[0]} rows, subx has {n}")
-    M = assemble_system(pairs, R, params)
-    max_iters = params.cg_max_iters if params.cg_max_iters is not None \
-        else default_cg_max_iters(n)
+    M = assemble_system(pairs, R, lam, mu)
     Z = np.empty_like(subx)
     for c in range(k):
-        Z[:, c] = cg_solve(M, params.mu * subx[:, c], params.cg_tol, max_iters)
+        Z[:, c] = cg_solve(M, mu * subx[:, c], CG_TOL, default_cg_max_iters(n))
     return Z

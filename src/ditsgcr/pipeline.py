@@ -133,7 +133,6 @@ def run(graph, config: PipelineConfig = PipelineConfig()) -> PipelineResult:
 
     smooth = "no_laplacian" not in config.ablation
     pairs = None
-    lap_params = laplacian.LaplacianParams(lam=config.lam, mu=config.mu)
 
     Z = np.full((n, k), 1.0 / k)
     H = lift(Z)
@@ -154,7 +153,7 @@ def run(graph, config: PipelineConfig = PipelineConfig()) -> PipelineResult:
             if pairs is None:
                 pairs = adjacency_weights(graph, config.weight_mode, config.alpha)
             Z = stages.run("laplacian_solve", laplacian.solve,
-                           subx, pairs, R, lap_params)
+                           subx, pairs, R, lam=config.lam, mu=config.mu)
         else:
             Z = subx
         H_new = lift(Z)

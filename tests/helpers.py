@@ -335,8 +335,7 @@ def straight_line_pipeline(graph, config):
             Z = subx
         else:
             weights = adjacency_weights(graph, config.weight_mode, config.alpha)
-            Z = laplacian.solve(subx, weights, R,
-                                laplacian.LaplacianParams(lam=config.lam, mu=config.mu))
+            Z = laplacian.solve(subx, weights, R, lam=config.lam, mu=config.mu)
         H_new = lift(Z)
         count_new = distinct(H_new)
         if count >= count_new:

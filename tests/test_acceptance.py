@@ -31,9 +31,8 @@ def benchmark_metrics(graph, labels, seed, ablation=()):
     res = pipeline.run(graph, cfg)
     H = res.embeddings
     y = labels.labels
-    train_ids, test_ids = evaluation.split(labels, evaluation.SplitSpec(seed=seed))
-    forest = evaluation.train_forest(H[train_ids], [y[i] for i in train_ids],
-                                     evaluation.ForestConfig(seed=seed))
+    train_ids, test_ids = evaluation.split(labels, seed=seed)
+    forest = evaluation.train_forest(H[train_ids], [y[i] for i in train_ids], seed=seed)
     scores = evaluation.predict_scores(forest, H[test_ids])
     return evaluation.compute_metrics(scores, [y[i] for i in test_ids],
                                       threshold=0.35)
@@ -124,7 +123,7 @@ def test_c04_laplacian_solver_matches_dense_solves():
     start = time.perf_counter()
     rng = np.random.default_rng(104)
     grid = [(lam, mu) for lam in (0.1, 1.0, 10.0) for mu in (0.1, 1.0, 10.0)]
-    from ditsgcr.laplacian import LaplacianParams, solve
+    from ditsgcr.laplacian import solve
     from ditsgcr.graph_model import adjacency_weights
     for trial in range(100):
         n = int(rng.integers(4, 51))
@@ -139,7 +138,7 @@ def test_c04_laplacian_solver_matches_dense_solves():
         assert np.array_equal(M, M.T)
         assert np.linalg.eigvalsh(M).min() >= mu - 1e-8
 
-        got = solve(subx, weights, R, LaplacianParams(lam=lam, mu=mu))
+        got = solve(subx, weights, R, lam=lam, mu=mu)
         expected = dense_solve(subx, weights, R, lam, mu)
         denom = max(1.0, float(np.abs(expected).max()))
         assert np.abs(got - expected).max() / denom <= 1e-5

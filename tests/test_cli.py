@@ -100,6 +100,28 @@ def test_embed_byte_identical_across_processes(tmp_path):
     assert manifest["write_workers"] == min(len(os.sched_getaffinity(0)), 2)
 
 
+def test_embed_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # 2001 nodes: enough for soft k-means' gemms and CG's dot products to
+    # change bits with the BLAS thread count, were it not fixed at one
+    edges, labels = tmp_path / "edges.csv", tmp_path / "labels.csv"
+    assert cli.main(["synth", "--normal", "1900", "--phishers", "100", "--seed", "42",
+                     "--out-edges", str(edges), "--out-labels", str(labels)]) == 0
+    base = {k: v for k, v in os.environ.items()
+            if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                         "NUMEXPR_NUM_THREADS")}
+    base["PYTHONPATH"] = str(SRC)
+    outs = []
+    for name, flags, env in (("t1", ["--threads", "1"], base),
+                             ("t2", ["--threads", "2"], base),
+                             ("blas2", [], {**base, "OPENBLAS_NUM_THREADS": "2"})):
+        out = tmp_path / f"{name}.csv"
+        subprocess.run([sys.executable, "-m", "ditsgcr.cli", "embed", "--input", str(edges),
+                        "--output", str(out), *flags], env=env, check=True,
+                       capture_output=True)
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1] == outs[2]
+
+
 def fake_pipeline(H):
     """A pipeline.run stand-in that returns H as the embeddings."""
     return lambda graph, config: pipeline.PipelineResult(H, 0, [0], "no_gain")
@@ -125,7 +147,7 @@ def test_parallel_writer_matches_one_worker(n, width, block, data):
         write_chain(edges, n)
         mp.setattr(pipeline, "run", fake_pipeline(H))
         mp.setattr(cli, "WRITE_BLOCK_ROWS", block)
-        mp.setattr(cli, "_configure_threads", lambda threads: None)
+        mp.setattr(cli, "_configure_threads", lambda: None)
         mp.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
         outputs = []
         for workers in (1, 2, 3, n_blocks + 1):
@@ -255,6 +277,8 @@ def test_writer_error_in_worker_is_one_line(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(pipeline, "run", fake_pipeline(H))
     monkeypatch.setattr(cli, "WRITE_BLOCK_ROWS", 1)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    out = tmp_path / "e.csv"
+    out.write_bytes(b"node_key,e0\nold,1\n")
 
     def hang(signum, frame):
         pytest.fail("the writer hung after a worker failed")
@@ -262,7 +286,7 @@ def test_writer_error_in_worker_is_one_line(tmp_path, capsys, monkeypatch):
     previous = signal.signal(signal.SIGALRM, hang)
     signal.alarm(60)
     try:
-        code = cli.main(["embed", "--input", str(edges), "--output", str(tmp_path / "e.csv")])
+        code = cli.main(["embed", "--input", str(edges), "--output", str(out)])
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
@@ -272,6 +296,8 @@ def test_writer_error_in_worker_is_one_line(tmp_path, capsys, monkeypatch):
     assert not multiprocessing.active_children()
     with pytest.raises(ChildProcessError):  # every worker has been reaped
         os.waitpid(-1, os.WNOHANG)
+    assert out.read_bytes() == b"node_key,e0\nold,1\n"  # the old file, not a torn one
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["e.csv", "edges.csv"]
 
 
 def test_quoted_keys_round_trip(tmp_path):
@@ -339,7 +365,7 @@ def test_solver_convergence_error_is_one_line(tmp_path, capsys, monkeypatch):
 
 
 def test_cli_import_leaves_numpy_unloaded():
-    # --threads caps BLAS only if numpy is not yet loaded when main() runs
+    # main() fixes BLAS at one thread, honored only if numpy is not yet loaded
     code = "import sys, ditsgcr.cli; print('numpy' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": str(SRC)}, check=True).stdout

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from ditsgcr.evaluation import (ForestConfig, SplitSpec, compute_metrics,
-                                predict_scores, roc_curve, split, train_forest)
+from ditsgcr.evaluation import (Forest, _grow_tree, compute_metrics, predict_scores,
+                                roc_curve, split, train_forest)
 from ditsgcr.graph_model import LabelSet
 from helpers import cart_fit, cart_predict, loop_roc_curve, pairwise_auc
 
@@ -20,7 +20,7 @@ def blob_data(rng, n_per_class=30, dim=4, gap=4.0):
 def test_split_small_counts():
     labels = {i: 0 for i in range(5)}
     labels.update({i: 1 for i in range(5, 10)})
-    train, test = split(labels, SplitSpec(train_fraction=0.8, seed=0))
+    train, test = split(labels, train_fraction=0.8, seed=0)
     assert len(train) == 8 and len(test) == 2
     assert sum(labels[int(k)] for k in train) == 4
     assert sum(labels[int(k)] for k in test) == 1
@@ -29,7 +29,7 @@ def test_split_small_counts():
 def test_split_proportions():
     labels = {i: 0 for i in range(80)}
     labels.update({i: 1 for i in range(80, 100)})
-    train, test = split(labels, SplitSpec(train_fraction=0.8, seed=1))
+    train, test = split(labels, train_fraction=0.8, seed=1)
     assert len(train) == 80 and len(test) == 20
     assert sum(labels[int(k)] for k in train) == 16
     assert sum(labels[int(k)] for k in test) == 4
@@ -37,10 +37,10 @@ def test_split_proportions():
 
 def test_split_clamps_to_leave_one_out():
     labels = {0: 0, 1: 0, 2: 1, 3: 1}
-    train, test = split(labels, SplitSpec(train_fraction=0.99, seed=0))
+    train, test = split(labels, train_fraction=0.99, seed=0)
     # floor would take every row; clamp leaves one of each class for test
     assert sorted(labels[int(k)] for k in test) == [0, 1]
-    train, test = split(labels, SplitSpec(train_fraction=0.01, seed=0))
+    train, test = split(labels, train_fraction=0.01, seed=0)
     assert sorted(labels[int(k)] for k in train) == [0, 1]
 
 
@@ -49,9 +49,8 @@ def test_split_disjoint_covering_deterministic():
     labels = {i: int(rng.integers(2)) for i in range(57)}
     labels[0] = 0
     labels[1] = 1
-    spec = SplitSpec(train_fraction=0.7, seed=9)
-    train1, test1 = split(labels, spec)
-    train2, test2 = split(labels, spec)
+    train1, test1 = split(labels, train_fraction=0.7, seed=9)
+    train2, test2 = split(labels, train_fraction=0.7, seed=9)
     assert np.array_equal(train1, train2) and np.array_equal(test1, test2)
     assert set(train1.tolist()).isdisjoint(test1.tolist())
     assert sorted(train1.tolist() + test1.tolist()) == sorted(labels)
@@ -59,21 +58,28 @@ def test_split_disjoint_covering_deterministic():
 
 def test_split_accepts_label_set():
     ls = LabelSet(labels={0: 0, 1: 1, 2: 0, 3: 1}, skipped_keys=[])
-    train, test = split(ls, SplitSpec(seed=0))
+    train, test = split(ls, seed=0)
     assert sorted(train.tolist() + test.tolist()) == [0, 1, 2, 3]
 
 
 def test_split_rejects_missing_or_singleton_class():
     with pytest.raises(ValueError):
-        split({0: 0, 1: 0}, SplitSpec())
+        split({0: 0, 1: 0})
     with pytest.raises(ValueError):
-        split({0: 0, 1: 0, 2: 1}, SplitSpec())
+        split({0: 0, 1: 0, 2: 1})
+
+
+@pytest.mark.parametrize("fraction", [0.0, 1.0])
+def test_split_rejects_fraction_outside_open_interval(fraction):
+    labels = {0: 0, 1: 0, 2: 1, 3: 1}
+    with pytest.raises(ValueError, match="train_fraction must be strictly between 0 and 1"):
+        split(labels, train_fraction=fraction)
 
 
 def test_forest_learns_separable_data():
     rng = np.random.default_rng(4)
     X, y = blob_data(rng)
-    forest = train_forest(X, y, ForestConfig(n_trees=20, seed=0))
+    forest = train_forest(X, y, n_trees=20, seed=0)
     Xt, yt = blob_data(rng)
     scores = predict_scores(forest, Xt)
     preds = (scores >= 0.5).astype(int)
@@ -83,8 +89,8 @@ def test_forest_learns_separable_data():
 def test_forest_deterministic():
     rng = np.random.default_rng(5)
     X, y = blob_data(rng, n_per_class=20, gap=1.0)
-    a = train_forest(X, y, ForestConfig(n_trees=10, seed=3))
-    b = train_forest(X, y, ForestConfig(n_trees=10, seed=3))
+    a = train_forest(X, y, n_trees=10, seed=3)
+    b = train_forest(X, y, n_trees=10, seed=3)
     for ta, tb in zip(a.trees, b.trees):
         assert np.array_equal(ta.feature, tb.feature)
         assert np.array_equal(ta.threshold, tb.threshold)
@@ -94,15 +100,22 @@ def test_forest_deterministic():
 def test_forest_requires_both_classes():
     X = np.zeros((4, 2))
     with pytest.raises(ValueError):
-        train_forest(X, np.array([1, 1, 1, 1]), ForestConfig(n_trees=2))
+        train_forest(X, np.array([1, 1, 1, 1]), n_trees=2)
+
+
+def test_forest_rejects_zero_trees():
+    X, y = blob_data(np.random.default_rng(13), n_per_class=3)
+    with pytest.raises(ValueError, match="need at least one tree"):
+        train_forest(X, y, n_trees=0)
 
 
 def test_forest_is_exact_on_training_data_without_bagging():
     rng = np.random.default_rng(6)
     X = rng.normal(size=(40, 3))
     y = (X[:, 0] + 0.5 * X[:, 1] > 0).astype(int)
-    cfg = ForestConfig(n_trees=5, bootstrap=False, features_per_split=3, seed=0)
-    forest = train_forest(X, y, cfg)
+    # every feature at every split and no bootstrap: the rng cannot matter
+    trees = [_grow_tree(X, y, np.random.default_rng(seed), 3, False) for seed in range(5)]
+    forest = Forest(trees=trees, n_features=3)
     scores = predict_scores(forest, X)
     assert np.array_equal((scores >= 0.5).astype(int), y)
     assert set(np.unique(scores)) <= {0.0, 1.0}  # identical trees
@@ -117,9 +130,8 @@ def test_single_tree_matches_exhaustive_cart():
         y = rng.integers(0, 2, size=n)
         if y.min() == y.max():
             y[0] = 1 - y[0]
-        cfg = ForestConfig(n_trees=1, bootstrap=False,
-                           features_per_split=dim, seed=trial)
-        forest = train_forest(X, y, cfg)
+        grown = _grow_tree(X, y, np.random.default_rng(trial), dim, False)
+        forest = Forest(trees=[grown], n_features=dim)
         tree = cart_fit(X, y)
         probe = np.round(rng.normal(size=(30, dim)), 1)
         for data in (X, probe):
@@ -130,7 +142,7 @@ def test_single_tree_matches_exhaustive_cart():
 def test_predict_scores_is_vote_fraction():
     rng = np.random.default_rng(8)
     X, y = blob_data(rng, n_per_class=15, gap=0.5)
-    forest = train_forest(X, y, ForestConfig(n_trees=7, seed=1))
+    forest = train_forest(X, y, n_trees=7, seed=1)
     scores = predict_scores(forest, X)
     votes = np.array([t.predict(X) for t in forest.trees])
     assert np.array_equal(scores, votes.mean(axis=0))
@@ -230,7 +242,7 @@ def test_roc_matches_loop_oracle_on_ties_and_signed_zeros():
 def test_tree_arrays_are_immutable_record():
     rng = np.random.default_rng(12)
     X, y = blob_data(rng, n_per_class=10, gap=1.0)
-    tree = train_forest(X, y, ForestConfig(n_trees=1, seed=0)).trees[0]
+    tree = train_forest(X, y, n_trees=1, seed=0).trees[0]
     n_nodes = len(tree.value)
     for name, dtype in (("feature", np.int64), ("threshold", np.float64),
                         ("left", np.int64), ("right", np.int64), ("value", np.int64)):

@@ -3,8 +3,8 @@ import pytest
 import scipy.sparse as sp
 
 from ditsgcr.graph_model import adjacency_weights
-from ditsgcr.laplacian import (LaplacianParams, SolverConvergenceError,
-                               assemble_system, cg_solve, solve)
+from ditsgcr import laplacian
+from ditsgcr.laplacian import SolverConvergenceError, assemble_system, cg_solve, solve
 from helpers import (cluster_laplacians, dense_solve, dense_system, pair_array,
                      random_connected_graph)
 
@@ -16,8 +16,7 @@ TRIANGLE_L = np.array([[2.0, -1.0, -1.0],
 
 def graph_laplacian(pairs, n):
     """L = D - A through assemble_system with lam = 0 and mu = 1."""
-    params = LaplacianParams(lam=0.0, mu=1.0)
-    return assemble_system(pairs, np.zeros((n, 1)), params).toarray() - np.eye(n)
+    return assemble_system(pairs, np.zeros((n, 1)), 0.0, 1.0).toarray() - np.eye(n)
 
 
 def random_instance(rng, n_max=50):
@@ -53,14 +52,14 @@ def test_laplacian_rejects_bad_weights():
     R = np.full((2, 2), 0.5)
     for bad in ({(0, 1): -2.0}, {(1, 1): 1.0}, {(0, 2): 1.0}, {(-1, 1): 1.0}):
         with pytest.raises(ValueError):
-            assemble_system(pair_array(bad), R, LaplacianParams())
+            assemble_system(pair_array(bad), R, 1.0, 1.0)
 
 
 def test_zero_weight_pairs_are_not_stored():
     pairs = pair_array({(0, 1): 0.0, (1, 2): 2.0})
     R = np.full((3, 2), 0.5)
     for lam in (0.0, 1.0):
-        M = assemble_system(pairs, R, LaplacianParams(lam=lam, mu=1.0))
+        M = assemble_system(pairs, R, lam, 1.0)
         assert M.nnz == 3 + 2  # the diagonal and the (1, 2) pair both ways
         assert np.all(M.data != 0.0)
         assert np.abs(M.toarray() - dense_system(pairs, R, lam, 1.0)).max() <= 1e-12
@@ -86,22 +85,23 @@ def test_assembled_system_equals_cluster_laplacian_sum():
     for _ in range(10):
         weights, R, _ = random_instance(rng, n_max=25)
         n, _ = R.shape
-        params = LaplacianParams(lam=0.7, mu=0.3)
-        M = assemble_system(weights, R, params).toarray()
+        lam, mu = 0.7, 0.3
+        M = assemble_system(weights, R, lam, mu).toarray()
         expected = dense_system(weights, R, 0.0, 0.0)  # L alone
         for Lc in cluster_laplacians(weights, R):
-            expected = expected + params.lam * Lc
-        expected = expected + params.mu * np.eye(n)
+            expected = expected + lam * Lc
+        expected = expected + mu * np.eye(n)
         assert np.abs(M - expected).max() <= 1e-12
 
 
-def test_solve_matches_dense_oracle():
+def test_solve_matches_dense_oracle(monkeypatch):
+    monkeypatch.setattr(laplacian, "CG_TOL", 1e-10)
     rng = np.random.default_rng(2)
     for _ in range(15):
         weights, R, subx = random_instance(rng, n_max=40)
         lam = float(rng.choice([0.1, 1.0, 10.0]))
         mu = float(rng.choice([0.1, 1.0, 10.0]))
-        got = solve(subx, weights, R, LaplacianParams(lam=lam, mu=mu, cg_tol=1e-10))
+        got = solve(subx, weights, R, lam=lam, mu=mu)
         expected = dense_solve(subx, weights, R, lam, mu)
         denom = max(1.0, np.abs(expected).max())
         assert np.abs(got - expected).max() / denom <= 1e-5
@@ -120,24 +120,25 @@ def test_system_positive_definite():
 def test_no_edges_returns_anchor():
     subx = np.array([[0.2, 0.8], [0.5, 0.5], [1.0, 0.0]])
     R = np.full((3, 2), 0.5)
-    Z = solve(subx, pair_array({}), R, LaplacianParams(lam=1.0, mu=1.0))
+    Z = solve(subx, pair_array({}), R, lam=1.0, mu=1.0)
     assert np.allclose(Z, subx, atol=1e-12)
 
 
 def test_huge_mu_pins_solution_to_anchor():
     rng = np.random.default_rng(4)
     weights, R, subx = random_instance(rng, n_max=20)
-    Z = solve(subx, weights, R, LaplacianParams(lam=1.0, mu=1e8))
+    Z = solve(subx, weights, R, lam=1.0, mu=1e8)
     assert np.abs(Z - subx).max() <= 1e-5
 
 
-def test_solution_objective_not_above_anchor_point():
+def test_solution_objective_not_above_anchor_point(monkeypatch):
+    monkeypatch.setattr(laplacian, "CG_TOL", 1e-10)
     rng = np.random.default_rng(5)
     for _ in range(10):
         weights, R, subx = random_instance(rng, n_max=30)
         n = R.shape[0]
         lam, mu = 1.0, 1.0
-        Z = solve(subx, weights, R, LaplacianParams(lam=lam, mu=mu, cg_tol=1e-10))
+        Z = solve(subx, weights, R, lam=lam, mu=mu)
         M = dense_system(weights, R, lam, mu) - mu * np.eye(n)  # L + lam*sum Lc
 
         def objective(X):
@@ -148,7 +149,7 @@ def test_solution_objective_not_above_anchor_point():
         assert np.trace(Z.T @ L @ Z) <= np.trace(subx.T @ L @ subx) + 1e-9
 
 
-def test_component_locality():
+def test_component_locality(monkeypatch):
     rng = np.random.default_rng(6)
     # component A: nodes 0..4, component B: nodes 5..9
     base = {(0, 1): 1.0, (1, 2): 2.0, (2, 3): 1.0, (3, 4): 1.0, (0, 4): 1.0,
@@ -157,9 +158,9 @@ def test_component_locality():
     edited[(5, 9)] = 2.0  # edit confined to component B
     R = rng.dirichlet(np.ones(3), size=10)
     subx = rng.dirichlet(np.ones(3), size=10)
-    params = LaplacianParams(lam=1.0, mu=1.0, cg_tol=1e-12)
-    Z1 = solve(subx, pair_array(base), R, params)
-    Z2 = solve(subx, pair_array(edited), R, params)
+    monkeypatch.setattr(laplacian, "CG_TOL", 1e-12)
+    Z1 = solve(subx, pair_array(base), R, lam=1.0, mu=1.0)
+    Z2 = solve(subx, pair_array(edited), R, lam=1.0, mu=1.0)
     assert np.abs(Z1[:5] - Z2[:5]).max() <= 1e-6
     assert np.abs(Z1[5:] - Z2[5:]).max() > 1e-6
 
@@ -167,8 +168,8 @@ def test_component_locality():
 def test_deterministic():
     rng = np.random.default_rng(7)
     weights, R, subx = random_instance(rng)
-    a = solve(subx, weights, R, LaplacianParams())
-    b = solve(subx, weights, R, LaplacianParams())
+    a = solve(subx, weights, R)
+    b = solve(subx, weights, R)
     assert np.array_equal(a, b)
 
 
@@ -176,16 +177,17 @@ def test_zero_rhs_column_yields_zero_column():
     weights = pair_array({(0, 1): 1.0, (1, 2): 1.0})
     R = np.full((3, 2), 0.5)
     subx = np.array([[1.0, 0.0], [1.0, 0.0], [1.0, 0.0]])
-    Z = solve(subx, weights, R, LaplacianParams())
+    Z = solve(subx, weights, R)
     assert np.all(Z[:, 1] == 0.0)
 
 
-def test_cg_error_carries_residual():
+def test_cg_error_carries_residual(monkeypatch):
     rng = np.random.default_rng(9)
     weights, R, subx = random_instance(rng, n_max=40)
+    monkeypatch.setattr(laplacian, "default_cg_max_iters", lambda n: 1)
     with pytest.raises(SolverConvergenceError) as exc:
-        solve(subx, weights, R, LaplacianParams(cg_tol=1e-12, cg_max_iters=1))
-    assert exc.value.residual > 1e-12
+        solve(subx, weights, R)
+    assert exc.value.residual > laplacian.CG_TOL
 
 
 def test_cg_solve_simple_identity():
@@ -211,11 +213,12 @@ def test_cg_solve_rejects_nan_solution():
     assert len(calls) == 2  # one iteration, then the true-residual check
 
 
-@pytest.mark.parametrize("field", ["lam", "mu", "cg_tol"])
+@pytest.mark.parametrize("field", ["lam", "mu"])
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 def test_params_reject_non_finite(field, value):
+    weights, R, subx = random_instance(np.random.default_rng(10), n_max=10)
     with pytest.raises(ValueError, match=f"{field} must be finite"):
-        LaplacianParams(**{field: value}).validate()
+        solve(subx, weights, R, **{field: value})
 
 
 @pytest.mark.parametrize("w", [1.0, 2.0])
@@ -223,13 +226,13 @@ def test_overflowing_lambda_rejected(w):
     # at w = 1 only the diagonal (two pairs per node) overflows, at w = 2 all entries
     pairs = pair_array({(0, 1): w, (0, 2): w, (1, 2): w})
     with pytest.raises(ValueError, match="lambda 1e\\+308 makes the system matrix overflow"):
-        assemble_system(pairs, np.ones((3, 1)), LaplacianParams(lam=1e308))
+        assemble_system(pairs, np.ones((3, 1)), 1e308, 1.0)
 
 
 def test_params_validate():
-    with pytest.raises(ValueError):
-        LaplacianParams(mu=0.0).validate()
-    with pytest.raises(ValueError):
-        LaplacianParams(lam=-1.0).validate()
-    with pytest.raises(ValueError):
-        LaplacianParams(cg_tol=0.0).validate()
+    weights, R, subx = random_instance(np.random.default_rng(11), n_max=10)
+    for mu in (0.0, -1.0):
+        with pytest.raises(ValueError, match="mu must be positive"):
+            solve(subx, weights, R, mu=mu)
+    with pytest.raises(ValueError, match="lam must be non-negative"):
+        solve(subx, weights, R, lam=-1.0)

@@ -157,6 +157,29 @@ def test_more_clusters_than_distinct_rows():
     assert np.array_equal(res.embeddings, straight_line_pipeline(star, cfg))
 
 
+@settings(max_examples=50, deadline=None)
+@given(rows=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(0, 3)),
+                     max_size=8),
+       repeats=st.integers(0, 3), data=st.data())
+def test_tiny_graphs_match_straight_line_rerun(rows, repeats, data):
+    # at most 6 accounts and 4 timestamps: self-loops, repeated times and,
+    # through the repeated prefix, duplicate rows are all common
+    g = build_graph([(f"a{u}", f"a{v}", t) for u, v, t in rows + rows[:repeats]])
+    n = g.n_nodes
+    cfg = PipelineConfig(clusters=data.draw(st.integers(1, n + 1)),
+                         seed=data.draw(st.integers(0, 3)))
+    if 0 < n < cfg.clusters:
+        with pytest.raises(ValueError, match="clusters need at least"):
+            run(g, cfg)
+        return
+    res = run(g, cfg)
+    assert res.embeddings.shape == (n, output_width(cfg.clusters))
+    assert np.isfinite(res.embeddings).all()
+    assert res.stop_reason in ("no_gain", "max_iters")
+    if n >= 1:
+        assert np.array_equal(res.embeddings, straight_line_pipeline(g, cfg))
+
+
 def test_ablations_change_output():
     rng = np.random.default_rng(4)
     g = random_connected_graph(rng, 30, extra_edges=60)
