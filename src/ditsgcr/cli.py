@@ -91,8 +91,6 @@ def _shared_flags():
                         help="clustering iterations per pipeline round (default 10)")
     parser.add_argument("--max-iters", type=int, default=10,
                         help="pipeline iteration cap (default 10)")
-    parser.add_argument("--weight-mode", choices=["count", "recency"], default="count",
-                        help="adjacency weights: transaction counts or recency-faded sums")
     parser.add_argument("--literal-eq4", action="store_true",
                         help="use the growth-form temporal recurrence (alpha becomes inert)")
     parser.add_argument("--ablate", action="append", default=[],
@@ -112,7 +110,6 @@ def _pipeline_config(args):
         max_iters=args.max_iters, kmeans_iters=args.kmeans_iters,
         lam=args.lam, mu=args.mu, seed=args.seed,
         literal_eq4=args.literal_eq4, ablation=frozenset(args.ablate),
-        weight_mode=args.weight_mode,
     )
 
 
@@ -181,7 +178,7 @@ def _cmd_evaluate(args):
 
     graph = graph_model.ingest_csv(args.input)
     labels = graph_model.ingest_labels(args.labels, graph)
-    if not labels.labels:
+    if not labels:
         raise ValueError("no usable labels: every labeled account is missing from the graph")
 
     started = time.perf_counter()
@@ -190,12 +187,11 @@ def _cmd_evaluate(args):
 
     train_ids, test_ids = evaluation.split(labels, train_fraction=args.train_frac,
                                            seed=args.seed)
-    y = labels.labels
-    forest = evaluation.train_forest(H[train_ids], [y[i] for i in train_ids],
+    forest = evaluation.train_forest(H[train_ids], [labels[i] for i in train_ids],
                                      n_trees=args.trees, seed=args.seed)
     scores = evaluation.predict_scores(forest, H[test_ids])
     metrics = evaluation.compute_metrics(
-        scores, [y[i] for i in test_ids], threshold=args.threshold)
+        scores, [labels[i] for i in test_ids], threshold=args.threshold)
     total = time.perf_counter() - started
 
     line = (f"precision={metrics.precision:.6f} recall={metrics.recall:.6f} "
@@ -295,8 +291,8 @@ def main(argv=None):
     from .laplacian import SolverConvergenceError  # numpy loads after the thread cap
     try:
         return args.func(args)
-    except (ValueError, OSError, SolverConvergenceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError, SolverConvergenceError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

@@ -24,11 +24,10 @@ def split(labels, train_fraction: float = 0.8, seed: int = 42):
     """
     if not 0.0 < train_fraction < 1.0:
         raise ValueError("train_fraction must be strictly between 0 and 1")
-    label_dict = getattr(labels, "labels", labels)  # LabelSet or plain dict
-    if not label_dict:
+    if not labels:
         raise ValueError("no labeled nodes")
-    ids = np.array(sorted(label_dict), dtype=np.int64)
-    y = np.array([label_dict[i] for i in ids], dtype=np.int64)
+    ids = np.array(sorted(labels), dtype=np.int64)
+    y = np.array([labels[i] for i in ids], dtype=np.int64)
     rng = np.random.default_rng(seed)
     train_parts, test_parts = [], []
     for cls in (0, 1):

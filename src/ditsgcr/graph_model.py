@@ -13,17 +13,15 @@ transaction.
 
 import csv
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 logger = logging.getLogger(__name__)
 
-WEIGHT_MODES = ("count", "recency")
-
 _T_MAX = 2**63 - 1  # timestamps are stored as int64
 
-# one undirected node pair u < v and its summed weight w
+# one undirected node pair u < v and its transaction count w (float64)
 PAIR_DTYPE = np.dtype([("u", np.int64), ("v", np.int64), ("w", np.float64)])
 
 
@@ -72,17 +70,6 @@ class TemporalGraph:
         """Iterate every directed edge as (u, v, t) ints, in out_edges() order."""
         u, v, t = self.out_edges()
         return zip(u.tolist(), v.tolist(), t.tolist())
-
-
-@dataclass
-class LabelSet:
-    """Binary node labels keyed by node id (1 = malicious)."""
-
-    labels: dict
-    skipped_keys: list = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.labels)
 
 
 def _csr(rows, cols, n_rows):
@@ -191,13 +178,13 @@ def ingest_csv(path) -> TemporalGraph:
     return graph
 
 
-def ingest_labels(path, graph: TemporalGraph) -> LabelSet:
-    """Read an account,label CSV and key the labels by node id.
+def ingest_labels(path, graph: TemporalGraph) -> dict:
+    """Read an account,label CSV into {node id: label} (1 = malicious).
 
     Labels must be exactly "0" or "1". Accounts absent from the graph are
-    skipped, once each in skipped_keys, and counted in a warning; a header
-    row is detected by a non-numeric label field in row 1. An account
-    listed twice, present or absent, must carry the same label both times.
+    skipped and counted, once each, in a warning; a header row is detected
+    by a non-numeric label field in row 1. An account listed twice,
+    present or absent, must carry the same label both times.
     """
     labels = {}
     absent = {}  # key -> label of accounts not in the graph
@@ -220,37 +207,26 @@ def ingest_labels(path, graph: TemporalGraph) -> LabelSet:
                              f"listed earlier as {book[slot]}")
     if absent:
         logger.warning("%d labeled accounts not present in graph, skipped", len(absent))
-    return LabelSet(labels=labels, skipped_keys=list(absent))
+    return labels
 
 
-def adjacency_weights(graph: TemporalGraph, mode: str = "count",
-                      alpha: float = 1.0) -> np.ndarray:
-    """Collapse the multigraph into symmetric pair weights.
+def adjacency_weights(graph: TemporalGraph) -> np.ndarray:
+    """Collapse the multigraph into symmetric transaction-count pair weights.
 
     Returns one PAIR_DTYPE record per linked node pair, u < v, sorted by
-    (u, v) and unique, so len() is the pair count. "count" sums
-    transactions per pair; "recency" sums exp(-(T_max - t) / alpha) so
-    old transactions fade. Self-loops are excluded; direction is
-    discarded.
+    (u, v) and unique, so len() is the pair count; w counts the
+    transactions between u and v in either direction. Self-loops are
+    excluded.
     """
-    if mode not in WEIGHT_MODES:
-        raise ValueError(f"unknown weight mode {mode!r}")
-    if mode == "recency" and alpha <= 0:
-        raise ValueError("recency weighting needs alpha > 0")
-    u, v, t = graph.out_edges()
+    u, v, _ = graph.out_edges()
     keep = u != v  # self-loops stay in timelines only
-    u, v, t = u[keep], v[keep], t[keep]
-    if mode == "count":
-        w = np.ones(len(t))
-    else:
-        w = np.exp((t - graph.entry_t.max(initial=0)) / alpha)
+    u, v = u[keep], v[keep]
     n = graph.n_nodes
-    pairs, inverse = np.unique(np.minimum(u, v) * n + np.maximum(u, v),
-                               return_inverse=True)
+    pairs, counts = np.unique(np.minimum(u, v) * n + np.maximum(u, v),
+                              return_counts=True)
     out = np.empty(len(pairs), dtype=PAIR_DTYPE)
     out["u"], out["v"] = np.divmod(pairs, n)
-    # bincount adds each pair's weights in out_edges() order
-    out["w"] = np.bincount(inverse, weights=w, minlength=len(pairs))
+    out["w"] = counts
     return out
 
 
@@ -263,10 +239,10 @@ def write_edge_csv(graph: TemporalGraph, path) -> None:
             writer.writerow([graph.id_to_key[u], graph.id_to_key[v], t])
 
 
-def write_label_csv(graph: TemporalGraph, labels: LabelSet, path) -> None:
+def write_label_csv(graph: TemporalGraph, labels: dict, path) -> None:
     """Write account,label rows for every labeled node, ordered by node id."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["account", "label"])
-        for node in sorted(labels.labels):
-            writer.writerow([graph.id_to_key[node], labels.labels[node]])
+        for node in sorted(labels):
+            writer.writerow([graph.id_to_key[node], labels[node]])

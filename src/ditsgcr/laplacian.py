@@ -45,8 +45,7 @@ def assemble_system(pairs: np.ndarray, R: np.ndarray, lam: float,
     pairs holds fields u, v (u < v, both in 0..n-1) and w >= 0, as
     graph_model.adjacency_weights returns them. Off-diagonal (u, v) is
     -(w + lam * joint) with joint = w * <R_u, R_v>; the diagonal is
-    (deg_w + lam * deg_joint) + mu. Pairs whose off-diagonal value is
-    zero are not stored.
+    (deg_w + lam * deg_joint) + mu.
     """
     n = R.shape[0]
     u, v, w = pairs["u"], pairs["v"], pairs["w"]
@@ -67,8 +66,6 @@ def assemble_system(pairs: np.ndarray, R: np.ndarray, lam: float,
                 ends, weights=np.concatenate([joint, joint]), minlength=n)
         if not (np.isfinite(off).all() and np.isfinite(diag).all()):
             raise ValueError(f"lambda {lam:g} makes the system matrix overflow")
-    keep = off != 0.0
-    u, v, off = u[keep], v[keep], off[keep]
     diagonal = np.arange(n)
     rows = np.concatenate([u, v, diagonal])
     cols = np.concatenate([v, u, diagonal])
@@ -81,27 +78,35 @@ def cg_solve(M, b: np.ndarray, tol: float, max_iters: int) -> np.ndarray:
 
     Verifies the true residual ||Mx - b|| / ||b|| <= tol on exit and
     raises SolverConvergenceError (carrying the achieved residual) when
-    the iteration cap is hit first or the residual stops being finite (an
-    overflowed or NaN matrix). A zero right-hand side returns zeros.
+    the iteration cap is hit first or r.r or p.Mp stops being finite (a
+    NaN matrix). Raises OverflowError when r.r or p.Mp overflows to
+    infinity. A zero right-hand side returns zeros.
     """
-    b_norm = np.linalg.norm(b)
-    x = np.zeros_like(b)
-    if b_norm == 0.0:
-        return x
-    r = b.copy()
-    p = r.copy()
-    rr = float(r @ r)
-    iters = 0
-    while iters < max_iters and math.sqrt(rr) / b_norm > tol and math.isfinite(rr):
-        iters += 1
-        Mp = M @ p
-        alpha = rr / float(p @ Mp)
-        x += alpha * p
-        r -= alpha * Mp
-        rr_new = float(r @ r)
-        p = r + (rr_new / rr) * p
-        rr = rr_new
-    achieved = float(np.linalg.norm(b - M @ x) / b_norm)
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite values end the loop
+        b_norm = np.linalg.norm(b)
+        x = np.zeros_like(b)
+        if b_norm == 0.0:
+            return x
+        r = b.copy()
+        p = r.copy()
+        rr = float(r @ r)
+        pMp = 1.0
+        iters = 0
+        while iters < max_iters and math.isfinite(rr) and math.sqrt(rr) / b_norm > tol:
+            iters += 1
+            Mp = M @ p
+            pMp = float(p @ Mp)
+            if not math.isfinite(pMp):
+                break
+            alpha = rr / pMp
+            x += alpha * p
+            r -= alpha * Mp
+            rr_new = float(r @ r)
+            p = r + (rr_new / rr) * p
+            rr = rr_new
+        achieved = float(np.linalg.norm(b - M @ x) / b_norm)
+    if math.isinf(rr) or math.isinf(pMp):
+        raise OverflowError(f"conjugate gradients overflowed after {iters} iterations")
     if not achieved <= tol:  # NaN fails too
         raise SolverConvergenceError(
             f"conjugate gradients stopped at relative residual {achieved:.3e} "
@@ -116,7 +121,8 @@ def solve(subx: np.ndarray, pairs: np.ndarray, R: np.ndarray,
     subx and R must both have one row per node; pairs is as for
     assemble_system. Each column runs CG to CG_TOL within
     default_cg_max_iters(n) iterations, from a zero start, so the result
-    is deterministic. lam must be finite and >= 0, mu finite and > 0.
+    is deterministic. lam must be finite and >= 0, mu finite and > 0;
+    values so large that CG overflows raise ValueError naming both.
     """
     for name, value in (("lam", lam), ("mu", mu)):
         if not math.isfinite(value):
@@ -131,5 +137,9 @@ def solve(subx: np.ndarray, pairs: np.ndarray, R: np.ndarray,
     M = assemble_system(pairs, R, lam, mu)
     Z = np.empty_like(subx)
     for c in range(k):
-        Z[:, c] = cg_solve(M, mu * subx[:, c], CG_TOL, default_cg_max_iters(n))
+        try:
+            Z[:, c] = cg_solve(M, mu * subx[:, c], CG_TOL, default_cg_max_iters(n))
+        except OverflowError:
+            raise ValueError(f"lambda {lam:g} and mu {mu:g} make the system overflow "
+                             "in conjugate gradients") from None
     return Z

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import clustering, laplacian, temporal_aggregation
-from .graph_model import WEIGHT_MODES, adjacency_weights
+from .graph_model import adjacency_weights
 
 logger = logging.getLogger(__name__)
 
@@ -36,7 +36,6 @@ class PipelineConfig:
     seed: int = 42
     literal_eq4: bool = False
     ablation: frozenset = frozenset()
-    weight_mode: str = "count"
 
     def validate(self) -> None:
         if self.clusters < 1:
@@ -56,8 +55,8 @@ class PipelineConfig:
             raise ValueError("lam must be non-negative")
         if self.mu <= 0:
             raise ValueError("mu must be positive")
-        if self.weight_mode not in WEIGHT_MODES:
-            raise ValueError(f"unknown weight mode {self.weight_mode!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         unknown = set(self.ablation) - set(ABLATIONS)
         if unknown:
             raise ValueError(f"unknown ablation flags {sorted(unknown)}")
@@ -69,7 +68,6 @@ class PipelineResult:
     iterations_run: int
     unique_counts: list
     stop_reason: str  # "no_gain" or "max_iters", see run()
-    stage_counters: dict = field(default_factory=dict)
     stage_seconds: dict = field(default_factory=dict)
 
 
@@ -82,27 +80,12 @@ def count_unique_embeddings(H: np.ndarray) -> int:
     return len(seen)
 
 
-class _Stages:
-    """Per-stage call counters and cumulative wall-times."""
-
-    def __init__(self):
-        self.counters = {}
-        self.seconds = {}
-
-    def run(self, name, fn, *args, **kwargs):
-        start = time.perf_counter()
-        out = fn(*args, **kwargs)
-        self.seconds[name] = self.seconds.get(name, 0.0) + (time.perf_counter() - start)
-        self.counters[name] = self.counters.get(name, 0) + 1
-        return out
-
-
 def run(graph, config: PipelineConfig = PipelineConfig()) -> PipelineResult:
     """Compute final embeddings for every node of the graph.
 
     Returns embeddings of width 4K^2 + 2K along with the number of loop
     iterations entered, the per-iteration distinct-row counts (initial
-    count first), why the loop stopped and stage counters/wall-times:
+    count first), why the loop stopped and per-stage wall-times:
     "no_gain" when an iteration did not add a distinct row (its result is
     not adopted and its count is the last one), "max_iters" otherwise.
     Deterministic for a fixed config: centroid seeding derives from
@@ -119,12 +102,19 @@ def run(graph, config: PipelineConfig = PipelineConfig()) -> PipelineResult:
     if n < k:
         raise ValueError(f"{k} clusters need at least {k} nodes, the graph has {n}")
 
-    stages = _Stages()
+    seconds = {}  # cumulative wall-time per stage
+
+    def timed(name, fn, *args, **kwargs):
+        start = time.perf_counter()
+        out = fn(*args, **kwargs)
+        seconds[name] = seconds.get(name, 0.0) + (time.perf_counter() - start)
+        return out
+
     flat = 4 * k * k
 
     def lift(Z):
-        H = stages.run("aggregate", temporal_aggregation.aggregate,
-                       graph, Z, config.alpha, config.literal_eq4)
+        H = timed("aggregate", temporal_aggregation.aggregate,
+                  graph, Z, config.alpha, config.literal_eq4)
         if "no_temporal" in config.ablation:
             H[:, :flat] = 0.0
         if "no_neighbor" in config.ablation:
@@ -144,16 +134,15 @@ def run(graph, config: PipelineConfig = PipelineConfig()) -> PipelineResult:
     for i in range(1, config.max_iters + 1):
         iterations_run = i
         H_norm = clustering.normalize_rows(H)
-        R, centroids = stages.run("soft_kmeans", clustering.soft_kmeans,
-                                  H_norm, k, config.beta, config.kmeans_iters,
-                                  config.seed + i)
-        subx = stages.run("subx", clustering.compute_subx, H_norm, centroids)
+        R, centroids = timed("soft_kmeans", clustering.soft_kmeans,
+                             H_norm, k, config.beta, config.kmeans_iters, config.seed + i)
+        subx = timed("subx", clustering.compute_subx, H_norm, centroids)
         del H_norm  # free an n x width matrix before lift(Z) builds H_new
         if smooth:
             if pairs is None:
-                pairs = adjacency_weights(graph, config.weight_mode, config.alpha)
-            Z = stages.run("laplacian_solve", laplacian.solve,
-                           subx, pairs, R, lam=config.lam, mu=config.mu)
+                pairs = adjacency_weights(graph)
+            Z = timed("laplacian_solve", laplacian.solve,
+                      subx, pairs, R, lam=config.lam, mu=config.mu)
         else:
             Z = subx
         H_new = lift(Z)
@@ -161,7 +150,7 @@ def run(graph, config: PipelineConfig = PipelineConfig()) -> PipelineResult:
         unique_counts.append(count_new)
         logger.info("iteration %d: %d unique rows (previous %d), stage seconds %s",
                     i, count_new, count,
-                    {s: round(t, 3) for s, t in stages.seconds.items()})
+                    {s: round(t, 3) for s, t in seconds.items()})
         if count >= count_new:
             stop_reason = "no_gain"  # the non-improving result is not adopted
             break
@@ -169,5 +158,4 @@ def run(graph, config: PipelineConfig = PipelineConfig()) -> PipelineResult:
         count = count_new
 
     logger.info("stopped after %d iterations: %s", iterations_run, stop_reason)
-    return PipelineResult(H, iterations_run, unique_counts, stop_reason,
-                          stages.counters, stages.seconds)
+    return PipelineResult(H, iterations_run, unique_counts, stop_reason, seconds)

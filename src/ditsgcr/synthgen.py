@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph_model import LabelSet, build_graph
+from .graph_model import build_graph
 
 
 @dataclass
@@ -33,6 +33,8 @@ class SynthConfig:
             raise ValueError(f"normal_rate must be finite, got {self.normal_rate}")
         if self.normal_rate < 0:
             raise ValueError("normal_rate must be non-negative")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.time_span < 1:
             raise ValueError("time_span must be positive")
         if self.n_phisher > 0:
@@ -103,7 +105,7 @@ def generate_events(config: SynthConfig):
 
 
 def generate(config: SynthConfig):
-    """Build the (TemporalGraph, LabelSet) pair for a config.
+    """Build the (TemporalGraph, {node id: label}) pair for a config.
 
     Labels cover exactly the nodes present in the graph; accounts that
     never transacted are dropped from both.
@@ -112,4 +114,4 @@ def generate(config: SynthConfig):
     graph = build_graph(events)
     labels = {graph.key_to_id[k]: lab for k, lab in labels_by_key.items()
               if k in graph.key_to_id}
-    return graph, LabelSet(labels=labels)
+    return graph, labels

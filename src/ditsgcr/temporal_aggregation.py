@@ -78,7 +78,8 @@ def aggregate(graph, Z: np.ndarray, alpha: float, literal_eq4: bool = False) -> 
     decay = np.ones(n_entries)
     if not literal_eq4:
         e = np.flatnonzero(has_prev)
-        decay[e] = np.exp(-(entry_t[e] - entry_t[e + 1]) / alpha)
+        with np.errstate(over="ignore"):  # a tiny alpha overflows to -inf, exp gives 0
+            decay[e] = np.exp(-(entry_t[e] - entry_t[e + 1]) / alpha)
 
     # step p advances the p-th entry (0-based, ascending time) of every node
     # longer than p; sorting nodes by length keeps those a prefix of `order`

@@ -334,7 +334,7 @@ def straight_line_pipeline(graph, config):
         if "no_laplacian" in config.ablation:
             Z = subx
         else:
-            weights = adjacency_weights(graph, config.weight_mode, config.alpha)
+            weights = adjacency_weights(graph)
             Z = laplacian.solve(subx, weights, R, lam=config.lam, mu=config.mu)
         H_new = lift(Z)
         count_new = distinct(H_new)

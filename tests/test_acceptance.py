@@ -30,11 +30,10 @@ def benchmark_metrics(graph, labels, seed, ablation=()):
     cfg = pipeline.PipelineConfig(seed=seed, ablation=frozenset(ablation))
     res = pipeline.run(graph, cfg)
     H = res.embeddings
-    y = labels.labels
     train_ids, test_ids = evaluation.split(labels, seed=seed)
-    forest = evaluation.train_forest(H[train_ids], [y[i] for i in train_ids], seed=seed)
+    forest = evaluation.train_forest(H[train_ids], [labels[i] for i in train_ids], seed=seed)
     scores = evaluation.predict_scores(forest, H[test_ids])
-    return evaluation.compute_metrics(scores, [y[i] for i in test_ids],
+    return evaluation.compute_metrics(scores, [labels[i] for i in test_ids],
                                       threshold=0.35)
 
 

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ditsgcr import cli, laplacian, pipeline
+from ditsgcr import cli, laplacian, pipeline, synthgen
 
 SRC = Path(cli.__file__).resolve().parents[1]
 
@@ -32,6 +32,15 @@ def make_dataset(tmp_path, name="d", normals=20, phishers=2, seed=0):
 
 def read_rows(path):
     return path.read_text(encoding="utf-8").splitlines()
+
+
+def command_args(tmp_path, command, edges, labels):
+    """Minimal flags for one run of `command` on a make_dataset graph."""
+    return {"embed": ["--input", str(edges), "--output", str(tmp_path / "emb.csv"),
+                      "--clusters", "3"],
+            "evaluate": ["--input", str(edges), "--labels", str(labels), "--clusters", "3"],
+            "synth": ["--out-edges", str(tmp_path / "e.csv"),
+                      "--out-labels", str(tmp_path / "l.csv")]}[command]
 
 
 def test_version(capsys):
@@ -390,15 +399,45 @@ def test_bad_label_fails(tmp_path, capsys):
 def test_non_finite_flags_fail(tmp_path, capsys, command, flag, value):
     edges, labels = make_dataset(tmp_path)
     capsys.readouterr()
-    args = {"embed": ["--input", str(edges), "--output", str(tmp_path / "emb.csv"),
-                      "--clusters", "3"],
-            "evaluate": ["--input", str(edges), "--labels", str(labels), "--clusters", "3"],
-            "synth": ["--out-edges", str(tmp_path / "e.csv"),
-                      "--out-labels", str(tmp_path / "l.csv")]}[command]
+    args = command_args(tmp_path, command, edges, labels)
     assert cli.main([command, *args, flag, value]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "must be finite" in err
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["embed", "evaluate", "synth"])
+def test_negative_seed_fails(tmp_path, capsys, command):
+    edges, labels = make_dataset(tmp_path)
+    capsys.readouterr()
+    args = command_args(tmp_path, command, edges, labels)
+    assert cli.main([command, *args, "--seed", "-1"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: seed must be non-negative, got -1\n"
+    assert not (tmp_path / "emb.csv").exists() and not (tmp_path / "e.csv").exists()
+
+
+def test_removed_pair_weight_flag_is_refused(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["embed", "--input", "edges.csv", "--weight-mode", "count"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --weight-mode count" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("message, shown", [
+    ("Unable to allocate 7.28 TiB for an array with shape (1000000000000,) "
+     "and data type int64", "Unable to allocate 7.28 TiB"),
+    ("", "out of memory"),
+], ids=["numpy", "bare"])
+def test_memory_error_is_one_line(tmp_path, capsys, monkeypatch, message, shown):
+    def exhausted(config):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(synthgen, "generate", exhausted)
+    assert cli.main(["synth", *command_args(tmp_path, "synth", None, None)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {shown}")
+    assert len(err.splitlines()) == 1
 
 
 def test_overflowing_lambda_fails(tmp_path, capsys):
@@ -409,6 +448,20 @@ def test_overflowing_lambda_fails(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: lambda 1e+308 makes the system matrix overflow")
     assert len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mu", ["1e150", "1e160"])
+def test_overflowing_mu_fails(tmp_path, capsys, mu):
+    # at 1e150 CG's p.Mp overflows, at 1e160 already ||b||
+    edges = tmp_path / "e.csv"
+    edges.write_text("a,b,1\nb,c,2\nc,a,3\n", encoding="utf-8")
+    out = tmp_path / "emb.csv"
+    assert cli.main(["embed", "--input", str(edges), "--output", str(out),
+                     "--clusters", "2", "--mu", mu]) == 1
+    err = capsys.readouterr().err
+    assert err == (f"error: lambda 1 and mu {float(mu):g} make the system overflow "
+                   "in conjugate gradients\n")
     assert not out.exists()
 
 

@@ -5,7 +5,6 @@ import pytest
 
 from ditsgcr.evaluation import (Forest, _grow_tree, compute_metrics, predict_scores,
                                 roc_curve, split, train_forest)
-from ditsgcr.graph_model import LabelSet
 from helpers import cart_fit, cart_predict, loop_roc_curve, pairwise_auc
 
 
@@ -54,12 +53,6 @@ def test_split_disjoint_covering_deterministic():
     assert np.array_equal(train1, train2) and np.array_equal(test1, test2)
     assert set(train1.tolist()).isdisjoint(test1.tolist())
     assert sorted(train1.tolist() + test1.tolist()) == sorted(labels)
-
-
-def test_split_accepts_label_set():
-    ls = LabelSet(labels={0: 0, 1: 1, 2: 0, 3: 1}, skipped_keys=[])
-    train, test = split(ls, seed=0)
-    assert sorted(train.tolist() + test.tolist()) == [0, 1, 2, 3]
 
 
 def test_split_rejects_missing_or_singleton_class():

@@ -210,18 +210,10 @@ def test_no_laplacian_skips_solver_stage():
     rng = np.random.default_rng(6)
     g = random_connected_graph(rng, 15, extra_edges=20)
     res = run(g, PipelineConfig(clusters=3, ablation=frozenset({"no_laplacian"})))
-    assert "laplacian_solve" not in res.stage_counters
+    assert "laplacian_solve" not in res.stage_seconds
     full = run(g, PipelineConfig(clusters=3))
-    assert full.stage_counters["laplacian_solve"] == full.iterations_run
-    assert full.stage_counters["aggregate"] == full.iterations_run + 1
-
-
-def test_recency_weight_mode_runs_and_differs():
-    rng = np.random.default_rng(7)
-    g = random_connected_graph(rng, 25, extra_edges=50, t_range=100)
-    a = run(g, PipelineConfig(clusters=3, seed=2, weight_mode="count"))
-    b = run(g, PipelineConfig(clusters=3, seed=2, weight_mode="recency", alpha=10.0))
-    assert a.embeddings.shape == b.embeddings.shape
+    assert "laplacian_solve" in full.stage_seconds
+    assert len(full.unique_counts) == full.iterations_run + 1
 
 
 def test_fewer_nodes_than_clusters():
@@ -245,7 +237,7 @@ def test_invalid_configs():
                 PipelineConfig(kmeans_iters=0),
                 PipelineConfig(lam=-0.5),
                 PipelineConfig(mu=0.0),
-                PipelineConfig(weight_mode="nope"),
+                PipelineConfig(seed=-1),
                 PipelineConfig(ablation=frozenset({"bogus"}))):
         with pytest.raises(ValueError):
             cfg.validate()

@@ -68,8 +68,8 @@ def test_labels_cover_exactly_graph_nodes():
     cfg = SynthConfig(n_normal=200, n_phisher=10, normal_rate=0.2,
                       time_span=100_000, burst_fanin=5, seed=2)
     graph, labels = generate(cfg)
-    assert sorted(labels.labels) == list(range(graph.n_nodes))
-    for node, lab in labels.labels.items():
+    assert sorted(labels) == list(range(graph.n_nodes))
+    for node, lab in labels.items():
         key = graph.id_to_key[node]
         assert lab == (1 if key.startswith("p") else 0)
     # low rate leaves some normals without transactions; they are dropped
@@ -83,7 +83,7 @@ def test_phishers_always_survive():
     keys = set(graph.id_to_key)
     assert {f"p{j}" for j in range(8)} <= keys
     assert "sink" in keys
-    assert sum(labels.labels.values()) == 8
+    assert sum(labels.values()) == 8
 
 
 def test_validation_errors():
@@ -93,7 +93,8 @@ def test_validation_errors():
                 SynthConfig(burst_window=0),
                 SynthConfig(time_span=1000, burst_window=11),  # over span/100
                 SynthConfig(burst_fanin=0),
-                SynthConfig(n_normal=10, burst_fanin=11)):
+                SynthConfig(n_normal=10, burst_fanin=11),
+                SynthConfig(seed=-1)):
         with pytest.raises(ValueError):
             cfg.validate()
 

@@ -89,6 +89,15 @@ def test_temporal_structure_huge_gap_literal_mode_no_overflow():
         assert h == pytest.approx([0.0, 0.0, 1.0, 0.0, 1.0, 1.0], abs=1e-9)
 
 
+def test_tiny_alpha_zeroes_decay_without_overflow_warning():
+    # gap / 1e-320 overflows to inf, gap / 1e-300 does not; both decays are 0
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        g = random_graph(rng, t_range=30)
+        Z = rng.normal(size=(g.n_nodes, 2))
+        assert np.array_equal(aggregate(g, Z, 1e-320), aggregate(g, Z, 1e-300))
+
+
 def test_literal_mode_alpha_inert():
     rng = np.random.default_rng(7)
     for _ in range(20):
