@@ -6,7 +6,7 @@ graph). Every produced data file is deterministic for a fixed flag set;
 a JSON run manifest (resolved config, input digests, stage wall-times
 and, for embed and evaluate, why the iteration loop stopped and peak RSS)
 is written alongside each primary output. DITSGCR_LOG={error|info|debug}
-controls diagnostics on stderr.
+controls diagnostics on stderr; unset, warnings show.
 """
 
 import argparse
@@ -24,8 +24,8 @@ _LOG_LEVELS = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DE
 
 
 def _configure_logging():
-    name = os.environ.get("DITSGCR_LOG", "error").strip().lower()
-    level = _LOG_LEVELS.get(name, logging.ERROR)
+    name = os.environ.get("DITSGCR_LOG", "").strip().lower()
+    level = _LOG_LEVELS.get(name, logging.WARNING)
     logging.basicConfig(stream=sys.stderr, level=level,
                         format="%(levelname)s %(name)s: %(message)s",
                         force=True)  # repeated main() calls must re-apply the env
@@ -80,7 +80,8 @@ def _shared_flags():
     parser.add_argument("--clusters", type=int, default=10,
                         help="number of clusters K, embedding width is 4K^2+2K (default 10)")
     parser.add_argument("--alpha", type=float, default=1.0,
-                        help="temporal decay scale in seconds (default 1.0)")
+                        help="temporal decay scale in seconds, 1e300 for no decay "
+                             "(Eq. 4's growth form; default 1.0)")
     parser.add_argument("--beta", type=float, default=10.0,
                         help="assignment sharpness (default 10.0)")
     parser.add_argument("--lambda", dest="lam", type=float, default=1.0,
@@ -91,8 +92,6 @@ def _shared_flags():
                         help="clustering iterations per pipeline round (default 10)")
     parser.add_argument("--max-iters", type=int, default=10,
                         help="pipeline iteration cap (default 10)")
-    parser.add_argument("--literal-eq4", action="store_true",
-                        help="use the growth-form temporal recurrence (alpha becomes inert)")
     parser.add_argument("--ablate", action="append", default=[],
                         choices=["no_neighbor", "no_temporal", "no_laplacian"],
                         help="disable one signal path; repeatable")
@@ -108,8 +107,7 @@ def _pipeline_config(args):
     return PipelineConfig(
         clusters=args.clusters, alpha=args.alpha, beta=args.beta,
         max_iters=args.max_iters, kmeans_iters=args.kmeans_iters,
-        lam=args.lam, mu=args.mu, seed=args.seed,
-        literal_eq4=args.literal_eq4, ablation=frozenset(args.ablate),
+        lam=args.lam, mu=args.mu, seed=args.seed, ablation=frozenset(args.ablate),
     )
 
 

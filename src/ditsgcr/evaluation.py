@@ -8,7 +8,7 @@ support-weighted F1 and the trapezoidal ROC AUC with ties grouped.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -188,28 +188,15 @@ class Metrics:
     fp: int
     fn: int
     tn: int
-    threshold: float
     roc_points: list  # (fpr, tpr) per grouped threshold
     roc_thresholds: list  # parallel to roc_points; inf for the (0, 0) point
-    degenerate: set = field(default_factory=set)  # metrics forced to 0 by 0/0
 
 
-def _prf(tp, fp, fn, degenerate, prefix=""):
-    if tp + fp > 0:
-        precision = tp / (tp + fp)
-    else:
-        precision = 0.0
-        degenerate.add(prefix + "precision")
-    if tp + fn > 0:
-        recall = tp / (tp + fn)
-    else:
-        recall = 0.0
-        degenerate.add(prefix + "recall")
-    if precision + recall > 0:
-        f1 = 2 * precision * recall / (precision + recall)
-    else:
-        f1 = 0.0
-        degenerate.add(prefix + "f1")
+def _prf(tp, fp, fn):
+    """Precision, recall and F1; each is 0 where its ratio would be 0/0."""
+    precision = tp / (tp + fp) if tp + fp > 0 else 0.0
+    recall = tp / (tp + fn) if tp + fn > 0 else 0.0
+    f1 = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
     return precision, recall, f1
 
 
@@ -246,9 +233,8 @@ def compute_metrics(scores: np.ndarray, y: np.ndarray, threshold: float = 0.35) 
     """Positive-class metrics at the threshold plus weighted F1 and AUC.
 
     Classification rule is score >= threshold (inclusive). Division-by-
-    zero cases yield 0 and are recorded in Metrics.degenerate. Requires
-    at least one positive and one negative example, otherwise the ROC is
-    undefined.
+    zero cases yield 0. Requires at least one positive and one negative
+    example, otherwise the ROC is undefined.
     """
     scores = np.asarray(scores, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
@@ -267,10 +253,9 @@ def compute_metrics(scores: np.ndarray, y: np.ndarray, threshold: float = 0.35) 
     fn = n_pos - tp
     tn = n_neg - fp
 
-    degenerate = set()
-    precision, recall, f1 = _prf(tp, fp, fn, degenerate)
+    precision, recall, f1 = _prf(tp, fp, fn)
     # one-vs-rest F1 for class 0: negatives predicted negative
-    _, _, f1_neg = _prf(tn, fn, fp, degenerate, prefix="class0_")
+    _, _, f1_neg = _prf(tn, fn, fp)
     n = len(y)
     weighted_f1 = (n_pos / n) * f1 + (n_neg / n) * f1_neg
 
@@ -279,6 +264,5 @@ def compute_metrics(scores: np.ndarray, y: np.ndarray, threshold: float = 0.35) 
 
     return Metrics(precision=precision, recall=recall, f1=f1,
                    weighted_f1=weighted_f1, auc=auc,
-                   tp=tp, fp=fp, fn=fn, tn=tn, threshold=threshold,
-                   roc_points=points, roc_thresholds=thresholds,
-                   degenerate=degenerate)
+                   tp=tp, fp=fp, fn=fn, tn=tn,
+                   roc_points=points, roc_thresholds=thresholds)

@@ -122,7 +122,9 @@ def solve(subx: np.ndarray, pairs: np.ndarray, R: np.ndarray,
     assemble_system. Each column runs CG to CG_TOL within
     default_cg_max_iters(n) iterations, from a zero start, so the result
     is deterministic. lam must be finite and >= 0, mu finite and > 0;
-    values so large that CG overflows raise ValueError naming both.
+    values so large that CG overflows raise ValueError naming both. A mu
+    so small that mu * subx loses a non-zero entry, or that its squared
+    norm underflows to 0, raises ValueError naming mu.
     """
     for name, value in (("lam", lam), ("mu", mu)):
         if not math.isfinite(value):
@@ -137,8 +139,15 @@ def solve(subx: np.ndarray, pairs: np.ndarray, R: np.ndarray,
     M = assemble_system(pairs, R, lam, mu)
     Z = np.empty_like(subx)
     for c in range(k):
+        b = mu * subx[:, c]
+        # a lost entry, or a b.b of 0 that cg_solve takes for b = 0, silently zeroes Z;
+        # a b.b that overflows is cg_solve's to report
+        with np.errstate(over="ignore"):
+            vanished = b @ b == 0.0 and b.any()
+        if vanished or np.count_nonzero(b) < np.count_nonzero(subx[:, c]):
+            raise ValueError(f"mu {mu:g} is too small: mu * subx underflows")
         try:
-            Z[:, c] = cg_solve(M, mu * subx[:, c], CG_TOL, default_cg_max_iters(n))
+            Z[:, c] = cg_solve(M, b, CG_TOL, default_cg_max_iters(n))
         except OverflowError:
             raise ValueError(f"lambda {lam:g} and mu {mu:g} make the system overflow "
                              "in conjugate gradients") from None

@@ -34,7 +34,6 @@ class PipelineConfig:
     lam: float = 1.0
     mu: float = 1.0
     seed: int = 42
-    literal_eq4: bool = False
     ablation: frozenset = frozenset()
 
     def validate(self) -> None:
@@ -113,8 +112,7 @@ def run(graph, config: PipelineConfig = PipelineConfig()) -> PipelineResult:
     flat = 4 * k * k
 
     def lift(Z):
-        H = timed("aggregate", temporal_aggregation.aggregate,
-                  graph, Z, config.alpha, config.literal_eq4)
+        H = timed("aggregate", temporal_aggregation.aggregate, graph, Z, config.alpha)
         if "no_temporal" in config.ablation:
             H[:, :flat] = 0.0
         if "no_neighbor" in config.ablation:

@@ -39,7 +39,7 @@ def _csr_ones(ptr, ids, n_cols):
     return sp.csr_matrix((np.ones(len(ids)), ids, ptr), shape=(len(ptr) - 1, n_cols))
 
 
-def aggregate(graph, Z: np.ndarray, alpha: float, literal_eq4: bool = False) -> np.ndarray:
+def aggregate(graph, Z: np.ndarray, alpha: float) -> np.ndarray:
     """Lift Z (|V| x K) to high-dimensional embeddings H (|V| x 4K^2+2K).
 
     Row v is [flatten(Z_v) row-major, s_v]. With w_1..w_n the node's
@@ -49,12 +49,12 @@ def aggregate(graph, Z: np.ndarray, alpha: float, literal_eq4: bool = False) -> 
         z_i = normalize(w_{i-1} + exp(-(t_i - t_{i-1}) / alpha) z_{i-1}).
 
     Duplicate neighbor ids count with multiplicity; normalization divides
-    by (norm + 1e-10), so a side without neighbors keeps zeros. With
-    literal_eq4 the decay factor is 1: the literal recurrence scales the
-    sum by exp(+dt/alpha), a positive scalar that cancels under the
-    normalization, so alpha becomes inert. Nodes without entries get an
-    all-zero row. Raises ValueError when Z's row count does not match the
-    graph or alpha is not positive.
+    by (norm + 1e-10), so a side without neighbors keeps zeros. Eq. 4's
+    growth form scales the sum by exp(+dt/alpha), a positive scalar that
+    cancels under the normalization; it is alpha = 1e300, which makes
+    every decay factor exactly 1.0 for any int64 gap. Nodes without
+    entries get an all-zero row. Raises ValueError when Z's row count
+    does not match the graph or alpha is not positive.
     """
     n = graph.n_nodes
     if Z.ndim != 2 or Z.shape[0] != n:
@@ -76,10 +76,9 @@ def aggregate(graph, Z: np.ndarray, alpha: float, literal_eq4: bool = False) -> 
     has_prev = np.ones(n_entries, dtype=bool)
     has_prev[entry_ptr[1:][lengths > 0] - 1] = False
     decay = np.ones(n_entries)
-    if not literal_eq4:
-        e = np.flatnonzero(has_prev)
-        with np.errstate(over="ignore"):  # a tiny alpha overflows to -inf, exp gives 0
-            decay[e] = np.exp(-(entry_t[e] - entry_t[e + 1]) / alpha)
+    e = np.flatnonzero(has_prev)
+    with np.errstate(over="ignore"):  # a tiny alpha overflows to -inf, exp gives 0
+        decay[e] = np.exp(-(entry_t[e] - entry_t[e + 1]) / alpha)
 
     # step p advances the p-th entry (0-based, ascending time) of every node
     # longer than p; sorting nodes by length keeps those a prefix of `order`

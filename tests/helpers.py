@@ -313,7 +313,7 @@ def straight_line_pipeline(graph, config):
     flat = 4 * k * k
 
     def lift(Z):
-        H = temporal_aggregation.aggregate(graph, Z, config.alpha, config.literal_eq4)
+        H = temporal_aggregation.aggregate(graph, Z, config.alpha)
         if "no_temporal" in config.ablation:
             H[:, :flat] = 0.0
         if "no_neighbor" in config.ablation:
@@ -345,7 +345,7 @@ def straight_line_pipeline(graph, config):
     return H
 
 
-def loop_aggregate(graph, Z, alpha, literal_eq4=False):
+def loop_aggregate(graph, Z, alpha):
     """The lift with every recurrence step taken on index arrays and
     whole-array products.
 
@@ -372,9 +372,8 @@ def loop_aggregate(graph, Z, alpha, literal_eq4=False):
     has_prev = np.ones(n_entries, dtype=bool)
     has_prev[entry_ptr[1:][lengths > 0] - 1] = False
     decay = np.ones(n_entries)
-    if not literal_eq4:
-        e = np.flatnonzero(has_prev)
-        decay[e] = np.exp(-(entry_t[e] - entry_t[e + 1]) / alpha)
+    e = np.flatnonzero(has_prev)
+    decay[e] = np.exp(-(entry_t[e] - entry_t[e + 1]) / alpha)
     order = np.argsort(-lengths, kind="stable")
     first = entry_ptr[order + 1] - 1
     active = np.searchsorted(-lengths[order], -np.arange(lengths.max(initial=0)),

@@ -1,3 +1,4 @@
+import ast
 import csv
 import hashlib
 import json
@@ -424,6 +425,14 @@ def test_removed_pair_weight_flag_is_refused(capsys):
     assert "unrecognized arguments: --weight-mode count" in capsys.readouterr().err
 
 
+def test_removed_literal_recurrence_flag_is_refused(capsys):
+    # `--alpha 1e300` gives the growth-form recurrence the flag used to select
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["embed", "--input", "edges.csv", "--literal-eq4"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --literal-eq4" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("message, shown", [
     ("Unable to allocate 7.28 TiB for an array with shape (1000000000000,) "
      "and data type int64", "Unable to allocate 7.28 TiB"),
@@ -463,6 +472,19 @@ def test_overflowing_mu_fails(tmp_path, capsys, mu):
     assert err == (f"error: lambda 1 and mu {float(mu):g} make the system overflow "
                    "in conjugate gradients\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("mu", ["5e-324", "1e-300"])
+def test_underflowing_mu_fails(tmp_path, capsys, mu):
+    # mu * subx loses its entries up to 0.5 at 5e-324, and its squared norm at
+    # 1e-300: the solve would return Z = 0 and the run keep the first lift
+    edges, _ = make_dataset(tmp_path)
+    out = tmp_path / "emb.csv"
+    assert cli.main(["embed", "--input", str(edges), "--output", str(out),
+                     "--clusters", "3", "--mu", mu]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: mu {float(mu):g} is too small: mu * subx underflows\n"
+    assert not out.exists() and not (tmp_path / "emb.csv.part").exists()
 
 
 def test_conflicting_labels_fail(tmp_path, capsys):
@@ -509,3 +531,42 @@ def test_log_env_controls_diagnostics(tmp_path, capsys, monkeypatch):
     assert cli.main(["embed", "--input", str(edges), "--output", str(out),
                      "--clusters", "3"]) == 0
     assert "iteration" not in capsys.readouterr().err
+
+
+def test_warnings_show_by_default(tmp_path, capsys, monkeypatch):
+    edges, labels = make_dataset(tmp_path)
+    with open(labels, "a", encoding="utf-8") as fh:
+        fh.write("ghost,1\n")
+    args = ["evaluate", "--input", str(edges), "--labels", str(labels), "--clusters", "3"]
+    monkeypatch.delenv("DITSGCR_LOG", raising=False)
+    assert cli.main(args) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        "WARNING ditsgcr.graph_model: 1 labeled accounts not present in graph, skipped"]
+
+    monkeypatch.setenv("DITSGCR_LOG", "error")
+    assert cli.main(args) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_benchmark_tracer_sees_every_span(tmp_path):
+    # perfbench/trace_child.py wraps functions by module attribute, so renaming or
+    # re-signing one of them fails here instead of only in a traced benchmark run
+    bench = SRC.parent / "perfbench"
+    tree = ast.parse((bench / "run.py").read_text(encoding="utf-8"))
+    span_seconds = next(ast.literal_eval(node.value) for node in tree.body
+                        if isinstance(node, ast.Assign)
+                        and [getattr(t, "id", None) for t in node.targets] == ["SPAN_SECONDS"])
+    edges, labels = make_dataset(tmp_path, normals=60, phishers=6)
+    runs = {"embed": command_args(tmp_path, "embed", edges, labels),
+            "evaluate": [*command_args(tmp_path, "evaluate", edges, labels),
+                         "--emit-roc", str(tmp_path / "roc.csv")]}
+    seen = set()
+    for command, args in runs.items():
+        spans_json = tmp_path / f"{command}_spans.json"
+        proc = subprocess.run(
+            [sys.executable, str(bench / "trace_child.py"), str(spans_json), "0", command,
+             *args], env={**os.environ, "PYTHONPATH": str(SRC)}, cwd=tmp_path,
+            capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        seen |= {span[0] for span in json.loads(spans_json.read_text())["spans"]}
+    assert set(span_seconds) - {"process.exit"} - seen == set()

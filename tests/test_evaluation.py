@@ -155,7 +155,6 @@ def test_metrics_hand_case():
     f1_neg = 2 * (7 / 10) * (7 / 8) / ((7 / 10) + (7 / 8))
     expected_wf1 = (12 / 20) * m.f1 + (8 / 20) * f1_neg
     assert m.weighted_f1 == pytest.approx(expected_wf1, abs=1e-12)
-    assert not m.degenerate
 
 
 def test_threshold_is_inclusive():
@@ -168,7 +167,6 @@ def test_metrics_degenerate_no_predicted_positives():
     y = np.array([1, 1, 0, 0])
     m = compute_metrics(np.array([0.1, 0.2, 0.0, 0.3]), y)
     assert (m.precision, m.recall, m.f1) == (0.0, 0.0, 0.0)
-    assert m.degenerate
 
 
 def test_metrics_require_both_classes():

@@ -234,3 +234,17 @@ def test_params_validate():
             solve(subx, weights, R, mu=mu)
     with pytest.raises(ValueError, match="lam must be non-negative"):
         solve(subx, weights, R, lam=-1.0)
+
+
+@pytest.mark.parametrize("mu", [5e-324, 1e-300])
+def test_underflowing_mu_rejected(mu):
+    # 5e-324 * 0.2 rounds to 0, so column 0 of the right-hand side loses an
+    # entry; at 1e-300 every entry survives but b.b underflows, which cg_solve
+    # would take for b = 0. Either way Z would silently come out 0
+    subx = np.array([[0.2, 0.8], [0.5, 0.5], [1.0, 0.0]])
+    R = np.full((3, 2), 0.5)
+    with pytest.raises(ValueError, match=rf"mu {mu:g} is too small: mu \* subx underflows"):
+        solve(subx, TRIANGLE, R, mu=mu)
+    # an entry of subx that is 0 already is no underflow
+    Z = solve(subx, pair_array({}), R, lam=1.0, mu=1e-3)
+    assert np.allclose(Z, subx, atol=1e-12)

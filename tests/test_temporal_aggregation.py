@@ -16,11 +16,14 @@ KEYS = st.sampled_from(["a", "b", "c", "d", "e", "f"])
 ROWS = st.lists(st.tuples(KEYS, KEYS, st.integers(0, 40)), min_size=1, max_size=30)
 
 
-def lift_row(edges, Z_by_key, key, alpha=1.0, literal_eq4=False):
+NO_DECAY = 1e300  # every decay factor is exactly 1.0: Eq. 4's growth form
+
+
+def lift_row(edges, Z_by_key, key, alpha=1.0):
     """H row of `key` for the graph of `edges`, Z given per account key."""
     g = build_graph(edges)
     Z = np.array([Z_by_key[k] for k in g.id_to_key], dtype=np.float64)
-    return aggregate(g, Z, alpha, literal_eq4)[g.key_to_id[key]]
+    return aggregate(g, Z, alpha)[g.key_to_id[key]]
 
 
 def test_output_width():
@@ -69,24 +72,29 @@ def test_temporal_structure_two_entry_hand_case():
     assert h == pytest.approx([0.0, 0.0, 1.0, 0.0, 1.0, 1.0], abs=1e-9)
 
 
-def huge_gap_rows(literal_eq4):
+def huge_gap_rows(alpha):
     """B's row for the two-entry hand case with a 1e9 s gap, near 0 and near 2**63."""
     for t0 in (0, 2**63 - 1 - 10**9):
         yield lift_row([("A", "B", t0), ("B", "A", t0 + 10**9)],
-                       {"A": (1.0,), "B": (1.0,)}, "B", alpha=1.0,
-                       literal_eq4=literal_eq4)
+                       {"A": (1.0,), "B": (1.0,)}, "B", alpha=alpha)
 
 
 def test_temporal_structure_huge_gap_default_mode():
     # the decay of the previous state vanishes; z2 is still normalize(w1)
-    for h in huge_gap_rows(literal_eq4=False):
+    for h in huge_gap_rows(alpha=1.0):
         assert h == pytest.approx([0.0, 0.0, 1.0, 0.0, 1.0, 1.0], abs=1e-9)
 
 
 def test_temporal_structure_huge_gap_literal_mode_no_overflow():
-    for h in huge_gap_rows(literal_eq4=True):
+    for h in huge_gap_rows(alpha=NO_DECAY):
         assert np.all(np.isfinite(h))
         assert h == pytest.approx([0.0, 0.0, 1.0, 0.0, 1.0, 1.0], abs=1e-9)
+    # the growth form decays by exactly 1, so only the entry order matters,
+    # even for a gap of nearly 2**63
+    Z = {"A": (1.0, -2.0), "B": (0.5, 0.5), "C": (-3.0, 1.0)}
+    rows = [lift_row([("A", "B", 0), ("B", "A", 1), ("C", "B", t)], Z, "B", alpha=NO_DECAY)
+            for t in (2, 2**63 - 1)]
+    assert rows[0].tobytes() == rows[1].tobytes()
 
 
 def test_tiny_alpha_zeroes_decay_without_overflow_warning():
@@ -96,16 +104,6 @@ def test_tiny_alpha_zeroes_decay_without_overflow_warning():
         g = random_graph(rng, t_range=30)
         Z = rng.normal(size=(g.n_nodes, 2))
         assert np.array_equal(aggregate(g, Z, 1e-320), aggregate(g, Z, 1e-300))
-
-
-def test_literal_mode_alpha_inert():
-    rng = np.random.default_rng(7)
-    for _ in range(20):
-        g = random_graph(rng, t_range=30)
-        Z = rng.normal(size=(g.n_nodes, 2))
-        outs = [aggregate(g, Z, alpha, literal_eq4=True) for alpha in (0.5, 1.0, 60.0)]
-        for other in outs[1:]:
-            assert np.max(np.abs(outs[0] - other)) <= 1e-9
 
 
 def test_default_mode_alpha_matters():
@@ -136,7 +134,7 @@ def test_aggregate_matches_brute_force_literal():
         g = random_graph(rng, t_range=25)
         Z = rng.normal(size=(g.n_nodes, 2))
         expected = brute_force_embeddings(g, Z, alpha=2.0, literal=True)
-        got = aggregate(g, Z, alpha=2.0, literal_eq4=True)
+        got = aggregate(g, Z, alpha=NO_DECAY)
         assert np.max(np.abs(got - expected)) <= 1e-9
 
 
@@ -216,13 +214,12 @@ def test_aggregate_shape_and_errors():
 
 
 @settings(max_examples=100, deadline=None)
-@given(ROWS, st.integers(0, 2**63 - 1 - 40), st.booleans())
-def test_timestamp_shift_leaves_embeddings_bit_identical(rows, shift, literal_eq4):
+@given(ROWS, st.integers(0, 2**63 - 1 - 40), st.sampled_from([7.0, NO_DECAY]))
+def test_timestamp_shift_leaves_embeddings_bit_identical(rows, shift, alpha):
     g = build_graph(rows)
     shifted = build_graph([(s, d, t + shift) for s, d, t in rows])
     Z = np.random.default_rng(len(rows)).normal(size=(g.n_nodes, 2))
-    assert np.array_equal(aggregate(g, Z, 7.0, literal_eq4),
-                          aggregate(shifted, Z, 7.0, literal_eq4))
+    assert np.array_equal(aggregate(g, Z, alpha), aggregate(shifted, Z, alpha))
 
 
 @settings(max_examples=100, deadline=None)
@@ -267,8 +264,9 @@ def timeline_lengths(g):
     return np.sort(np.diff(g.entry_ptr))[::-1]
 
 
-@pytest.mark.parametrize("literal_eq4", [False, True])
-def test_aggregate_matches_loop_oracle_bit_for_bit(literal_eq4):
+@pytest.mark.parametrize("no_decay", [False, True])
+def test_aggregate_matches_loop_oracle_bit_for_bit(no_decay):
+    alpha = NO_DECAY if no_decay else 2.0
     rng = np.random.default_rng(61)
     hub = hub_graph(rng)
     tied = hub_graph(rng, hubs=(80, 80))
@@ -291,8 +289,8 @@ def test_aggregate_matches_loop_oracle_bit_for_bit(literal_eq4):
     assert timeline_lengths(flat)[0] == 1
     for name, g in cases.items():
         for Z in (np.full((g.n_nodes, 3), 1 / 3), rng.normal(size=(g.n_nodes, 3))):
-            got = aggregate(g, Z, 2.0, literal_eq4)
-            want = loop_aggregate(g, Z, 2.0, literal_eq4)
+            got = aggregate(g, Z, alpha)
+            want = loop_aggregate(g, Z, alpha)
             assert got.shape == want.shape, name
             assert got.tobytes() == want.tobytes(), name
 
@@ -316,8 +314,9 @@ def block_edge_graph():
 
 
 @pytest.mark.parametrize("block", [1, 3, 7])
-@pytest.mark.parametrize("literal_eq4", [False, True])
-def test_aggregate_node_blocks_match_loop_oracle_bit_for_bit(block, literal_eq4):
+@pytest.mark.parametrize("no_decay", [False, True])
+def test_aggregate_node_blocks_match_loop_oracle_bit_for_bit(block, no_decay):
+    alpha = NO_DECAY if no_decay else 2.0
     rng = np.random.default_rng(63)
     edge = block_edge_graph()
     assert list(edge.entry_ptr) == [0, 1, 3, 7, 10]
@@ -333,8 +332,8 @@ def test_aggregate_node_blocks_match_loop_oracle_bit_for_bit(block, literal_eq4)
         mp.setattr(temporal_aggregation, "BLOCK_ENTRIES", block)
         for name, g in cases.items():
             Z = rng.normal(size=(g.n_nodes, 3))
-            got = aggregate(g, Z, 2.0, literal_eq4)
-            assert got.tobytes() == loop_aggregate(g, Z, 2.0, literal_eq4).tobytes(), name
+            got = aggregate(g, Z, alpha)
+            assert got.tobytes() == loop_aggregate(g, Z, alpha).tobytes(), name
 
 
 def test_aggregate_memory_budget():
