@@ -42,23 +42,22 @@ def _configure_threads():
         os.environ[var] = "1"
 
 
-def _sha256(path):
+def _digest(path):
     h = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             h.update(chunk)
-    return h.hexdigest()
+    return {"path": str(path), "sha256": h.hexdigest()}
 
 
 def _write_manifest(args, output_path, inputs, stage_seconds, stop_reason=None,
                     write_workers=None):
     config = {k: (sorted(v) if isinstance(v, list) else v)
-              for k, v in vars(args).items() if k not in ("func", "threads")}
+              for k, v in vars(args).items() if k != "func"}
     manifest = {
         "artifact_version": __version__,
         "config": config,
-        "inputs": {name: {"path": str(p), "sha256": _sha256(p)}
-                   for name, p in inputs.items()},
+        "inputs": inputs,
         "stage_seconds": {k: round(v, 6) for k, v in stage_seconds.items()},
     }
     if stop_reason is not None:  # embed and evaluate
@@ -74,7 +73,7 @@ def _write_manifest(args, output_path, inputs, stage_seconds, stop_reason=None,
 
 
 def _shared_flags():
-    """Flags shared by embed and evaluate: input, pipeline knobs, seed, threads."""
+    """Flags shared by embed and evaluate: input, pipeline knobs, seed."""
     parser = argparse.ArgumentParser(add_help=False)
     parser.add_argument("--input", required=True, help="edge CSV: from,to,timestamp[,...]")
     parser.add_argument("--clusters", type=int, default=10,
@@ -96,9 +95,6 @@ def _shared_flags():
                         choices=["no_neighbor", "no_temporal", "no_laplacian"],
                         help="disable one signal path; repeatable")
     parser.add_argument("--seed", type=int, default=42, help="master seed (default 42)")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="cap the embedding CSV writer processes (default: one per "
-                             "available core)")
     return parser
 
 
@@ -127,6 +123,7 @@ def _cmd_embed(args):
     global _write_rows
     from . import graph_model, pipeline
 
+    inputs = {"edges": _digest(args.input)}  # before --output can overwrite it
     started = time.perf_counter()
     graph = graph_model.ingest_csv(args.input)
     ingest = time.perf_counter() - started
@@ -141,7 +138,7 @@ def _cmd_embed(args):
             for k in graph.id_to_key]
     row = "%s," + ",".join(["%.9g"] * H.shape[1]) + "\n"
     starts = range(0, H.shape[0], WRITE_BLOCK_ROWS)
-    workers = min(len(os.sched_getaffinity(0)), args.threads or len(starts), len(starts))
+    workers = min(len(os.sched_getaffinity(0)), len(starts))
     part = f"{args.output}.part"  # renamed onto --output once whole
     _write_rows = keys, H, row
     try:
@@ -151,7 +148,7 @@ def _cmd_embed(args):
                 import multiprocessing
                 # fork, so that the workers inherit _write_rows instead of a
                 # pickled H. They only format strings and never call BLAS, so
-                # forking after OpenBLAS has started its threads is safe.
+                # forking after OpenBLAS has started its thread pool is safe.
                 with multiprocessing.get_context("fork").Pool(workers) as pool:
                     fh.writelines(pool.imap(_format_block, starts))
             else:
@@ -163,7 +160,7 @@ def _cmd_embed(args):
             os.remove(part)
     write = time.perf_counter() - started
 
-    _write_manifest(args, args.output, {"edges": args.input},
+    _write_manifest(args, args.output, inputs,
                     {**result.stage_seconds, "total": total, "ingest": ingest,
                      "write": write}, result.stop_reason, write_workers=workers)
     print(f"wrote {H.shape[0]} embeddings of width {H.shape[1]} to {args.output} "
@@ -174,6 +171,7 @@ def _cmd_embed(args):
 def _cmd_evaluate(args):
     from . import evaluation, graph_model, pipeline
 
+    inputs = {"edges": _digest(args.input), "labels": _digest(args.labels)}
     graph = graph_model.ingest_csv(args.input)
     labels = graph_model.ingest_labels(args.labels, graph)
     if not labels:
@@ -206,8 +204,8 @@ def _cmd_evaluate(args):
                 fh.write("%.9g,%.9g,%.9g\n" % (fpr, tpr, thr))
     for path in (args.output, args.emit_roc):
         if path:
-            _write_manifest(args, path, {"edges": args.input, "labels": args.labels},
-                            {**result.stage_seconds, "total": total}, result.stop_reason)
+            _write_manifest(args, path, inputs, {**result.stage_seconds, "total": total},
+                            result.stop_reason)
     return 0
 
 
@@ -274,16 +272,12 @@ def build_parser():
                        help="edge CSV destination (default edges.csv)")
     synth.add_argument("--out-labels", default="labels.csv",
                        help="label CSV destination (default labels.csv)")
-    synth.add_argument("--threads", type=int, default=None, help=argparse.SUPPRESS)
     synth.set_defaults(func=_cmd_synth)
     return parser
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    if args.threads is not None and args.threads < 1:
-        print(f"error: --threads must be at least 1, got {args.threads}", file=sys.stderr)
-        return 1
     _configure_threads()
     _configure_logging()
     from .laplacian import SolverConvergenceError  # numpy loads after the thread cap

@@ -127,8 +127,7 @@ def _is_number(s: str) -> bool:
     return True
 
 
-def _parse_timestamp(raw: str, lineno: int) -> int:
-    s = raw.strip()
+def _parse_timestamp(s: str, lineno: int) -> int:
     try:
         t = int(s)
     except ValueError:
@@ -143,37 +142,46 @@ def _parse_timestamp(raw: str, lineno: int) -> int:
     return t
 
 
-def _iter_csv_rows(path):
-    """Yield (lineno, row) for non-blank rows of a CSV file."""
+def _iter_csv_rows(path, columns, header_field):
+    """Yield (line number, stripped fields) for the data rows of a CSV file.
+
+    Rows are numbered by the physical line they start on; blank ones are
+    skipped. A first row whose field header_field is not a number is a
+    header, and skipped too. Raises ValueError, with the line number, on a
+    row with fewer than `columns` fields or that csv cannot read.
+    """
     with open(path, newline="", encoding="utf-8") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row or all(not f.strip() for f in row):
-                continue
-            yield lineno, row
+        reader = csv.reader(fh)
+        start = 1  # the physical line the next row starts on
+        header = True
+        try:
+            for row in reader:
+                lineno, start = start, reader.line_num + 1
+                fields = [f.strip() for f in row]
+                if not any(fields):
+                    continue
+                if len(fields) < columns:
+                    raise ValueError(f"line {lineno}: expected at least {columns} columns, "
+                                     f"got {len(fields)}")
+                if header:
+                    header = False
+                    if not _is_number(fields[header_field]):
+                        continue
+                yield lineno, fields
+        except csv.Error as exc:
+            raise ValueError(f"line {start}: {exc}") from None
 
 
 def ingest_csv(path) -> TemporalGraph:
     """Stream a source,target,timestamp CSV into a TemporalGraph.
 
-    One transaction per row; extra columns are ignored. A header row is
-    detected by a non-numeric timestamp field in row 1 and skipped.
-    Raises ValueError, with the line number, on rows with fewer than 3
-    columns and on unparsable, negative, fractional or above 2**63-1
-    timestamps.
+    One transaction per row; extra columns are ignored. A header is a
+    first row with a non-numeric timestamp field. Raises ValueError, with
+    the line number, on the rows _iter_csv_rows rejects and on unparsable,
+    negative, fractional or above 2**63-1 timestamps.
     """
-
-    def edge_rows():
-        first = True
-        for lineno, row in _iter_csv_rows(path):
-            if len(row) < 3:
-                raise ValueError(f"line {lineno}: expected at least 3 columns, got {len(row)}")
-            if first:
-                first = False
-                if not _is_number(row[2].strip()):
-                    continue  # header row
-            yield row[0].strip(), row[1].strip(), _parse_timestamp(row[2], lineno)
-
-    graph = build_graph(edge_rows())
+    graph = build_graph((f[0], f[1], _parse_timestamp(f[2], lineno))
+                        for lineno, f in _iter_csv_rows(path, 3, 2))
     logger.info("ingested %s: %d nodes, %d edges", path, graph.n_nodes, graph.n_edges)
     return graph
 
@@ -181,23 +189,14 @@ def ingest_csv(path) -> TemporalGraph:
 def ingest_labels(path, graph: TemporalGraph) -> dict:
     """Read an account,label CSV into {node id: label} (1 = malicious).
 
-    Labels must be exactly "0" or "1". Accounts absent from the graph are
-    skipped and counted, once each, in a warning; a header row is detected
-    by a non-numeric label field in row 1. An account listed twice,
-    present or absent, must carry the same label both times.
+    Labels must be exactly "0" or "1"; a header is a first row with a
+    non-numeric label field. Accounts absent from the graph are skipped
+    and counted, once each, in a warning. An account listed twice, present
+    or absent, must carry the same label both times.
     """
     labels = {}
     absent = {}  # key -> label of accounts not in the graph
-    first = True
-    for lineno, row in _iter_csv_rows(path):
-        if len(row) < 2:
-            raise ValueError(f"line {lineno}: expected account,label, got {len(row)} columns")
-        key = row[0].strip()
-        raw = row[1].strip()
-        if first:
-            first = False
-            if not _is_number(raw):
-                continue  # header row
+    for lineno, (key, raw, *_) in _iter_csv_rows(path, 2, 1):
         if raw not in ("0", "1"):
             raise ValueError(f"line {lineno}: label {raw!r} not in {{0,1}}")
         node = graph.key_to_id.get(key)

@@ -122,9 +122,10 @@ def solve(subx: np.ndarray, pairs: np.ndarray, R: np.ndarray,
     assemble_system. Each column runs CG to CG_TOL within
     default_cg_max_iters(n) iterations, from a zero start, so the result
     is deterministic. lam must be finite and >= 0, mu finite and > 0;
-    values so large that CG overflows raise ValueError naming both. A mu
-    so small that mu * subx loses a non-zero entry, or that its squared
-    norm underflows to 0, raises ValueError naming mu.
+    CG overflowing raises ValueError, CG missing CG_TOL raises
+    SolverConvergenceError, both naming lam and mu. A mu so small that mu *
+    subx loses a non-zero entry, or that its squared norm underflows to 0,
+    raises ValueError naming mu.
     """
     for name, value in (("lam", lam), ("mu", mu)):
         if not math.isfinite(value):
@@ -151,4 +152,7 @@ def solve(subx: np.ndarray, pairs: np.ndarray, R: np.ndarray,
         except OverflowError:
             raise ValueError(f"lambda {lam:g} and mu {mu:g} make the system overflow "
                              "in conjugate gradients") from None
+        except SolverConvergenceError as exc:
+            raise SolverConvergenceError(f"{exc} with lambda {lam:g} and mu {mu:g}",
+                                         exc.residual) from None
     return Z

@@ -1,6 +1,7 @@
 import ast
 import csv
 import hashlib
+import inspect
 import json
 import multiprocessing
 import os
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ditsgcr import cli, laplacian, pipeline, synthgen
+from ditsgcr import cli, evaluation, laplacian, pipeline, synthgen
 
 SRC = Path(cli.__file__).resolve().parents[1]
 
@@ -33,6 +34,12 @@ def make_dataset(tmp_path, name="d", normals=20, phishers=2, seed=0):
 
 def read_rows(path):
     return path.read_text(encoding="utf-8").splitlines()
+
+
+def on_one_cpu():
+    """A preexec_fn that pins the child process, and only it, to one CPU."""
+    cpu = min(os.sched_getaffinity(0))
+    return lambda: os.sched_setaffinity(0, {cpu})
 
 
 def command_args(tmp_path, command, edges, labels):
@@ -95,19 +102,18 @@ def test_embed_byte_identical_reruns(tmp_path):
 def test_embed_byte_identical_across_processes(tmp_path):
     # more nodes than one block, so that the default run formats on every core
     edges, _ = make_dataset(tmp_path, normals=600, phishers=10)
-    outs = []
-    for hash_seed, threads in (("1", ["--threads", "1"]), ("2", ["--threads", "1"]),
-                               ("1", [])):
-        out = tmp_path / f"emb{hash_seed}{len(threads)}.csv"
+    outs, workers = [], []
+    for hash_seed, pin in (("1", on_one_cpu()), ("2", on_one_cpu()), ("1", None)):
+        out = tmp_path / f"emb{len(outs)}.csv"
         env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONHASHSEED": hash_seed}
         subprocess.run([sys.executable, "-m", "ditsgcr.cli", "embed", "--input", str(edges),
-                        "--output", str(out), "--clusters", "3", *threads],
-                       env=env, check=True, capture_output=True)
+                        "--output", str(out), "--clusters", "3"],
+                       env=env, check=True, capture_output=True, preexec_fn=pin)
         outs.append(out.read_bytes())
+        workers.append(json.loads(Path(f"{out}.manifest.json").read_text())["write_workers"])
     assert outs[0] == outs[1] == outs[2]
     assert len(read_rows(out)) - 1 > cli.WRITE_BLOCK_ROWS
-    manifest = json.loads(out.with_name(out.name + ".manifest.json").read_text())
-    assert manifest["write_workers"] == min(len(os.sched_getaffinity(0)), 2)
+    assert workers == [1, 1, min(len(os.sched_getaffinity(0)), 2)]
 
 
 def test_embed_bytes_do_not_depend_on_blas_threads(tmp_path):
@@ -121,13 +127,12 @@ def test_embed_bytes_do_not_depend_on_blas_threads(tmp_path):
                          "NUMEXPR_NUM_THREADS")}
     base["PYTHONPATH"] = str(SRC)
     outs = []
-    for name, flags, env in (("t1", ["--threads", "1"], base),
-                             ("t2", ["--threads", "2"], base),
-                             ("blas2", [], {**base, "OPENBLAS_NUM_THREADS": "2"})):
+    for name, pin, env in (("cpu1", on_one_cpu(), base), ("all", None, base),
+                           ("blas2", None, {**base, "OPENBLAS_NUM_THREADS": "2"})):
         out = tmp_path / f"{name}.csv"
         subprocess.run([sys.executable, "-m", "ditsgcr.cli", "embed", "--input", str(edges),
-                        "--output", str(out), *flags], env=env, check=True,
-                       capture_output=True)
+                        "--output", str(out)], env=env, check=True, capture_output=True,
+                       preexec_fn=pin)
         outs.append(out.read_bytes())
     assert outs[0] == outs[1] == outs[2]
 
@@ -158,12 +163,11 @@ def test_parallel_writer_matches_one_worker(n, width, block, data):
         mp.setattr(pipeline, "run", fake_pipeline(H))
         mp.setattr(cli, "WRITE_BLOCK_ROWS", block)
         mp.setattr(cli, "_configure_threads", lambda: None)
-        mp.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
         outputs = []
         for workers in (1, 2, 3, n_blocks + 1):
+            mp.setattr(os, "sched_getaffinity", lambda pid, n=workers: set(range(n)))
             out = Path(tmp) / f"emb{workers}.csv"
-            assert cli.main(["embed", "--input", str(edges), "--output", str(out),
-                             "--threads", str(workers)]) == 0
+            assert cli.main(["embed", "--input", str(edges), "--output", str(out)]) == 0
             manifest = json.loads(Path(f"{out}.manifest.json").read_text())
             assert manifest["write_workers"] == min(workers, n_blocks)
             outputs.append(out.read_bytes())
@@ -322,21 +326,76 @@ def test_quoted_keys_round_trip(tmp_path):
     assert [r[0] for r in rows[1:]] == ["a,b", "c", 'q"r', "n\nl"]
 
 
-@pytest.mark.parametrize("command", ["embed", "evaluate"])
-@pytest.mark.parametrize("threads", ["0", "-1"])
-def test_threads_below_one_fail(tmp_path, capsys, monkeypatch, command, threads):
+OVERSIZED = "k" * 200_000  # over the csv module's field size limit, 131072
+
+
+@pytest.mark.parametrize("edge_rows, label_rows, message", [
+    (f"a,b,1\n{OVERSIZED},c,2\n", "a,1\n", "line 2: field larger than field limit (131072)"),
+    ("a,b,1\n", f"a,1\n{OVERSIZED},0\n", "line 2: field larger than field limit (131072)"),
+    # a quoted line break in a key makes one row span two lines
+    ('"a\nb",c,1\nd,e,x\n', "c,1\n", "line 3: unparsable timestamp 'x'"),
+    ('"a\nb",c,1\n', 'account,label\n"a\nb",1\nc,2\n', "line 4: label '2' not in {0,1}"),
+], ids=["oversized-edge", "oversized-label", "edge-after-line-break", "label-after-line-break"])
+def test_bad_row_names_its_physical_line(tmp_path, capsys, edge_rows, label_rows, message):
+    edges, labels = tmp_path / "e.csv", tmp_path / "l.csv"
+    edges.write_text(edge_rows, encoding="utf-8")
+    labels.write_text(label_rows, encoding="utf-8")
+    assert cli.main(["evaluate", "--input", str(edges), "--labels", str(labels),
+                     "--clusters", "2"]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_manifest_digest_is_the_input_not_the_output(tmp_path):
+    edges, _ = make_dataset(tmp_path)
+    digest = hashlib.sha256(edges.read_bytes()).hexdigest()
+    assert cli.main(["embed", "--input", str(edges), "--output", str(edges),
+                     "--clusters", "3"]) == 0
+    assert read_rows(edges)[0].startswith("node_key,")  # the embeddings replaced the input
+    manifest = json.loads(Path(f"{edges}.manifest.json").read_text())
+    assert manifest["inputs"]["edges"] == {"path": str(edges), "sha256": digest}
+
+
+@pytest.mark.parametrize("command", ["embed", "evaluate", "synth"])
+def test_removed_threads_flag_is_refused(tmp_path, capsys, monkeypatch, command):
+    # the writer takes one process per CPU in the affinity mask; `taskset` caps it
     edges, labels = make_dataset(tmp_path)
     capsys.readouterr()
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                 "NUMEXPR_NUM_THREADS"):
         monkeypatch.delenv(var, raising=False)
-    args = {"embed": ["--output", str(tmp_path / "emb.csv")],
-            "evaluate": ["--labels", str(labels)]}[command]
-    assert cli.main([command, "--input", str(edges), *args, "--clusters", "3",
-                     "--threads", threads]) == 1
-    assert capsys.readouterr().err == f"error: --threads must be at least 1, got {threads}\n"
+    args = command_args(tmp_path, command, edges, labels)
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, *args, "--threads", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
     assert "OPENBLAS_NUM_THREADS" not in os.environ
-    assert not (tmp_path / "emb.csv").exists()
+    assert not (tmp_path / "emb.csv").exists() and not (tmp_path / "e.csv").exists()
+
+
+def test_cli_defaults_match_library_defaults(tmp_path, monkeypatch):
+    parser = cli.build_parser()
+    embed = parser.parse_args(["embed", "--input", "e.csv"])
+    ev = parser.parse_args(["evaluate", "--input", "e.csv", "--labels", "l.csv"])
+    assert cli._pipeline_config(embed) == pipeline.PipelineConfig()
+    assert cli._pipeline_config(ev) == pipeline.PipelineConfig()
+
+    def defaults(fn):
+        return {name: p.default for name, p in inspect.signature(fn).parameters.items()
+                if p.default is not inspect.Parameter.empty}
+
+    assert defaults(evaluation.split) == {"train_fraction": ev.train_frac, "seed": ev.seed}
+    assert defaults(evaluation.train_forest) == {"n_trees": ev.trees, "seed": ev.seed}
+    assert defaults(evaluation.compute_metrics) == {"threshold": ev.threshold}
+
+    configs = []
+
+    def record(config):
+        configs.append(config)
+        raise ValueError("recorded")
+
+    monkeypatch.setattr(synthgen, "generate", record)
+    assert cli.main(["synth", *command_args(tmp_path, "synth", None, None)]) == 1
+    assert configs == [synthgen.SynthConfig()]
 
 
 def test_missing_input_fails(tmp_path, capsys):
@@ -372,6 +431,19 @@ def test_solver_convergence_error_is_one_line(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.startswith("error: conjugate gradients stopped")
     assert len(err.strip().splitlines()) == 1
+
+
+def test_solver_convergence_error_names_lambda_and_mu(tmp_path, capsys):
+    # M = L + lambda * sum_c L_c + mu * I is nearly singular at a tiny mu
+    edges, _ = make_dataset(tmp_path)
+    out = tmp_path / "emb.csv"
+    assert cli.main(["embed", "--input", str(edges), "--output", str(out),
+                     "--clusters", "3", "--mu", "1e-12"]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: conjugate gradients stopped at relative residual")
+    assert lines[0].endswith(" with lambda 1 and mu 1e-12")
+    assert not out.exists()
 
 
 def test_cli_import_leaves_numpy_unloaded():

@@ -79,8 +79,11 @@ def test_ingest_timelines_sorted_descending(tmp_path):
 def test_ingest_malformed_row_arity(tmp_path):
     p = tmp_path / "g.csv"
     write_lines(p, ["from,to,timestamp", "A,B,10", "A,B"])
-    with pytest.raises(ValueError, match="line 3"):
+    with pytest.raises(ValueError, match="^line 3: expected at least 3 columns, got 2$"):
         ingest_csv(p)
+    write_lines(p, ["account,label", "A,1", "", "B"])
+    with pytest.raises(ValueError, match="^line 4: expected at least 2 columns, got 1$"):
+        ingest_labels(p, build_graph([("A", "B", 1)]))
 
 
 def test_ingest_fractional_timestamp(tmp_path):
