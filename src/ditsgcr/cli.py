@@ -124,12 +124,9 @@ def _cmd_embed(args):
     from . import graph_model, pipeline
 
     inputs = {"edges": _digest(args.input)}  # before --output can overwrite it
-    started = time.perf_counter()
-    graph = graph_model.ingest_csv(args.input)
-    ingest = time.perf_counter() - started
-    started = time.perf_counter()
-    result = pipeline.run(graph, _pipeline_config(args))
-    total = time.perf_counter() - started
+    seconds = {}
+    graph = pipeline.timed(seconds, "ingest", graph_model.ingest_csv, args.input)
+    result = pipeline.timed(seconds, "total", pipeline.run, graph, _pipeline_config(args))
 
     started = time.perf_counter()
     H = result.embeddings
@@ -158,11 +155,10 @@ def _cmd_embed(args):
         _write_rows = None
         if os.path.exists(part):
             os.remove(part)
-    write = time.perf_counter() - started
+    seconds["write"] = time.perf_counter() - started
 
-    _write_manifest(args, args.output, inputs,
-                    {**result.stage_seconds, "total": total, "ingest": ingest,
-                     "write": write}, result.stop_reason, write_workers=workers)
+    _write_manifest(args, args.output, inputs, {**result.stage_seconds, **seconds},
+                    result.stop_reason, write_workers=workers)
     print(f"wrote {H.shape[0]} embeddings of width {H.shape[1]} to {args.output} "
           f"({result.iterations_run} iterations)")
     return 0
@@ -172,23 +168,22 @@ def _cmd_evaluate(args):
     from . import evaluation, graph_model, pipeline
 
     inputs = {"edges": _digest(args.input), "labels": _digest(args.labels)}
-    graph = graph_model.ingest_csv(args.input)
-    labels = graph_model.ingest_labels(args.labels, graph)
+    seconds = {}
+    graph = pipeline.timed(seconds, "ingest", graph_model.ingest_csv, args.input)
+    labels = pipeline.timed(seconds, "ingest", graph_model.ingest_labels, args.labels, graph)
     if not labels:
         raise ValueError("no usable labels: every labeled account is missing from the graph")
-
-    started = time.perf_counter()
-    result = pipeline.run(graph, _pipeline_config(args))
-    H = result.embeddings
+    result = pipeline.timed(seconds, "total", pipeline.run, graph, _pipeline_config(args))
 
     train_ids, test_ids = evaluation.split(labels, train_fraction=args.train_frac,
                                            seed=args.seed)
-    forest = evaluation.train_forest(H[train_ids], [labels[i] for i in train_ids],
-                                     n_trees=args.trees, seed=args.seed)
-    scores = evaluation.predict_scores(forest, H[test_ids])
-    metrics = evaluation.compute_metrics(
-        scores, [labels[i] for i in test_ids], threshold=args.threshold)
-    total = time.perf_counter() - started
+    H_train, H_test = result.embeddings[train_ids], result.embeddings[test_ids]
+    result.embeddings = None  # with H alive, the forest's presorted copy sets the peak
+    forest = pipeline.timed(seconds, "forest", evaluation.train_forest, H_train,
+                            [labels[i] for i in train_ids], n_trees=args.trees, seed=args.seed)
+    scores = pipeline.timed(seconds, "score", evaluation.predict_scores, forest, H_test)
+    metrics = pipeline.timed(seconds, "score", evaluation.compute_metrics, scores,
+                             [labels[i] for i in test_ids], threshold=args.threshold)
 
     line = (f"precision={metrics.precision:.6f} recall={metrics.recall:.6f} "
             f"f1={metrics.f1:.6f} wf1={metrics.weighted_f1:.6f} auc={metrics.auc:.6f}")
@@ -204,7 +199,7 @@ def _cmd_evaluate(args):
                 fh.write("%.9g,%.9g,%.9g\n" % (fpr, tpr, thr))
     for path in (args.output, args.emit_roc):
         if path:
-            _write_manifest(args, path, inputs, {**result.stage_seconds, "total": total},
+            _write_manifest(args, path, inputs, {**result.stage_seconds, **seconds},
                             result.stop_reason)
     return 0
 

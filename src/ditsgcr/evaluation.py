@@ -67,24 +67,24 @@ class _Tree(NamedTuple):
         return self.value[node]
 
 
-def _best_split(X, y, idx, feats):
-    """Best (feature, threshold) by weighted-Gini minimization.
-
-    Candidate thresholds are midpoints between consecutive distinct
-    sorted values. Ties break toward the earlier feature in feats, then
-    the lower threshold. Returns None when no split separates the node.
+def _best_split(xs_sorted, order, y, members, feats):
+    """Best (feature, threshold) by weighted-Gini minimization over the rows
+    order[f] lists by ascending feature f (values xs_sorted[f]), each weighted
+    by its count in members. Candidate thresholds are midpoints between
+    consecutive distinct values. Ties break toward the earlier feature in
+    feats, then the lower threshold. None when no split separates the node.
     """
-    m = len(idx)
-    Xs = X[np.ix_(idx, feats)]
-    order = np.argsort(Xs, axis=0, kind="stable")
-    xs = np.take_along_axis(Xs, order, axis=0)
-    ys = y[idx][order]
-    pos_total = int(y[idx].sum())
-    cum_pos = np.cumsum(ys, axis=0)
+    m = len(members)
+    weight = np.bincount(members, minlength=len(y))
+    rows = order[feats]
+    present = np.take(weight, rows).ravel() > 0  # the same count u of rows per feature
+    rows = np.compress(present, rows).reshape(len(feats), -1)
+    xs = np.compress(present, xs_sorted[feats]).reshape(rows.shape)
+    pos_total = int(y[members].sum())
 
-    n_left = np.arange(1, m, dtype=np.float64)[:, None]
+    n_left = np.cumsum(np.take(weight, rows), axis=1)[:, :-1].astype(np.float64)
     n_right = m - n_left
-    pos_left = cum_pos[:-1].astype(np.float64)
+    pos_left = np.cumsum(np.take(weight * y, rows), axis=1)[:, :-1].astype(np.float64)
     pos_right = pos_total - pos_left
     p1l = pos_left / n_left
     p0l = 1.0 - p1l
@@ -93,21 +93,29 @@ def _best_split(X, y, idx, feats):
     gini_left = 1.0 - p1l * p1l - p0l * p0l
     gini_right = 1.0 - p1r * p1r - p0r * p0r
     weighted = (n_left * gini_left + n_right * gini_right) / m
-    weighted[xs[1:] <= xs[:-1]] = np.inf  # only boundaries between distinct values
+    weighted[xs[:, 1:] <= xs[:, :-1]] = np.inf  # only boundaries between distinct values
 
-    flat = np.argmin(weighted.T)  # feature-major: earlier feature wins ties
-    col, pos = divmod(int(flat), m - 1)
-    best = weighted[pos, col]
+    col, pos = divmod(int(np.argmin(weighted)), weighted.shape[1])  # earlier feature wins ties
+    best = weighted[col, pos]
     if not np.isfinite(best):
         return None
     p = np.array([m - pos_total, pos_total], dtype=np.float64) / m
     parent = 1.0 - float((p * p).sum())
     if parent - best <= 1e-12:
         return None
-    return int(feats[col]), float((xs[pos, col] + xs[pos + 1, col]) / 2.0)
+    a, b = xs[col, pos:pos + 2].tolist()  # Python floats overflow to inf without a warning
+    mid = (a + b) / 2.0
+    return int(feats[col]), mid if a <= mid < b else a  # a rounded midpoint splits nothing
 
 
-def _grow_tree(X, y, rng, features_per_split, bootstrap):
+def _presort(X):
+    """Per feature, X's values in ascending order and the row ids they come from."""
+    Xt = np.ascontiguousarray(X.T)
+    order = np.argsort(Xt, axis=1).astype(np.int32)
+    return np.take_along_axis(Xt, order, axis=1), order
+
+
+def _grow_tree(X, xs_sorted, order, y, rng, features_per_split, bootstrap):
     """Grow one tree to purity, or until no split separates a node."""
     n, dim = X.shape
     idx = rng.integers(0, n, n) if bootstrap else np.arange(n)
@@ -120,7 +128,7 @@ def _grow_tree(X, y, rng, features_per_split, bootstrap):
         if counts.all():
             feats = rng.choice(dim, size=features_per_split, replace=False)
             feats.sort()
-            found = _best_split(X, y, members, feats)
+            found = _best_split(xs_sorted, order, y, members, feats)
         if found is None:
             rows[node] = (-1, 0.0, -1, -1, int(np.argmax(counts)))  # tie goes to class 0
             continue
@@ -148,7 +156,7 @@ def train_forest(X: np.ndarray, y: np.ndarray, n_trees: int = 100, seed: int = 4
 
     Deterministic for a fixed seed: per-tree generators are spawned from
     one seed sequence, so tree structures and predictions repeat exactly.
-    Raises ValueError on a single-class training set or n_trees < 1.
+    Raises ValueError on a single-class training set, non-finite features or n_trees < 1.
     """
     if n_trees < 1:
         raise ValueError("need at least one tree")
@@ -156,12 +164,15 @@ def train_forest(X: np.ndarray, y: np.ndarray, n_trees: int = 100, seed: int = 4
     y = np.asarray(y, dtype=np.int64)
     if X.ndim != 2 or X.shape[0] != len(y):
         raise ValueError("X and y disagree on the number of rows")
+    if not np.isfinite(X).all():
+        raise ValueError("features must be finite")
     classes = np.unique(y)
     if not np.array_equal(classes, np.array([0, 1])):
         raise ValueError("training labels must contain both classes 0 and 1")
     dim = X.shape[1]
     features = min(math.ceil(math.sqrt(dim)), dim)
-    trees = [_grow_tree(X, y, np.random.default_rng(s), features, True)
+    xs_sorted, order = _presort(X)
+    trees = [_grow_tree(X, xs_sorted, order, y, np.random.default_rng(s), features, True)
              for s in np.random.SeedSequence(seed).spawn(n_trees)]
     return Forest(trees=trees, n_features=dim)
 

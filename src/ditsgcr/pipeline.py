@@ -79,6 +79,14 @@ def count_unique_embeddings(H: np.ndarray) -> int:
     return len(seen)
 
 
+def timed(seconds, name, fn, *args, **kwargs):
+    """fn(*args, **kwargs), adding its wall time to seconds[name]."""
+    start = time.perf_counter()
+    out = fn(*args, **kwargs)
+    seconds[name] = seconds.get(name, 0.0) + (time.perf_counter() - start)
+    return out
+
+
 def run(graph, config: PipelineConfig = PipelineConfig()) -> PipelineResult:
     """Compute final embeddings for every node of the graph.
 
@@ -102,17 +110,10 @@ def run(graph, config: PipelineConfig = PipelineConfig()) -> PipelineResult:
         raise ValueError(f"{k} clusters need at least {k} nodes, the graph has {n}")
 
     seconds = {}  # cumulative wall-time per stage
-
-    def timed(name, fn, *args, **kwargs):
-        start = time.perf_counter()
-        out = fn(*args, **kwargs)
-        seconds[name] = seconds.get(name, 0.0) + (time.perf_counter() - start)
-        return out
-
     flat = 4 * k * k
 
     def lift(Z):
-        H = timed("aggregate", temporal_aggregation.aggregate, graph, Z, config.alpha)
+        H = timed(seconds, "aggregate", temporal_aggregation.aggregate, graph, Z, config.alpha)
         if "no_temporal" in config.ablation:
             H[:, :flat] = 0.0
         if "no_neighbor" in config.ablation:
@@ -132,14 +133,14 @@ def run(graph, config: PipelineConfig = PipelineConfig()) -> PipelineResult:
     for i in range(1, config.max_iters + 1):
         iterations_run = i
         H_norm = clustering.normalize_rows(H)
-        R, centroids = timed("soft_kmeans", clustering.soft_kmeans,
+        R, centroids = timed(seconds, "soft_kmeans", clustering.soft_kmeans,
                              H_norm, k, config.beta, config.kmeans_iters, config.seed + i)
-        subx = timed("subx", clustering.compute_subx, H_norm, centroids)
+        subx = timed(seconds, "subx", clustering.compute_subx, H_norm, centroids)
         del H_norm  # free an n x width matrix before lift(Z) builds H_new
         if smooth:
             if pairs is None:
                 pairs = adjacency_weights(graph)
-            Z = timed("laplacian_solve", laplacian.solve,
+            Z = timed(seconds, "laplacian_solve", laplacian.solve,
                       subx, pairs, R, lam=config.lam, mu=config.mu)
         else:
             Z = subx

@@ -299,6 +299,81 @@ def cart_predict(tree, X):
     return np.array([one(tree, x) for x in X], dtype=np.int64)
 
 
+def resorting_best_split(X, y, idx, feats):
+    """Best (feature, threshold) by weighted-Gini minimization.
+
+    Candidate thresholds are midpoints between consecutive distinct
+    sorted values. Ties break toward the earlier feature in feats, then
+    the lower threshold. Returns None when no split separates the node.
+    Sorts the node's (possibly repeated) rows at every call.
+    """
+    m = len(idx)
+    Xs = X[np.ix_(idx, feats)]
+    order = np.argsort(Xs, axis=0, kind="stable")
+    xs = np.take_along_axis(Xs, order, axis=0)
+    ys = y[idx][order]
+    pos_total = int(y[idx].sum())
+    cum_pos = np.cumsum(ys, axis=0)
+
+    n_left = np.arange(1, m, dtype=np.float64)[:, None]
+    n_right = m - n_left
+    pos_left = cum_pos[:-1].astype(np.float64)
+    pos_right = pos_total - pos_left
+    p1l = pos_left / n_left
+    p0l = 1.0 - p1l
+    p1r = pos_right / n_right
+    p0r = 1.0 - p1r
+    gini_left = 1.0 - p1l * p1l - p0l * p0l
+    gini_right = 1.0 - p1r * p1r - p0r * p0r
+    weighted = (n_left * gini_left + n_right * gini_right) / m
+    weighted[xs[1:] <= xs[:-1]] = np.inf  # only boundaries between distinct values
+
+    flat = np.argmin(weighted.T)  # feature-major: earlier feature wins ties
+    col, pos = divmod(int(flat), m - 1)
+    best = weighted[pos, col]
+    if not np.isfinite(best):
+        return None
+    p = np.array([m - pos_total, pos_total], dtype=np.float64) / m
+    parent = 1.0 - float((p * p).sum())
+    if parent - best <= 1e-12:
+        return None
+    a, b = xs[pos, col], xs[pos + 1, col]
+    with np.errstate(over="ignore"):
+        mid = (a + b) / 2.0
+    return int(feats[col]), float(mid if a <= mid < b else a)
+
+
+def resorting_grow_tree(X, y, rng, features_per_split, bootstrap):
+    """Grow one tree to purity, or until no split separates a node, with
+    resorting_best_split; draws from rng in the order train_forest does."""
+    n, dim = X.shape
+    idx = rng.integers(0, n, n) if bootstrap else np.arange(n)
+    rows = [None]  # (feature, threshold, left, right, value), filled when popped
+    stack = [(0, idx)]
+    while stack:
+        node, members = stack.pop()
+        counts = np.bincount(y[members], minlength=2)
+        found = None
+        if counts.all():
+            feats = rng.choice(dim, size=features_per_split, replace=False)
+            feats.sort()
+            found = resorting_best_split(X, y, members, feats)
+        if found is None:
+            rows[node] = (-1, 0.0, -1, -1, int(np.argmax(counts)))  # tie goes to class 0
+            continue
+        feat, thr = found
+        left = len(rows)
+        rows[node] = (feat, thr, left, left + 1, -1)
+        rows += [None, None]
+        go_left = X[members, feat] <= thr
+        stack.append((left + 1, members[~go_left]))
+        stack.append((left, members[go_left]))
+    feature, threshold, left, right, value = zip(*rows)
+    return (np.array(feature, dtype=np.int64), np.array(threshold, dtype=np.float64),
+            np.array(left, dtype=np.int64), np.array(right, dtype=np.int64),
+            np.array(value, dtype=np.int64))
+
+
 def straight_line_pipeline(graph, config):
     """Independent re-execution of the embedding loop, step by step.
 

@@ -220,22 +220,29 @@ def test_c08_ablations_do_not_beat_full_model():
 
 def test_c09_iteration_cost_scales_linearly():
     start = time.perf_counter()
+    cfg = pipeline.PipelineConfig(max_iters=1)
 
-    def one_iteration_seconds(n_normal, n_phisher, seed):
-        g, _ = synthgen.generate(synthgen.SynthConfig(
-            n_normal=n_normal, n_phisher=n_phisher, seed=seed))
-        cfg = pipeline.PipelineConfig(max_iters=1)
+    def synth_graph(n_normal, n_phisher, seed):
+        return synthgen.generate(synthgen.SynthConfig(
+            n_normal=n_normal, n_phisher=n_phisher, seed=seed))[0]
+
+    def one_iteration_seconds(g):
         t0 = time.perf_counter()
         pipeline.run(g, cfg)
-        return g.n_edges, time.perf_counter() - t0
+        return time.perf_counter() - t0
 
-    one_iteration_seconds(2000, 100, 1)  # warm-up
-    edges_small, t_small = one_iteration_seconds(16000, 800, 7)
-    edges_big, t_big = one_iteration_seconds(32000, 1600, 8)
-    assert 90_000 <= edges_small <= 115_000
-    assert 190_000 <= edges_big <= 230_000
-    assert edges_big / edges_small >= 1.9
-    assert t_big / t_small <= 2.5
+    one_iteration_seconds(synth_graph(2000, 100, 1))  # warm-up
+    small, big = synth_graph(16000, 800, 7), synth_graph(32000, 1600, 8)
+    assert 90_000 <= small.n_edges <= 115_000
+    assert 190_000 <= big.n_edges <= 230_000
+    assert big.n_edges / small.n_edges >= 1.9
+    # interleaved, fastest of each size: load from another process slows only
+    # the timings near it, which one timing per size would read as superlinear
+    t_small, t_big = [], []
+    for _ in range(3):
+        t_small.append(one_iteration_seconds(small))
+        t_big.append(one_iteration_seconds(big))
+    assert min(t_big) / min(t_small) <= 2.5
     assert time.perf_counter() - start < 600.0
 
 

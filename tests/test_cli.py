@@ -233,6 +233,23 @@ def test_evaluate_flow(tmp_path, capsys):
     assert fprs[-1] == 1.0 and tprs[-1] == 1.0
     roc_manifest = json.loads((tmp_path / "roc.csv.manifest.json").read_text())
     assert isinstance(roc_manifest["peak_rss_mb"], float) and roc_manifest["peak_rss_mb"] > 0
+    stages = roc_manifest["stage_seconds"]
+    assert all(stages[k] > 0 for k in ("ingest", "total", "forest", "score"))
+
+
+def test_non_finite_embeddings_fail_evaluate(tmp_path, capsys, monkeypatch):
+    edges, labels = make_dataset(tmp_path)
+    run = pipeline.run
+
+    def poisoned(graph, config):
+        result = run(graph, config)
+        result.embeddings[:, 0] = np.nan
+        return result
+
+    monkeypatch.setattr(pipeline, "run", poisoned)
+    capsys.readouterr()
+    assert cli.main(["evaluate", *command_args(tmp_path, "evaluate", edges, labels)]) == 1
+    assert capsys.readouterr().err == "error: features must be finite\n"
 
 
 def test_evaluate_roc_byte_identical(tmp_path, capsys):

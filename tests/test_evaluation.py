@@ -1,11 +1,21 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ditsgcr.evaluation import (Forest, _grow_tree, compute_metrics, predict_scores,
-                                roc_curve, split, train_forest)
-from helpers import cart_fit, cart_predict, loop_roc_curve, pairwise_auc
+from ditsgcr import pipeline, synthgen
+from ditsgcr.evaluation import (Forest, _grow_tree, _presort, compute_metrics,
+                                predict_scores, roc_curve, split, train_forest)
+from helpers import (cart_fit, cart_predict, loop_roc_curve, pairwise_auc,
+                     resorting_grow_tree)
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def blob_data(rng, n_per_class=30, dim=4, gap=4.0):
@@ -102,12 +112,85 @@ def test_forest_rejects_zero_trees():
         train_forest(X, y, n_trees=0)
 
 
+def grow(X, y, seed, features_per_split, bootstrap):
+    return _grow_tree(X, *_presort(X), y, np.random.default_rng(seed),
+                      features_per_split, bootstrap)
+
+
+def assert_same_tree(tree, expected):
+    for got, want in zip(tree, expected, strict=True):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+# ties, signed zeros, a denormal, adjacent floats and a pair whose sum overflows
+GRID = st.sampled_from([-1.0, -0.0, 0.0, 5e-324, 0.5, 1.0, 1.0 + 2**-52, 1.0 + 2**-51,
+                        1e308, 1.7e308])
+
+
+@settings(max_examples=300, deadline=None)
+@given(cells=st.lists(st.lists(GRID, min_size=3, max_size=3), min_size=2, max_size=12),
+       labels=st.lists(st.integers(0, 1), min_size=12, max_size=12),
+       repeats=st.integers(0, 4), width=st.integers(1, 3),
+       seed=st.integers(0, 2**32 - 1), bootstrap=st.booleans())
+def test_presorted_trees_match_resorting_oracle(cells, labels, repeats, width, seed,
+                                                bootstrap):
+    X = np.array(cells + cells[:repeats])  # duplicate rows
+    y = np.array(labels[:len(cells)] + labels[:repeats])
+    assert_same_tree(grow(X, y, seed, width, bootstrap),
+                     resorting_grow_tree(X, y, np.random.default_rng(seed), width, bootstrap))
+
+
+def test_detect_benchmark_trees_match_resorting_oracle():
+    # the benchmark's detector saturates (F1 = AUC = 1), so its ROC cannot see a
+    # changed tree: compare every tree of c07's forest instead
+    graph, labels = synthgen.generate(synthgen.SynthConfig())
+    H = pipeline.run(graph, pipeline.PipelineConfig(seed=42)).embeddings
+    train_ids, _ = split(labels, seed=42)
+    X, y = H[train_ids], np.array([labels[i] for i in train_ids])
+    forest = train_forest(X, y, seed=42)
+    features = math.ceil(math.sqrt(X.shape[1]))
+    for tree, s in zip(forest.trees, np.random.SeedSequence(42).spawn(100), strict=True):
+        assert_same_tree(tree, resorting_grow_tree(X, y, np.random.default_rng(s),
+                                                   features, True))
+
+
+FOREST_RUN = """
+import math, numpy as np
+from ditsgcr.evaluation import predict_scores, train_forest
+X = np.array({rows})
+try:
+    forest = train_forest(X, np.array([0, 0, 1, 1]), n_trees=10, seed=0)
+except ValueError as exc:
+    print(exc)
+else:
+    print(predict_scores(forest, X).tolist())
+"""
+
+
+@pytest.mark.parametrize("rows, expected", [
+    ("[[0.0], [1.0], [math.nan], [math.nan]]", "features must be finite"),
+    ("[[0.0], [1.0], [math.inf], [math.inf]]", "features must be finite"),
+    # the midpoint of adjacent floats rounds up, and that of these two overflows
+    ("[[1 + 2**-52]] * 2 + [[np.nextafter(1 + 2**-52, 2)]] * 2", "[0.0, 0.0, 1.0, 1.0]"),
+    ("[[1e308], [1e308], [1.7e308], [1.7e308]]", "[0.0, 0.0, 1.0, 1.0]"),
+], ids=["nan", "inf", "adjacent", "overflow"])
+def test_forest_terminates_when_a_midpoint_splits_nothing(rows, expected):
+    # in a subprocess, so that a split sending every member to one child fails
+    # by timeout instead of hanging the suite
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c",
+                           FOREST_RUN.format(rows=rows)],
+                          env={**os.environ, "PYTHONPATH": str(SRC)},
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == expected
+
+
 def test_forest_is_exact_on_training_data_without_bagging():
     rng = np.random.default_rng(6)
     X = rng.normal(size=(40, 3))
     y = (X[:, 0] + 0.5 * X[:, 1] > 0).astype(int)
     # every feature at every split and no bootstrap: the rng cannot matter
-    trees = [_grow_tree(X, y, np.random.default_rng(seed), 3, False) for seed in range(5)]
+    trees = [grow(X, y, seed, 3, False) for seed in range(5)]
     forest = Forest(trees=trees, n_features=3)
     scores = predict_scores(forest, X)
     assert np.array_equal((scores >= 0.5).astype(int), y)
@@ -123,7 +206,7 @@ def test_single_tree_matches_exhaustive_cart():
         y = rng.integers(0, 2, size=n)
         if y.min() == y.max():
             y[0] = 1 - y[0]
-        grown = _grow_tree(X, y, np.random.default_rng(trial), dim, False)
+        grown = grow(X, y, trial, dim, False)
         forest = Forest(trees=[grown], n_features=dim)
         tree = cart_fit(X, y)
         probe = np.round(rng.normal(size=(30, dim)), 1)
