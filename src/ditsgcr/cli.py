@@ -50,6 +50,15 @@ def _digest(path):
     return {"path": str(path), "sha256": h.hexdigest()}
 
 
+def _reject_shared_outputs(outputs):
+    """Raise ValueError if two output flags, {flag: path or None}, name one file."""
+    seen = {}
+    for flag, path in outputs.items():
+        first = seen.setdefault(os.path.realpath(path), flag) if path else flag
+        if first != flag:
+            raise ValueError(f"{first} and {flag} are the same file: {path}")
+
+
 def _write_manifest(args, output_path, inputs, stage_seconds, stop_reason=None,
                     write_workers=None):
     config = {k: (sorted(v) if isinstance(v, list) else v)
@@ -167,6 +176,7 @@ def _cmd_embed(args):
 def _cmd_evaluate(args):
     from . import evaluation, graph_model, pipeline
 
+    _reject_shared_outputs({"--output": args.output, "--emit-roc": args.emit_roc})
     inputs = {"edges": _digest(args.input), "labels": _digest(args.labels)}
     seconds = {}
     graph = pipeline.timed(seconds, "ingest", graph_model.ingest_csv, args.input)
@@ -189,16 +199,13 @@ def _cmd_evaluate(args):
             f"f1={metrics.f1:.6f} wf1={metrics.weighted_f1:.6f} auc={metrics.auc:.6f}")
     print(line)
 
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(line + "\n")
-    if args.emit_roc:
-        with open(args.emit_roc, "w", encoding="utf-8") as fh:
-            fh.write("fpr,tpr,threshold\n")
-            for (fpr, tpr), thr in zip(metrics.roc_points, metrics.roc_thresholds):
-                fh.write("%.9g,%.9g,%.9g\n" % (fpr, tpr, thr))
-    for path in (args.output, args.emit_roc):
+    roc = "fpr,tpr,threshold\n" + "".join(
+        "%.9g,%.9g,%.9g\n" % (fpr, tpr, thr)
+        for (fpr, tpr), thr in zip(metrics.roc_points, metrics.roc_thresholds))
+    for path, text in ((args.output, line + "\n"), (args.emit_roc, roc)):
         if path:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
             _write_manifest(args, path, inputs, {**result.stage_seconds, **seconds},
                             result.stop_reason)
     return 0
@@ -207,6 +214,7 @@ def _cmd_evaluate(args):
 def _cmd_synth(args):
     from . import graph_model, synthgen
 
+    _reject_shared_outputs({"--out-edges": args.out_edges, "--out-labels": args.out_labels})
     config = synthgen.SynthConfig(
         n_normal=args.normal, n_phisher=args.phishers, normal_rate=args.rate,
         time_span=args.time_span, burst_window=args.burst_window,
@@ -283,5 +291,15 @@ def main(argv=None):
         return 1
 
 
+def entry():
+    """main(), then exit without the interpreter's teardown (about 0.1 s).
+    Every output file is closed when main() returns. Tests call main()."""
+    code = main()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    logging.shutdown()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

@@ -93,10 +93,13 @@ def build_graph(edges) -> TemporalGraph:
         ends.append(key_to_id.setdefault(src_key, len(key_to_id)))
         ends.append(key_to_id.setdefault(dst_key, len(key_to_id)))
         times.append(t)
-    n = len(key_to_id)
     src, dst = np.array(ends, dtype=np.int64).reshape(-1, 2).T
-    t = np.array(times, dtype=np.int64)
+    return graph_from_ids(src, dst, np.array(times, dtype=np.int64), key_to_id)
 
+
+def graph_from_ids(src, dst, t, key_to_id) -> TemporalGraph:
+    """TemporalGraph of int64 edge arrays; key_to_id maps keys to ids, in id order."""
+    n = len(key_to_id)
     # one half-edge per endpoint: the source's out side, then the target's in side
     owner = np.concatenate([src, dst])
     t2 = np.concatenate([t, t])

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph_model import build_graph
+from .graph_model import graph_from_ids
 
 
 @dataclass
@@ -35,8 +35,8 @@ class SynthConfig:
             raise ValueError("normal_rate must be non-negative")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
-        if self.time_span < 1:
-            raise ValueError("time_span must be positive")
+        if not 1 <= self.time_span <= 2**63:  # timestamps below it fit in int64
+            raise ValueError(f"time_span must be in 1..2**63, got {self.time_span}")
         if self.n_phisher > 0:
             if self.burst_window < 1:
                 raise ValueError("burst_window must be positive")
@@ -48,70 +48,48 @@ class SynthConfig:
                 raise ValueError("burst_fanin needs that many distinct normal accounts")
 
 
-def _normal_key(i: int) -> str:
-    return f"n{i}"
-
-
-def _phisher_key(i: int) -> str:
-    return f"p{i}"
-
-
-_SINK_KEY = "sink"
-
-
 def generate_events(config: SynthConfig):
-    """Raw edge rows and labels-by-key for a config.
-
-    Returns (events, labels_by_key): events is a list of
-    (src_key, dst_key, t) and is the generator's own accounting of every
-    edge it planned, labels_by_key maps account key to 0/1 for every
-    account that can appear (the graph built from events may omit
-    accounts that never transacted).
-    """
+    """(src, dst, t, keys, labels): every planned edge as int64 arrays over
+    account codes, normal i -> i, phisher j -> n_normal + j and their sink
+    -> n_normal + n_phisher, with keys[c] and labels[c] (1 = phisher)."""
     config.validate()
     rng = np.random.default_rng(config.seed)
-    events = []
+    n, n_phisher, window = config.n_normal, config.n_phisher, config.burst_window
 
-    counts = rng.poisson(config.normal_rate, size=config.n_normal)
-    for u in range(config.n_normal):
-        m = int(counts[u])
-        if m == 0 or config.n_normal < 2:
-            continue
-        partners = rng.integers(0, config.n_normal - 1, size=m)
-        partners = partners + (partners >= u)  # uniform over the others
-        times = rng.integers(0, config.time_span, size=m)
-        src = _normal_key(u)
-        for p, t in zip(partners, times):
-            events.append((src, _normal_key(int(p)), int(t)))
+    counts = rng.poisson(config.normal_rate, size=n) * (n >= 2)  # a lone account has no partner
+    none = np.empty(0, dtype=np.int64)
+    src, dst, t = [np.repeat(np.arange(n), counts)], [none], [none]  # never empty lists
+    active = np.flatnonzero(counts)
+    for u, m in zip(active.tolist(), counts[active].tolist()):
+        partners = rng.integers(0, n - 1, size=m)
+        dst.append(partners + (partners >= u))  # uniform over the others
+        t.append(rng.integers(0, config.time_span, size=m))
 
-    for j in range(config.n_phisher):
-        phisher = _phisher_key(j)
-        start_cap = config.time_span - 2 * config.burst_window
-        t0 = int(rng.integers(0, max(start_cap, 1)))
-        victims = rng.choice(config.n_normal, size=config.burst_fanin, replace=False)
-        in_times = t0 + rng.integers(0, config.burst_window, size=config.burst_fanin)
-        for v, t in zip(victims, in_times):
-            events.append((_normal_key(int(v)), phisher, int(t)))
+    sink = n + n_phisher
+    start_cap = max(config.time_span - 2 * window, 1)
+    for phisher in range(n, sink):
+        t0 = int(rng.integers(0, start_cap))
+        victims = rng.choice(n, size=config.burst_fanin, replace=False)
+        t.append(t0 + rng.integers(0, window, size=config.burst_fanin))  # the inbound burst
         n_out = int(rng.integers(1, 4))
-        out_times = t0 + config.burst_window + rng.integers(0, config.burst_window, size=n_out)
-        for t in out_times:
-            events.append((phisher, _SINK_KEY, int(t)))
+        t.append(t0 + window + rng.integers(0, window, size=n_out))  # the cash-out
+        src += [victims, np.full(n_out, phisher)]
+        dst += [np.full(config.burst_fanin, phisher), np.full(n_out, sink)]
 
-    labels_by_key = {_normal_key(i): 0 for i in range(config.n_normal)}
-    labels_by_key.update({_phisher_key(j): 1 for j in range(config.n_phisher)})
-    if config.n_phisher > 0:
-        labels_by_key[_SINK_KEY] = 0
-    return events, labels_by_key
+    keys = [f"n{i}" for i in range(n)] + [f"p{j}" for j in range(n_phisher)]
+    keys += ["sink"] * (n_phisher > 0)
+    labels = [0] * n + [1] * n_phisher + [0] * (n_phisher > 0)
+    return (*map(np.concatenate, (src, dst, t)), keys, labels)
 
 
 def generate(config: SynthConfig):
-    """Build the (TemporalGraph, {node id: label}) pair for a config.
-
-    Labels cover exactly the nodes present in the graph; accounts that
-    never transacted are dropped from both.
-    """
-    events, labels_by_key = generate_events(config)
-    graph = build_graph(events)
-    labels = {graph.key_to_id[k]: lab for k, lab in labels_by_key.items()
-              if k in graph.key_to_id}
-    return graph, labels
+    """Build the (TemporalGraph, {node id: label}) pair for a config. Ids
+    follow first appearance in the edge arrays, source before target, as in
+    build_graph; accounts that never transacted are dropped from both."""
+    src, dst, t, keys, labels = generate_events(config)
+    ends = np.column_stack([src, dst]).ravel()
+    seen = ends[np.sort(np.unique(ends, return_index=True)[1])].tolist()  # codes, first seen
+    ids = np.empty(len(keys), dtype=np.int64)
+    ids[seen] = np.arange(len(seen))
+    graph = graph_from_ids(ids[src], ids[dst], t, {keys[c]: i for i, c in enumerate(seen)})
+    return graph, {i: labels[c] for i, c in enumerate(seen)}

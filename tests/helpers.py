@@ -516,3 +516,67 @@ def loop_soft_kmeans(H_norm, centroids, beta, iters):
             row = H_norm[int(np.argmax(d2))]
             centroids[c] = row / (np.linalg.norm(row) + EPS)
     return R, centroids
+
+
+def _normal_key(i: int) -> str:
+    return f"n{i}"
+
+
+def _phisher_key(i: int) -> str:
+    return f"p{i}"
+
+
+_SINK_KEY = "sink"
+
+
+def tuple_generate_events(config):
+    """Raw edge rows and labels-by-key for a config.
+
+    The synth generator as one (src_key, dst_key, t) tuple per event,
+    drawing from the generator in the same order as synthgen: an oracle
+    for its arrays. Returns (events, labels_by_key); labels_by_key maps
+    account key to 0/1 for every account that can appear.
+    """
+    config.validate()
+    rng = np.random.default_rng(config.seed)
+    events = []
+
+    counts = rng.poisson(config.normal_rate, size=config.n_normal)
+    for u in range(config.n_normal):
+        m = int(counts[u])
+        if m == 0 or config.n_normal < 2:
+            continue
+        partners = rng.integers(0, config.n_normal - 1, size=m)
+        partners = partners + (partners >= u)  # uniform over the others
+        times = rng.integers(0, config.time_span, size=m)
+        src = _normal_key(u)
+        for p, t in zip(partners, times):
+            events.append((src, _normal_key(int(p)), int(t)))
+
+    for j in range(config.n_phisher):
+        phisher = _phisher_key(j)
+        start_cap = config.time_span - 2 * config.burst_window
+        t0 = int(rng.integers(0, max(start_cap, 1)))
+        victims = rng.choice(config.n_normal, size=config.burst_fanin, replace=False)
+        in_times = t0 + rng.integers(0, config.burst_window, size=config.burst_fanin)
+        for v, t in zip(victims, in_times):
+            events.append((_normal_key(int(v)), phisher, int(t)))
+        n_out = int(rng.integers(1, 4))
+        out_times = t0 + config.burst_window + rng.integers(0, config.burst_window, size=n_out)
+        for t in out_times:
+            events.append((phisher, _SINK_KEY, int(t)))
+
+    labels_by_key = {_normal_key(i): 0 for i in range(config.n_normal)}
+    labels_by_key.update({_phisher_key(j): 1 for j in range(config.n_phisher)})
+    if config.n_phisher > 0:
+        labels_by_key[_SINK_KEY] = 0
+    return events, labels_by_key
+
+
+def tuple_generate(config):
+    """(TemporalGraph, {node id: label}) through build_graph on the tuples."""
+    events, labels_by_key = tuple_generate_events(config)
+    graph = build_graph(events)
+    labels = {graph.key_to_id[k]: lab for k, lab in labels_by_key.items()
+              if k in graph.key_to_id}
+    return graph, labels

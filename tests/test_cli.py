@@ -659,3 +659,72 @@ def test_benchmark_tracer_sees_every_span(tmp_path):
         assert proc.returncode == 0, proc.stderr
         seen |= {span[0] for span in json.loads(spans_json.read_text())["spans"]}
     assert set(span_seconds) - {"process.exit"} - seen == set()
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("synth", ["--out-edges", "x.csv", "--out-labels", "x.csv"]),
+    ("synth", ["--out-edges", "x.csv", "--out-labels", "sub/../x.csv"]),
+    ("evaluate", ["--output", "x.csv", "--emit-roc", "x.csv"]),
+])
+def test_outputs_on_one_path_fail(tmp_path, capsys, monkeypatch, command, flags):
+    # each output used to overwrite the other, with exit code 0
+    edges, labels = make_dataset(tmp_path)
+    (tmp_path / "sub").mkdir()
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    inputs = ["--input", str(edges), "--labels", str(labels)] if command == "evaluate" else []
+    assert cli.main([command, *inputs, *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --") and "are the same file" in err
+    assert len(err.strip().splitlines()) == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        [edges.name, labels.name, f"{edges.name}.manifest.json", "sub"])  # nothing written
+
+
+def test_time_span_beyond_int64_fails(tmp_path, capsys):
+    args = command_args(tmp_path, "synth", None, None)
+    assert cli.main(["synth", *args, "--time-span", str(2**63 + 1)]) == 1
+    assert capsys.readouterr().err == f"error: time_span must be in 1..2**63, got {2**63 + 1}\n"
+    assert cli.main(["synth", *args, "--time-span", str(2**63)]) == 0  # the bound itself
+
+
+def processes_naming(text):
+    """/proc entries of the live processes whose command line contains text."""
+    found = []
+    for cmdline in Path("/proc").glob("[0-9]*/cmdline"):
+        try:
+            if text.encode() in cmdline.read_bytes():
+                found.append(cmdline.parent.name)
+        except OSError:  # the process ended while it was listed
+            pass
+    return found
+
+
+def test_entry_point_exits_without_teardown(tmp_path, capsys):
+    # more nodes than one block, so that the CSV is formatted by forked writers
+    edges, _ = make_dataset(tmp_path, normals=600, phishers=10)
+    capsys.readouterr()
+    ref = tmp_path / "ref.csv"
+    assert cli.main(["embed", "--input", str(edges), "--output", str(ref),
+                     "--clusters", "3"]) == 0
+    ref_out = capsys.readouterr().out
+    out = tmp_path / "emb.csv"
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    runs = {"embed": (["--input", str(edges), "--output", str(out), "--clusters", "3"], 0),
+            "bad": (["--input", str(tmp_path / "absent.csv"), "--output", str(out)], 1)}
+    for name, (flags, code) in runs.items():
+        proc = subprocess.run([sys.executable, "-m", "ditsgcr.cli", "embed", *flags],
+                              env=env, capture_output=True, text=True, timeout=300)
+        # the pipes reached EOF, so no process that inherited them is left
+        assert proc.returncode == code, proc.stderr
+        assert processes_naming(str(out)) == []
+        if code == 0:
+            assert proc.stdout == ref_out.replace(str(ref), str(out)) and proc.stderr == ""
+            assert out.read_bytes() == ref.read_bytes()
+            manifest = json.loads(Path(f"{out}.manifest.json").read_text())
+            assert manifest["write_workers"] == min(len(os.sched_getaffinity(0)), 2)
+        else:
+            assert proc.stdout == "" and proc.stderr.startswith("error: [Errno 2]")
+            assert len(proc.stderr.splitlines()) == 1
+    pyproject = (SRC.parent / "pyproject.toml").read_text(encoding="utf-8")
+    assert 'ditsgcr = "ditsgcr.cli:entry"' in pyproject  # the console script's entry too
