@@ -15,6 +15,7 @@ import json
 import logging
 import os
 import resource
+import shutil
 import sys
 import time
 
@@ -50,12 +51,17 @@ def _digest(path):
     return {"path": str(path), "sha256": h.hexdigest()}
 
 
-def _reject_shared_outputs(outputs):
-    """Raise ValueError if two output flags, {flag: path or None}, name one file."""
+def _reject_shared_outputs(outputs, manifested, inputs=()):
+    """Raise ValueError if two files the command writes are one: the outputs,
+    {flag: path or None}, and "<path>.manifest.json" of the flags in
+    manifested. So is an input, (flag, path) pairs, that is such a manifest."""
+    named = {flag: path for flag, path in outputs.items() if path}
+    named.update({f"the manifest of {flag}": f"{named[flag]}.manifest.json"
+                  for flag in manifested if flag in named})
     seen = {}
-    for flag, path in outputs.items():
-        first = seen.setdefault(os.path.realpath(path), flag) if path else flag
-        if first != flag:
+    for flag, path in [*named.items(), *inputs]:
+        first = seen.setdefault(os.path.realpath(path), flag)
+        if first != flag and (flag in named or first.startswith("the manifest")):
             raise ValueError(f"{first} and {flag} are the same file: {path}")
 
 
@@ -120,18 +126,22 @@ WRITE_BLOCK_ROWS = 512  # embedding CSV rows formatted as one string
 _write_rows = None  # (keys, H, row template) while the embedding CSV is written
 
 
-def _format_block(start):
-    """Embedding CSV rows start .. start + WRITE_BLOCK_ROWS as one string."""
+def _write_blocks(path, starts, head=""):
+    """Write head, then the embedding CSV blocks of WRITE_BLOCK_ROWS rows
+    at starts, each formatted as one string, to path."""
     keys, H, row = _write_rows
-    stop = start + WRITE_BLOCK_ROWS
-    return "".join([row % (key, *values)
-                    for key, values in zip(keys[start:stop], H[start:stop].tolist())])
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(head)
+        for s in starts:
+            fh.write("".join([row % (key, *values) for key, values in zip(
+                keys[s:s + WRITE_BLOCK_ROWS], H[s:s + WRITE_BLOCK_ROWS].tolist())]))
 
 
 def _cmd_embed(args):
     global _write_rows
     from . import graph_model, pipeline
 
+    _reject_shared_outputs({"--output": args.output}, ["--output"], [("--input", args.input)])
     inputs = {"edges": _digest(args.input)}  # before --output can overwrite it
     seconds = {}
     graph = pipeline.timed(seconds, "ingest", graph_model.ingest_csv, args.input)
@@ -145,25 +155,36 @@ def _cmd_embed(args):
     row = "%s," + ",".join(["%.9g"] * H.shape[1]) + "\n"
     starts = range(0, H.shape[0], WRITE_BLOCK_ROWS)
     workers = min(len(os.sched_getaffinity(0)), len(starts))
+    # worker i writes the i-th of `workers` contiguous runs of blocks to a side
+    # file; the parent writes the first to part and appends the side files
+    runs = [starts[len(starts) * i // workers:len(starts) * (i + 1) // workers]
+            for i in range(workers)] or [starts]
     part = f"{args.output}.part"  # renamed onto --output once whole
+    sides = [f"{part}.{i}" for i in range(1, len(runs))]
+    head = "node_key," + ",".join(f"e{i}" for i in range(H.shape[1])) + "\n"
     _write_rows = keys, H, row
     try:
-        with open(part, "w", encoding="utf-8") as fh:
-            fh.write("node_key," + ",".join(f"e{i}" for i in range(H.shape[1])) + "\n")
-            if workers > 1:
-                import multiprocessing
-                # fork, so that the workers inherit _write_rows instead of a
-                # pickled H. They only format strings and never call BLAS, so
-                # forking after OpenBLAS has started its thread pool is safe.
-                with multiprocessing.get_context("fork").Pool(workers) as pool:
-                    fh.writelines(pool.imap(_format_block, starts))
-            else:
-                fh.writelines(map(_format_block, starts))
+        if sides:
+            import multiprocessing
+            # fork, so that the workers inherit _write_rows instead of a
+            # pickled H. They only format strings and never call BLAS, so
+            # forking after OpenBLAS has started its thread pool is safe.
+            with multiprocessing.get_context("fork").Pool(len(sides)) as pool:
+                done = pool.starmap_async(_write_blocks, zip(sides, runs[1:]))
+                _write_blocks(part, runs[0], head)
+                done.get()
+        else:
+            _write_blocks(part, runs[0], head)
+        with open(part, "ab") as fh:
+            for side in sides:
+                with open(side, "rb") as src:
+                    shutil.copyfileobj(src, fh, 1 << 20)
         os.replace(part, args.output)
     finally:
         _write_rows = None
-        if os.path.exists(part):
-            os.remove(part)
+        for path in (part, *sides):
+            if os.path.exists(path):
+                os.remove(path)
     seconds["write"] = time.perf_counter() - started
 
     _write_manifest(args, args.output, inputs, {**result.stage_seconds, **seconds},
@@ -176,7 +197,9 @@ def _cmd_embed(args):
 def _cmd_evaluate(args):
     from . import evaluation, graph_model, pipeline
 
-    _reject_shared_outputs({"--output": args.output, "--emit-roc": args.emit_roc})
+    _reject_shared_outputs({"--output": args.output, "--emit-roc": args.emit_roc},
+                           ["--output", "--emit-roc"],
+                           [("--input", args.input), ("--labels", args.labels)])
     inputs = {"edges": _digest(args.input), "labels": _digest(args.labels)}
     seconds = {}
     graph = pipeline.timed(seconds, "ingest", graph_model.ingest_csv, args.input)
@@ -214,7 +237,8 @@ def _cmd_evaluate(args):
 def _cmd_synth(args):
     from . import graph_model, synthgen
 
-    _reject_shared_outputs({"--out-edges": args.out_edges, "--out-labels": args.out_labels})
+    _reject_shared_outputs({"--out-edges": args.out_edges, "--out-labels": args.out_labels},
+                           ["--out-edges"])
     config = synthgen.SynthConfig(
         n_normal=args.normal, n_phisher=args.phishers, normal_rate=args.rate,
         time_span=args.time_span, burst_window=args.burst_window,

@@ -3,8 +3,14 @@
 Soft K-means under cosine similarity: responsibilities are a softmax over
 beta-scaled similarities, centroids are responsibility-weighted means
 renormalized to unit length. compute_subx turns distances to the final
-centroids into a low-dimensional row-stochastic embedding.
+centroids into a low-dimensional row-stochastic embedding. The n-row
+kernels here and in the lift run over a grid of blocks that depends on n
+only, shared by block_pool's threads, so no bit depends on the thread count.
 """
+
+import os
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -17,27 +23,66 @@ DEAD_CENTROID_TOTAL = 1e-8
 DEGENERATE_SPREAD = 1e-9
 
 BLOCK_ROWS = 512  # rows per block of norms and distances: no n x width temporaries
+POOL_MIN_ROWS = 8 * 512  # below this a pool gained no time and cost memory
+_helpers = []  # block_pool's executor, once per helper thread
+
+
+@contextmanager
+def block_pool(n_rows):
+    """Inside the body, map_blocks also runs on one thread per further CPU in
+    the affinity mask, from POOL_MIN_ROWS rows on; the threads end with it."""
+    threads = len(os.sched_getaffinity(0)) - 1 if n_rows >= POOL_MIN_ROWS else 0
+    with ThreadPoolExecutor(max(threads, 1)) as executor:
+        _helpers[:] = [executor] * threads
+        try:
+            yield
+        finally:
+            _helpers.clear()
+
+
+def map_blocks(fn, blocks):
+    """fn(start, stop) for every block, on this thread and block_pool's."""
+    todo = iter(list(blocks))  # next() on it is atomic under the GIL
+
+    def drain():
+        for block in todo:
+            fn(*block)
+    helpers = [executor.submit(drain) for executor in _helpers]
+    drain()
+    for helper in helpers:
+        helper.result()
+
+
+def row_blocks(n):
+    """(start, stop) of BLOCK_ROWS-row blocks; a last block under half that
+    joins the one before, as a gemm on fewer rows can give other bits."""
+    starts = list(range(0, n, BLOCK_ROWS))
+    if len(starts) > 1 and n - starts[-1] < BLOCK_ROWS // 2:
+        del starts[-1]
+    return list(zip(starts, starts[1:] + [n]))
+
+
+def _by_rows(out, fn):
+    """out[a:b] = fn(a, b) for each row block; returns out."""
+    def block(a, b):
+        out[a:b] = fn(a, b)
+    map_blocks(block, row_blocks(len(out)))
+    return out
 
 
 def normalize_rows(H: np.ndarray) -> np.ndarray:
     """Divide each row by (its L2 norm + 1e-10); zero rows stay zero."""
-    return H / (_row_norms(H) + EPS)[:, None]
+    norms = _row_norms(H) + EPS
+    return _by_rows(np.empty_like(H), lambda a, b: H[a:b] / norms[a:b, None])
 
 
 def _row_norms(H: np.ndarray) -> np.ndarray:
-    """np.linalg.norm(H, axis=1), one block of rows at a time."""
-    out = np.empty(H.shape[0])
-    for s in range(0, H.shape[0], BLOCK_ROWS):
-        out[s:s + BLOCK_ROWS] = np.linalg.norm(H[s:s + BLOCK_ROWS], axis=1)
-    return out
+    return _by_rows(np.empty(len(H)), lambda a, b: np.linalg.norm(H[a:b], axis=1))
 
 
 def _sq_dists(H: np.ndarray, h: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """out = min(out, ||H_i - h||^2) per row, one block of rows at a time."""
-    for s in range(0, H.shape[0], BLOCK_ROWS):
-        blk = out[s:s + BLOCK_ROWS]
-        np.minimum(blk, ((H[s:s + BLOCK_ROWS] - h) ** 2).sum(axis=1), out=blk)
-    return out
+    """out = min(out, ||H_i - h||^2) per row."""
+    return _by_rows(out, lambda a, b: np.minimum(out[a:b], ((H[a:b] - h) ** 2).sum(axis=1)))
 
 
 def kmeanspp_init(H_norm: np.ndarray, k: int, seed: int) -> np.ndarray:
@@ -78,7 +123,8 @@ def cosine_similarities(H_norm: np.ndarray, centroids: np.ndarray) -> np.ndarray
 
 def _cosine(H_norm, hn, centroids):  # hn: the row norms of H_norm
     cn = np.linalg.norm(centroids, axis=1)
-    return (H_norm @ centroids.T) / ((hn[:, None] + EPS) * (cn[None, :] + EPS))
+    return _by_rows(np.empty((len(H_norm), len(centroids))), lambda a, b: (
+        (H_norm[a:b] @ centroids.T) / ((hn[a:b, None] + EPS) * (cn[None, :] + EPS))))
 
 
 def soft_assign(sims: np.ndarray, beta: float) -> np.ndarray:
@@ -124,7 +170,13 @@ def soft_kmeans(H_norm: np.ndarray, k: int, beta: float, iters: int, seed: int):
         sims = _cosine(H_norm, hn, centroids)
         R = soft_assign(sims, beta)
         totals = R.sum(axis=0)
-        centroids = (R.T @ H_norm) / (totals[:, None] + EPS)
+        # R.T @ H_norm; in two column halves from POOL_MIN_ROWS rows on (same bits
+        # there, but not on a few hundred rows)
+        sums = np.empty((k, H_norm.shape[1]))
+        half = H_norm.shape[1] // 2 if len(H_norm) >= POOL_MIN_ROWS else 0
+        map_blocks(lambda a, b: np.matmul(R.T, H_norm[:, a:b], out=sums[:, a:b]),
+                   [(0, half), (half, H_norm.shape[1])])
+        centroids = sums / (totals[:, None] + EPS)
         centroids = centroids / (np.linalg.norm(centroids, axis=1, keepdims=True) + EPS)
         if (totals < DEAD_CENTROID_TOTAL).any():
             centroids = _reseed_dead_centroids(H_norm, centroids, totals)

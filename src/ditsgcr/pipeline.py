@@ -9,6 +9,7 @@ embedding rows stops increasing; the result of the non-improving
 iteration is discarded.
 """
 
+import hashlib
 import logging
 import math
 import time
@@ -71,11 +72,12 @@ class PipelineResult:
 
 
 def count_unique_embeddings(H: np.ndarray) -> int:
-    """Distinct rows of H after rounding every entry to 6 decimals."""
+    """Distinct rows of H after rounding every entry to 6 decimals, counted
+    by the sha256 of each rounded row instead of a copy of the row."""
     seen = set()
-    for s in range(0, H.shape[0], clustering.BLOCK_ROWS):
-        rounded = np.round(H[s:s + clustering.BLOCK_ROWS], 6) + 0.0  # +0.0 folds -0.0
-        seen.update(row.tobytes() for row in rounded)
+    for a, b in clustering.row_blocks(len(H)):
+        rounded = np.round(H[a:b], 6) + 0.0  # +0.0 folds -0.0
+        seen.update(hashlib.sha256(row).digest() for row in rounded)
     return len(seen)
 
 
@@ -123,38 +125,39 @@ def run(graph, config: PipelineConfig = PipelineConfig()) -> PipelineResult:
     smooth = "no_laplacian" not in config.ablation
     pairs = None
 
-    Z = np.full((n, k), 1.0 / k)
-    H = lift(Z)
-    count = count_unique_embeddings(H)
-    unique_counts = [count]
-    iterations_run = 0
-    stop_reason = "max_iters"
+    with clustering.block_pool(n):  # its threads end before embed's writer forks
+        Z = np.full((n, k), 1.0 / k)
+        H = lift(Z)
+        count = count_unique_embeddings(H)
+        unique_counts = [count]
+        iterations_run = 0
+        stop_reason = "max_iters"
 
-    for i in range(1, config.max_iters + 1):
-        iterations_run = i
-        H_norm = clustering.normalize_rows(H)
-        R, centroids = timed(seconds, "soft_kmeans", clustering.soft_kmeans,
-                             H_norm, k, config.beta, config.kmeans_iters, config.seed + i)
-        subx = timed(seconds, "subx", clustering.compute_subx, H_norm, centroids)
-        del H_norm  # free an n x width matrix before lift(Z) builds H_new
-        if smooth:
-            if pairs is None:
-                pairs = adjacency_weights(graph)
-            Z = timed(seconds, "laplacian_solve", laplacian.solve,
-                      subx, pairs, R, lam=config.lam, mu=config.mu)
-        else:
-            Z = subx
-        H_new = lift(Z)
-        count_new = count_unique_embeddings(H_new)
-        unique_counts.append(count_new)
-        logger.info("iteration %d: %d unique rows (previous %d), stage seconds %s",
-                    i, count_new, count,
-                    {s: round(t, 3) for s, t in seconds.items()})
-        if count >= count_new:
-            stop_reason = "no_gain"  # the non-improving result is not adopted
-            break
-        H = H_new
-        count = count_new
+        for i in range(1, config.max_iters + 1):
+            iterations_run = i
+            H_norm = clustering.normalize_rows(H)
+            R, centroids = timed(seconds, "soft_kmeans", clustering.soft_kmeans,
+                                 H_norm, k, config.beta, config.kmeans_iters, config.seed + i)
+            subx = timed(seconds, "subx", clustering.compute_subx, H_norm, centroids)
+            del H_norm  # free an n x width matrix before lift(Z) builds H_new
+            if smooth:
+                if pairs is None:
+                    pairs = adjacency_weights(graph)
+                Z = timed(seconds, "laplacian_solve", laplacian.solve,
+                          subx, pairs, R, lam=config.lam, mu=config.mu)
+            else:
+                Z = subx
+            H_new = lift(Z)
+            count_new = count_unique_embeddings(H_new)
+            unique_counts.append(count_new)
+            logger.info("iteration %d: %d unique rows (previous %d), stage seconds %s",
+                        i, count_new, count,
+                        {s: round(t, 3) for s, t in seconds.items()})
+            if count >= count_new:
+                stop_reason = "no_gain"  # the non-improving result is not adopted
+                break
+            H = H_new
+            count = count_new
 
     logger.info("stopped after %d iterations: %s", iterations_run, stop_reason)
     return PipelineResult(H, iterations_run, unique_counts, stop_reason, seconds)

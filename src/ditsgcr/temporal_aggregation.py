@@ -14,7 +14,8 @@ in place through slice views, without index arrays. The outer products of
 each w with the state accumulate into a 2K x 2K structure matrix Z_v,
 computed as per-node segment sums one 2K-column block at a time, per
 block of whole nodes so the products stay small; each node still sums its
-entries in entry order. The output row is [flatten(Z_v), s_v], width 4K^2 + 2K.
+entries in entry order, so the blocks may run on clustering.map_blocks'
+threads in any order. The output row is [flatten(Z_v), s_v], width 4K^2 + 2K.
 """
 
 import math
@@ -22,8 +23,12 @@ import math
 import numpy as np
 import scipy.sparse as sp
 
+from .clustering import map_blocks
+
 EPS = 1e-10
-BLOCK_ENTRIES = 2048  # timeline entries per block of whole nodes in the structure sums
+# timeline entries per block of whole nodes in the structure sums; a block's 2K + 1
+# sparse products hold the GIL in Python, so smaller blocks starve the pool's threads
+BLOCK_ENTRIES = 16384
 
 
 def output_width(k: int) -> int:
@@ -101,15 +106,19 @@ def aggregate(graph, Z: np.ndarray, alpha: float) -> np.ndarray:
             z /= math.sqrt(np.einsum("ij,ij->i", z, z)[0]) + EPS  # as _row_normalize
 
     H = np.empty((n, output_width(k)))
-    v0 = 0
-    while v0 < n:  # nodes v0..v1-1: at most BLOCK_ENTRIES entries, or one node
-        e0 = entry_ptr[v0]
-        v1 = max(v0 + 1, np.searchsorted(entry_ptr, e0 + BLOCK_ENTRIES, "right") - 1)
-        e1 = entry_ptr[v1]
+
+    def structure_sums(v0, v1):  # nodes v0..v1-1, segment sums per node in entry order
+        e0, e1 = entry_ptr[v0], entry_ptr[v1]
         seg = _csr_ones(entry_ptr[v0:v1 + 1] - e0, np.arange(e1 - e0), e1 - e0)  # node x entry
         Wb, zb = W[e0:e1], zrows[e0:e1]
         for a in range(two_k):
             H[v0:v1, a * two_k:(a + 1) * two_k] = seg @ (Wb[:, a:a + 1] * zb)
         H[v0:v1, two_k * two_k:] = seg @ Wb
-        v0 = v1
+
+    cuts = [0]  # blocks of at most BLOCK_ENTRIES entries, or one node
+    while cuts[-1] < n:
+        v0 = cuts[-1]
+        cuts.append(max(v0 + 1, np.searchsorted(entry_ptr, entry_ptr[v0] + BLOCK_ENTRIES,
+                                                "right") - 1))
+    map_blocks(structure_sums, zip(cuts, cuts[1:]))
     return H

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ditsgcr import cli, evaluation, laplacian, pipeline, synthgen
+from ditsgcr import cli, clustering, evaluation, laplacian, pipeline, synthgen
 
 SRC = Path(cli.__file__).resolve().parents[1]
 
@@ -116,9 +116,20 @@ def test_embed_byte_identical_across_processes(tmp_path):
     assert workers == [1, 1, min(len(os.sched_getaffinity(0)), 2)]
 
 
+def synth_above_pool_gate(tmp_path):
+    """A 4101-node graph, above clustering.POOL_MIN_ROWS, whose sink holds 5993
+    of its 34844 timeline entries: a single-node tail and three structure-sum
+    blocks in each lift."""
+    edges, labels = tmp_path / "big_edges.csv", tmp_path / "big_labels.csv"
+    assert cli.main(["synth", "--normal", "1100", "--phishers", "3000", "--burst-fanin", "2",
+                     "--seed", "42", "--out-edges", str(edges), "--out-labels", str(labels)]) == 0
+    return edges
+
+
 def test_embed_bytes_do_not_depend_on_blas_threads(tmp_path):
     # 2001 nodes: enough for soft k-means' gemms and CG's dot products to
-    # change bits with the BLAS thread count, were it not fixed at one
+    # change bits with the BLAS thread count, were it not fixed at one. Above
+    # the pool's gate the kernels also run on one thread per CPU in the mask
     edges, labels = tmp_path / "edges.csv", tmp_path / "labels.csv"
     assert cli.main(["synth", "--normal", "1900", "--phishers", "100", "--seed", "42",
                      "--out-edges", str(edges), "--out-labels", str(labels)]) == 0
@@ -126,15 +137,18 @@ def test_embed_bytes_do_not_depend_on_blas_threads(tmp_path):
             if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                          "NUMEXPR_NUM_THREADS")}
     base["PYTHONPATH"] = str(SRC)
-    outs = []
-    for name, pin, env in (("cpu1", on_one_cpu(), base), ("all", None, base),
-                           ("blas2", None, {**base, "OPENBLAS_NUM_THREADS": "2"})):
-        out = tmp_path / f"{name}.csv"
-        subprocess.run([sys.executable, "-m", "ditsgcr.cli", "embed", "--input", str(edges),
-                        "--output", str(out)], env=env, check=True, capture_output=True,
-                       preexec_fn=pin)
-        outs.append(out.read_bytes())
-    assert outs[0] == outs[1] == outs[2]
+    for graph, nodes in ((edges, 2001), (synth_above_pool_gate(tmp_path), 4101)):
+        outs = []
+        for name, pin, env in (("cpu1", on_one_cpu(), base), ("all", None, base),
+                               ("blas2", None, {**base, "OPENBLAS_NUM_THREADS": "2"})):
+            out = tmp_path / f"{graph.stem}_{name}.csv"
+            subprocess.run([sys.executable, "-m", "ditsgcr.cli", "embed", "--input",
+                            str(graph), "--output", str(out)], env=env, check=True,
+                           capture_output=True, preexec_fn=pin)
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1] == outs[2]
+        assert len(read_rows(out)) - 1 == nodes
+    assert nodes >= clustering.POOL_MIN_ROWS
 
 
 def fake_pipeline(H):
@@ -661,13 +675,42 @@ def test_benchmark_tracer_sees_every_span(tmp_path):
     assert set(span_seconds) - {"process.exit"} - seen == set()
 
 
+def test_benchmark_tracer_spans_nest_above_the_pool_gate(tmp_path):
+    # perfbench/trace_child.py keeps one span stack for the process, so a
+    # traced function called from a pool thread would interleave its spans
+    edges = synth_above_pool_gate(tmp_path)
+    spans_json = tmp_path / "spans.json"
+    proc = subprocess.run(
+        [sys.executable, str(SRC.parent / "perfbench" / "trace_child.py"), str(spans_json),
+         "0", "embed", "--input", str(edges), "--output", str(tmp_path / "emb.csv")],
+        env={**os.environ, "PYTHONPATH": str(SRC)}, cwd=tmp_path, capture_output=True,
+        text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    spans = json.loads(spans_json.read_text())["spans"]
+    assert sum(span[0] == "laplacian.cg_solve" for span in spans) >= 10
+    children = {}
+    for index, (name, start, end, parent) in enumerate(spans):
+        assert start <= end, name
+        if parent is not None:
+            assert spans[parent][1] <= start and end <= spans[parent][2], (name, spans[parent])
+        children.setdefault(parent, []).append(index)
+    for siblings in children.values():
+        ordered = sorted(siblings, key=lambda i: spans[i][1])
+        for a, b in zip(ordered, ordered[1:]):
+            assert spans[a][2] <= spans[b][1], (spans[a], spans[b])
+
+
 @pytest.mark.parametrize("command, flags", [
     ("synth", ["--out-edges", "x.csv", "--out-labels", "x.csv"]),
     ("synth", ["--out-edges", "x.csv", "--out-labels", "sub/../x.csv"]),
     ("evaluate", ["--output", "x.csv", "--emit-roc", "x.csv"]),
+    ("synth", ["--out-edges", "x.csv", "--out-labels", "x.csv.manifest.json"]),
+    ("evaluate", ["--output", "x.csv", "--emit-roc", "x.csv.manifest.json"]),
+    ("evaluate", ["--output", "x.csv", "--emit-roc", "sub/../x.csv.manifest.json"]),
 ])
 def test_outputs_on_one_path_fail(tmp_path, capsys, monkeypatch, command, flags):
-    # each output used to overwrite the other, with exit code 0
+    # each output, or an output and another one's manifest, used to overwrite
+    # the other, with exit code 0
     edges, labels = make_dataset(tmp_path)
     (tmp_path / "sub").mkdir()
     monkeypatch.chdir(tmp_path)
@@ -679,6 +722,30 @@ def test_outputs_on_one_path_fail(tmp_path, capsys, monkeypatch, command, flags)
     assert len(err.strip().splitlines()) == 1
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
         [edges.name, labels.name, f"{edges.name}.manifest.json", "sub"])  # nothing written
+
+
+@pytest.mark.parametrize("command", ["embed", "evaluate"])
+def test_input_on_an_output_manifest_fails(tmp_path, capsys, command):
+    # the manifest used to overwrite the input it describes, with exit code 0
+    edges, labels = make_dataset(tmp_path)
+    source = tmp_path / "out.csv.manifest.json"
+    source.write_bytes(edges.read_bytes())
+    flag = "--input" if command == "embed" else "--labels"
+    if command == "evaluate":
+        source.write_bytes(labels.read_bytes())
+    args = command_args(tmp_path, command, edges, labels)
+    args[args.index(flag) + 1] = str(source)
+    if command == "evaluate":
+        args += ["--emit-roc", str(tmp_path / "roc.csv"), "--output", str(tmp_path / "out.csv")]
+    else:
+        args[args.index("--output") + 1] = str(tmp_path / "out.csv")
+    capsys.readouterr()
+    before = sorted(p.name for p in tmp_path.iterdir())
+    assert cli.main([command, *args]) == 1
+    assert capsys.readouterr().err == \
+        f"error: the manifest of --output and {flag} are the same file: {source}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+    assert source.read_bytes() == (edges if command == "embed" else labels).read_bytes()
 
 
 def test_time_span_beyond_int64_fails(tmp_path, capsys):

@@ -1,3 +1,6 @@
+import os
+import sys
+
 import numpy as np
 import pytest
 
@@ -262,3 +265,72 @@ def test_row_block_memory_budget():
         assert peak <= 0.25 * H.nbytes
         _, peak = extra_peak(count_unique_embeddings, H)
         assert peak <= 1.25 * H.nbytes
+
+
+@pytest.mark.parametrize("extra", [1, 65, 255, 257])
+def test_pooled_kernels_give_the_serial_bits(extra, monkeypatch):
+    # above the pool's size gate, with last 512-row blocks of 1, 65, 255 (each
+    # merged into the block before) and 257 rows; oracles take whole arrays
+    n = clustering.POOL_MIN_ROWS + extra
+    rng = np.random.default_rng(extra)
+    raw = rng.normal(size=(n, 420)) * 3.0
+    raw[[0, n // 2, n - 1]] = 0.0
+    want_norm = raw / (np.linalg.norm(raw, axis=1, keepdims=True) + 1e-10)
+    want_seeds = loop_kmeanspp_init(want_norm, 10, extra)
+    want_R, want_C = loop_soft_kmeans(want_norm, want_seeds.copy(), 10.0, 4)
+    want_sims = (want_norm @ want_C.T) / (
+        (np.linalg.norm(want_norm, axis=1)[:, None] + 1e-10)
+        * (np.linalg.norm(want_C, axis=1)[None, :] + 1e-10))
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, w=workers: set(range(w)))
+        with clustering.block_pool(n):
+            assert len(clustering._helpers) == workers - 1
+            H = normalize_rows(raw)
+            assert H.tobytes() == want_norm.tobytes()
+            assert kmeanspp_init(H, 10, extra).tobytes() == want_seeds.tobytes()
+            R, C = soft_kmeans(H, 10, 10.0, 4, extra)
+            assert R.tobytes() == want_R.tobytes()
+            assert C.tobytes() == want_C.tobytes()
+            assert cosine_similarities(H, C).tobytes() == want_sims.tobytes()
+        assert clustering._helpers == []
+
+
+def test_block_pool_size_gate_and_affinity(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    for n_rows, helpers in ((clustering.POOL_MIN_ROWS - 1, 0), (clustering.POOL_MIN_ROWS, 2)):
+        with clustering.block_pool(n_rows):
+            assert len(clustering._helpers) == helpers
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3})  # taskset -c 3
+    with clustering.block_pool(10 ** 6):
+        assert clustering._helpers == []
+    with pytest.raises(RuntimeError), clustering.block_pool(10 ** 6):
+        raise RuntimeError
+    assert clustering._helpers == []
+
+
+def test_row_blocks_merge_a_short_tail():
+    assert clustering.row_blocks(0) == []
+    assert clustering.row_blocks(300) == [(0, 300)]
+    assert clustering.row_blocks(700) == [(0, 700)]  # a 188-row tail joins
+    assert clustering.row_blocks(800) == [(0, 512), (512, 800)]
+    assert clustering.row_blocks(4097)[-1] == (3584, 4097)
+
+
+def test_map_blocks_runs_every_block_once_under_contention(monkeypatch):
+    # more threads than cores and a short switch interval: a block lost or
+    # run twice by the shared iterator would show in the sorted list
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
+    blocks = [(i, i + 1) for i in range(300)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with clustering.block_pool(clustering.POOL_MIN_ROWS):
+            assert len(clustering._helpers) == 3
+            for _ in range(20):
+                seen = []
+                clustering.map_blocks(lambda a, b: seen.append(a), blocks)
+                assert sorted(seen) == list(range(300))
+            with pytest.raises(ZeroDivisionError):  # a helper's error reaches the caller
+                clustering.map_blocks(lambda a, b: 1 / (a - 250), blocks)
+    finally:
+        sys.setswitchinterval(interval)

@@ -1,12 +1,13 @@
 import dataclasses
 import math
+import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ditsgcr import synthgen, temporal_aggregation
+from ditsgcr import clustering, synthgen, temporal_aggregation
 from ditsgcr.graph_model import TemporalGraph, build_graph
 from ditsgcr.temporal_aggregation import aggregate, output_width
 from helpers import (brute_force_embeddings, edgeless_graph, extra_peak, loop_aggregate,
@@ -338,11 +339,36 @@ def test_aggregate_node_blocks_match_loop_oracle_bit_for_bit(block, no_decay):
 
 def test_aggregate_memory_budget():
     # far more timeline entries than a block: the lift may hold W, the
-    # recurrent states (same size) and small blocks on top of its output
+    # recurrent states (same size) and small blocks on top of its output.
+    # hub-embed has 135k entries in 16384-entry blocks; this 25k-entry lift
+    # keeps more than that ratio with 2048-entry blocks
     g, _ = synthgen.generate(synthgen.SynthConfig())
     n_entries = len(g.entry_t)
-    assert n_entries > 8 * temporal_aggregation.BLOCK_ENTRIES
-    Z = np.random.default_rng(64).random((g.n_nodes, 10))
-    H, peak = extra_peak(aggregate, g, Z, 1.0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(temporal_aggregation, "BLOCK_ENTRIES", 2048)
+        assert n_entries > 8 * temporal_aggregation.BLOCK_ENTRIES
+        Z = np.random.default_rng(64).random((g.n_nodes, 10))
+        H, peak = extra_peak(aggregate, g, Z, 1.0)
     W_bytes = n_entries * 20 * 8
     assert peak <= H.nbytes + 2.5 * W_bytes
+
+
+@pytest.mark.parametrize("extra", [1, 65, 255, 257])
+def test_pooled_aggregate_gives_the_serial_bits(extra, monkeypatch):
+    # above the pool's size gate, with a hub's single-node tail and more
+    # structure-sum blocks than threads
+    rng = np.random.default_rng(extra)
+    t = np.cumsum(1 + rng.integers(0, 4, size=12000))
+    edges = [(f"o{rng.integers(3500)}", "hub", int(x)) for x in t]
+    edges += [(f"o{rng.integers(3500)}", f"o{rng.integers(3500)}", int(rng.integers(10**6)))
+              for _ in range(12000)]
+    g = build_graph(edges)
+    g = with_isolated(g, clustering.POOL_MIN_ROWS + extra - g.n_nodes)
+    assert len(g.entry_t) > 2 * temporal_aggregation.BLOCK_ENTRIES
+    Z = rng.normal(size=(g.n_nodes, 10))
+    want = loop_aggregate(g, Z, 2.0)
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, w=workers: set(range(w)))
+        with clustering.block_pool(g.n_nodes):
+            assert len(clustering._helpers) == workers - 1
+            assert aggregate(g, Z, 2.0).tobytes() == want.tobytes()

@@ -1,0 +1,166 @@
+#!/usr/bin/env python3
+"""Paired benchmark runs of two checkouts, one workload, one pinned graph seed.
+
+    python3 tools/paired_bench.py --base 7fc4465 --head HEAD --workload hub-embed \
+        --seed 0 --pairs 10 [--seconds 40] [--out-dir .]
+
+--base and --head are each a directory holding a checkout (a git worktree,
+say) or a git revision, which is exported with `git archive` into a
+temporary directory. Pair i runs `perfbench/run.py --trace 0` once from each
+side, base first when i is even, so that drift in the machine's speed falls
+on both sides alike. Each run.py run gives one sample per metric: its
+median over the processes it started.
+
+Printed per metric: the median and quartiles of each side, raw and
+gauge-scaled (see perfbench/README.md), the number of pairs in which head
+was better, and a two-sided sign-test p (ties dropped). peak_rss_mb also
+gets its counts per whole MB, since it can be bimodal. The record goes to
+BENCH_<head sha>.json in --out-dir, one entry per workload and seed, so the
+records of several workloads share one file.
+"""
+
+import argparse
+import json
+import math
+import os
+import statistics
+import subprocess
+import sys
+import tempfile
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# metric -> (where it is in run.py's output, better direction)
+METRICS = {
+    "wall_s": (("metrics", "wall_s", "value"), "lower"),
+    "raw_wall_s": (("record", "raw_wall_s", "median"), "lower"),
+    "edges_per_s": (("metrics", "edges_per_s", "value"), "higher"),
+    "raw_edges_per_s": (None, "higher"),  # input edges / raw_wall_s
+    "setup_s": (("metrics", "setup_s", "value"), "lower"),
+    "raw_setup_s": (("record", "raw_setup_s", "median"), "lower"),
+    "peak_rss_mb": (("metrics", "peak_rss_mb", "value"), "lower"),
+    "gauge_s": (("record", "gauge_s", "median"), "lower"),
+}
+
+
+def checkout(spec, tmp):
+    """(directory, sha or None) of a checkout directory or a git revision."""
+    if Path(spec).is_dir():
+        sha = subprocess.run(["git", "-C", spec, "rev-parse", "HEAD"], capture_output=True,
+                             text=True).stdout.strip() or None
+        return Path(spec).resolve(), sha
+    sha = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--verify", spec + "^{commit}"],
+                         capture_output=True, text=True, check=True).stdout.strip()
+    target = Path(tmp) / sha[:12]
+    target.mkdir()
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", sha],
+                             capture_output=True, check=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(target)], input=archive, check=True)
+    return target, sha
+
+
+def run_once(directory, workload, seed, seconds):
+    """One run.py run; returns its samples and its failed count."""
+    proc = subprocess.run([sys.executable, str(directory / "perfbench" / "run.py"),
+                           "--workload", workload, "--seed", str(seed),
+                           "--seconds", str(seconds), "--trace", "0"],
+                          capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or len(lines) < 2:
+        raise SystemExit(f"run.py failed in {directory}:\n{proc.stderr}")
+    found = {"record": json.loads(lines[-2]), "metrics": json.loads(lines[-1])["metrics"]}
+    sample = {}
+    for name, (path, _) in METRICS.items():
+        if path is not None:
+            value = found
+            for key in path:
+                value = value[key]
+            sample[name] = value
+    sample["raw_edges_per_s"] = found["record"]["properties"]["edges"] / sample["raw_wall_s"]
+    return sample, json.loads(lines[-1])["failed"]
+
+
+def sign_test(wins, losses):
+    """Two-sided sign-test p for wins against losses."""
+    n = wins + losses
+    if n == 0:
+        return 1.0
+    tail = sum(math.comb(n, i) for i in range(min(wins, losses) + 1)) / 2 ** n
+    return min(1.0, 2 * tail)
+
+
+def quartiles(values):
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4)
+    return q1, statistics.median(values), q3
+
+
+def summarize(base, head):
+    out = {}
+    for name, (_, better) in METRICS.items():
+        b = [s[name] for s in base]
+        h = [s[name] for s in head]
+        sign = 1 if better == "higher" else -1
+        wins = sum(sign * (y - x) > 0 for x, y in zip(b, h))
+        losses = sum(sign * (y - x) < 0 for x, y in zip(b, h))
+        (bq1, bmed, bq3), (hq1, hmed, hq3) = quartiles(b), quartiles(h)
+        out[name] = {"better": better, "base": {"q1": bq1, "median": bmed, "q3": bq3},
+                     "head": {"q1": hq1, "median": hmed, "q3": hq3},
+                     "change": hmed / bmed - 1 if bmed else None,
+                     "head_better_pairs": wins, "head_worse_pairs": losses,
+                     "sign_test_p": sign_test(wins, losses),
+                     "beyond_base_iqr": abs(hmed - bmed) > bq3 - bq1}
+    rss = "peak_rss_mb"
+    out[rss]["modes"] = {side: dict(sorted(Counter(round(s[rss]) for s in runs).items()))
+                         for side, runs in (("base", base), ("head", head))}
+    return out
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--base", required=True, help="checkout directory or git revision")
+    parser.add_argument("--head", required=True, help="checkout directory or git revision")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float, default=40.0)
+    parser.add_argument("--out-dir", default=".")
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory(prefix="paired_bench_") as tmp:
+        (base_dir, base_sha), (head_dir, head_sha) = (checkout(args.base, tmp),
+                                                      checkout(args.head, tmp))
+        runs = {"base": [], "head": []}
+        failed = {"base": 0, "head": 0}
+        for i in range(args.pairs):
+            for side in (("base", "head") if i % 2 == 0 else ("head", "base")):
+                sample, fails = run_once(base_dir if side == "base" else head_dir,
+                                         args.workload, args.seed, args.seconds)
+                runs[side].append(sample)
+                failed[side] += fails
+                print(f"pair {i + 1} {side}: raw {sample['raw_wall_s']:.3f} s, scaled "
+                      f"{sample['wall_s']:.3f} s, rss {sample['peak_rss_mb']:.1f} MB",
+                      file=sys.stderr, flush=True)
+    summary = summarize(runs["base"], runs["head"])
+    for name, s in summary.items():
+        print(f"{name:16s} base {s['base']['median']:10.4g} [{s['base']['q1']:.4g}, "
+              f"{s['base']['q3']:.4g}]  head {s['head']['median']:10.4g} "
+              f"[{s['head']['q1']:.4g}, {s['head']['q3']:.4g}]  head better in "
+              f"{s['head_better_pairs']}/{args.pairs}, p = {s['sign_test_p']:.3g}")
+    print("peak_rss_mb modes:", summary["peak_rss_mb"]["modes"])
+    entry = {"workload": args.workload, "seed": args.seed, "pairs": args.pairs,
+             "seconds": args.seconds, "base": {"spec": args.base, "sha": base_sha},
+             "head": {"spec": args.head, "sha": head_sha}, "nproc": os.cpu_count(),
+             "failed": failed, "runs": runs, "summary": summary}
+    path = Path(args.out_dir) / f"BENCH_{(head_sha or 'worktree')[:12]}.json"
+    record = json.loads(path.read_text()) if path.exists() else {}
+    record[f"{args.workload}/seed{args.seed}"] = entry
+    path.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {path}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
