@@ -40,6 +40,11 @@ def block_pool(n_rows):
             _helpers.clear()
 
 
+def pooled():
+    """Whether map_blocks runs on more than the calling thread."""
+    return bool(_helpers)
+
+
 def map_blocks(fn, blocks):
     """fn(start, stop) for every block, on this thread and block_pool's."""
     todo = iter(list(blocks))  # next() on it is atomic under the GIL
@@ -72,8 +77,10 @@ def _by_rows(out, fn):
 
 def normalize_rows(H: np.ndarray) -> np.ndarray:
     """Divide each row by (its L2 norm + 1e-10); zero rows stay zero."""
-    norms = _row_norms(H) + EPS
-    return _by_rows(np.empty_like(H), lambda a, b: H[a:b] / norms[a:b, None])
+    norms, out = _row_norms(H) + EPS, np.empty_like(H)
+    map_blocks(lambda a, b: np.divide(H[a:b], norms[a:b, None], out=out[a:b]),
+               row_blocks(len(H)))
+    return out
 
 
 def _row_norms(H: np.ndarray) -> np.ndarray:

@@ -147,6 +147,7 @@ def run(graph, config: PipelineConfig = PipelineConfig()) -> PipelineResult:
                           subx, pairs, R, lam=config.lam, mu=config.mu)
             else:
                 Z = subx
+            del R, subx  # n x k each, freed for the lift's temporaries
             H_new = lift(Z)
             count_new = count_unique_embeddings(H_new)
             unique_counts.append(count_new)

@@ -23,12 +23,13 @@ import math
 import numpy as np
 import scipy.sparse as sp
 
-from .clustering import map_blocks
+from . import clustering
 
 EPS = 1e-10
-# timeline entries per block of whole nodes in the structure sums; a block's 2K + 1
-# sparse products hold the GIL in Python, so smaller blocks starve the pool's threads
-BLOCK_ENTRIES = 16384
+# timeline entries per block of whole nodes in the structure sums; 8 times as
+# many on a pool, whose threads contend for the GIL that each block's 2K + 1
+# sparse products hold in Python (on one thread the small blocks ran faster)
+BLOCK_ENTRIES = 2048
 
 
 def output_width(k: int) -> int:
@@ -115,10 +116,10 @@ def aggregate(graph, Z: np.ndarray, alpha: float) -> np.ndarray:
             H[v0:v1, a * two_k:(a + 1) * two_k] = seg @ (Wb[:, a:a + 1] * zb)
         H[v0:v1, two_k * two_k:] = seg @ Wb
 
-    cuts = [0]  # blocks of at most BLOCK_ENTRIES entries, or one node
+    size = BLOCK_ENTRIES * (8 if clustering.pooled() else 1)
+    cuts = [0]  # blocks of at most `size` entries, or one node
     while cuts[-1] < n:
-        v0 = cuts[-1]
-        cuts.append(max(v0 + 1, np.searchsorted(entry_ptr, entry_ptr[v0] + BLOCK_ENTRIES,
-                                                "right") - 1))
-    map_blocks(structure_sums, zip(cuts, cuts[1:]))
+        end = np.searchsorted(entry_ptr, entry_ptr[cuts[-1]] + size, "right") - 1
+        cuts.append(max(cuts[-1] + 1, end))
+    clustering.map_blocks(structure_sums, zip(cuts, cuts[1:]))
     return H

@@ -339,16 +339,12 @@ def test_aggregate_node_blocks_match_loop_oracle_bit_for_bit(block, no_decay):
 
 def test_aggregate_memory_budget():
     # far more timeline entries than a block: the lift may hold W, the
-    # recurrent states (same size) and small blocks on top of its output.
-    # hub-embed has 135k entries in 16384-entry blocks; this 25k-entry lift
-    # keeps more than that ratio with 2048-entry blocks
+    # recurrent states (same size) and small blocks on top of its output
     g, _ = synthgen.generate(synthgen.SynthConfig())
     n_entries = len(g.entry_t)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(temporal_aggregation, "BLOCK_ENTRIES", 2048)
-        assert n_entries > 8 * temporal_aggregation.BLOCK_ENTRIES
-        Z = np.random.default_rng(64).random((g.n_nodes, 10))
-        H, peak = extra_peak(aggregate, g, Z, 1.0)
+    assert n_entries > 8 * temporal_aggregation.BLOCK_ENTRIES
+    Z = np.random.default_rng(64).random((g.n_nodes, 10))
+    H, peak = extra_peak(aggregate, g, Z, 1.0)
     W_bytes = n_entries * 20 * 8
     assert peak <= H.nbytes + 2.5 * W_bytes
 
@@ -364,7 +360,7 @@ def test_pooled_aggregate_gives_the_serial_bits(extra, monkeypatch):
               for _ in range(12000)]
     g = build_graph(edges)
     g = with_isolated(g, clustering.POOL_MIN_ROWS + extra - g.n_nodes)
-    assert len(g.entry_t) > 2 * temporal_aggregation.BLOCK_ENTRIES
+    assert len(g.entry_t) > 2 * 8 * temporal_aggregation.BLOCK_ENTRIES  # pooled blocks
     Z = rng.normal(size=(g.n_nodes, 10))
     want = loop_aggregate(g, Z, 2.0)
     for workers in (1, 2, 3):
