@@ -76,7 +76,7 @@ def count_unique_embeddings(H: np.ndarray) -> int:
     by the sha256 of each rounded row instead of a copy of the row."""
     seen = set()
     for a, b in clustering.row_blocks(len(H)):
-        rounded = np.round(H[a:b], 6) + 0.0  # +0.0 folds -0.0
+        rounded = np.ascontiguousarray(np.round(H[a:b], 6)) + 0.0  # +0.0 folds -0.0
         seen.update(hashlib.sha256(row).digest() for row in rounded)
     return len(seen)
 

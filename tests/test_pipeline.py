@@ -26,6 +26,7 @@ def test_count_unique_matches_np_unique():
         H = np.round(rng.normal(size=(30, 4)), int(rng.integers(0, 9)))
         expected = np.unique(np.round(H, 6) + 0.0, axis=0).shape[0]
         assert count_unique_embeddings(H) == expected
+        assert count_unique_embeddings(np.asfortranarray(H)) == expected  # rows not contiguous
 
 
 # 1e-9 and -1e-9 round to +0.0 and -0.0; the last two values round to 1e-6 apart
