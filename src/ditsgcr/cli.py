@@ -14,6 +14,7 @@ import hashlib
 import json
 import logging
 import os
+import re
 import resource
 import shutil
 import sys
@@ -51,10 +52,11 @@ def _digest(path):
     return {"path": str(path), "sha256": h.hexdigest()}
 
 
-def _reject_shared_outputs(outputs, manifested, inputs=()):
+def _reject_shared_outputs(outputs, manifested, inputs=(), parted=()):
     """Raise ValueError if two files the command writes are one: the outputs,
     {flag: path or None}, and "<path>.manifest.json" of the flags in
-    manifested. So is an input, (flag, path) pairs, that is such a manifest."""
+    manifested. So is an input, (flag, path) pairs, that is such a manifest
+    or "<path>.part[.<digits>]", a working file of a flag in parted."""
     named = {flag: path for flag, path in outputs.items() if path}
     named.update({f"the manifest of {flag}": f"{named[flag]}.manifest.json"
                   for flag in manifested if flag in named})
@@ -63,6 +65,11 @@ def _reject_shared_outputs(outputs, manifested, inputs=()):
         first = seen.setdefault(os.path.realpath(path), flag)
         if first != flag and (flag in named or first.startswith("the manifest")):
             raise ValueError(f"{first} and {flag} are the same file: {path}")
+    for out in parted:
+        work = re.escape(os.path.realpath(f"{named[out]}.part")) + r"(\.[0-9]+)?"
+        for flag, path in inputs:
+            if re.fullmatch(work, os.path.realpath(path)):
+                raise ValueError(f"{flag} is a working file of {out}: {path}")
 
 
 def _write_manifest(args, output_path, inputs, stage_seconds, stop_reason=None,
@@ -141,7 +148,8 @@ def _cmd_embed(args):
     global _write_rows
     from . import graph_model, pipeline
 
-    _reject_shared_outputs({"--output": args.output}, ["--output"], [("--input", args.input)])
+    _reject_shared_outputs({"--output": args.output}, ["--output"], [("--input", args.input)],
+                           parted=["--output"])
     inputs = {"edges": _digest(args.input)}  # before --output can overwrite it
     seconds = {}
     graph = pipeline.timed(seconds, "ingest", graph_model.ingest_csv, args.input)

@@ -748,6 +748,24 @@ def test_input_on_an_output_manifest_fails(tmp_path, capsys, command):
     assert source.read_bytes() == (edges if command == "embed" else labels).read_bytes()
 
 
+@pytest.mark.parametrize("name", ["out.csv.part", "out.csv.part.1"])
+def test_input_on_an_embed_working_file_fails(tmp_path, capsys, name):
+    # the writer used to truncate its own input: <output>.part was written
+    # and renamed onto --output, <output>.part.1 truncated by a worker
+    edges, _ = make_dataset(tmp_path, normals=600, phishers=10)  # two blocks
+    source = tmp_path / name
+    source.write_bytes(edges.read_bytes())
+    out = tmp_path / "out.csv"
+    capsys.readouterr()
+    before = sorted(p.name for p in tmp_path.iterdir())
+    assert cli.main(["embed", "--input", str(source), "--output", str(out),
+                     "--clusters", "3"]) == 1
+    assert capsys.readouterr().err == \
+        f"error: --input is a working file of --output: {source}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+    assert source.read_bytes() == edges.read_bytes()
+
+
 def test_time_span_beyond_int64_fails(tmp_path, capsys):
     args = command_args(tmp_path, "synth", None, None)
     assert cli.main(["synth", *args, "--time-span", str(2**63 + 1)]) == 1

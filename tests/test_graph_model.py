@@ -1,13 +1,17 @@
 import logging
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ditsgcr import graph_model
 from ditsgcr.graph_model import (PAIR_DTYPE, adjacency_weights, build_graph,
                                  ingest_csv, ingest_labels, write_edge_csv,
                                  write_label_csv)
+from ditsgcr.synthgen import SynthConfig, generate
 from helpers import canonical_form, group_rows, random_graph, weight_dict
 
 KEYS = st.sampled_from(["a", "b", "c", "d", "e"])
@@ -287,3 +291,103 @@ def test_label_csv_round_trip(tmp_path):
     write_label_csv(g, ls, q)
     ls2 = ingest_labels(q, g)
     assert ls2 == ls
+
+
+def csv_reader_graph(path):
+    """The graph of the csv row reader alone."""
+    return build_graph((f[0], f[1], graph_model._parse_timestamp(f[2], lineno))
+                       for lineno, f in graph_model._iter_csv_rows(path, 3, 2))
+
+
+def graph_or_error(read, path):
+    """Every array with its dtype, the key order and the counts of
+    read(path), or the type and text of the ValueError it raised."""
+    try:
+        g = read(path)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    arrays = (g.entry_ptr, g.entry_t, g.in_ptr, g.in_ids, g.out_ptr, g.out_ids)
+    return (g.n_nodes, g.n_edges, list(g.key_to_id.items()), g.id_to_key,
+            [(a.dtype.str, a.tolist()) for a in arrays])
+
+
+# (plain, odd) choices of each part of an edge file: a file made of plain
+# parts only must take the bulk reader; any odd part may send it to csv
+KEY_PARTS = (["a", "b", "n0", "p12", "aéb", "x y", "k\u2028k"],
+             ['"a,b"', '"q""x"', '"n\nl"', '"a"', " a", "a ", "a\t", "\u00a0a", "é",
+              "\ufeffa", "a\0b", "\udcff", "", " "])
+TIME_PARTS = (["0", "5", "007", "12", "9223372036854775807"],
+              ["+7", "-1", "1.5", "1e5", "", " 7", "1_0", "9223372036854775808",
+               "00000000000000000001"])
+EXTRA_PARTS = (["", ",x", ",1.5", ", ", ",,"], [',"q"'])
+END_PARTS = (["\n", "\r\n"], ["\r"])
+HEADER_PARTS = (["from,to,timestamp", "from,to,timestamp,amount", "a,b,c"], ["from,to"])
+
+
+@st.composite
+def edge_files(draw):
+    """(bytes of a small edge CSV, whether all its parts are plain)."""
+    # about half the files all plain, a quarter with one odd part, the rest mixed
+    one_odd = draw(st.integers(-12, 11))  # the index of the odd pick, if >= 0
+    odd_percent = draw(st.sampled_from([0, 0, 0, 20]))
+    picks, plain = 0, True
+
+    def pick(parts):
+        nonlocal picks, plain
+        odd = picks == one_odd or draw(st.integers(0, 99)) < odd_percent
+        picks, plain = picks + 1, plain and not odd
+        return draw(st.sampled_from(parts[odd]))
+
+    lines = [pick(HEADER_PARTS)] if draw(st.booleans()) else []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = pick((["row"], ["row", "blank", "space", "short"]))
+        lines.append({"row": lambda: f"{pick(KEY_PARTS)},{pick(KEY_PARTS)},"
+                                     f"{pick(TIME_PARTS)}{pick(EXTRA_PARTS)}",
+                      "blank": lambda: "", "space": lambda: " \t",
+                      "short": lambda: f"{pick(KEY_PARTS)},{pick(KEY_PARTS)}"}[kind]())
+    plain &= any(not line.startswith(("from", "a,b,c")) for line in lines)  # a data row
+    text = "\ufeff" if draw(st.booleans()) else ""
+    for k, line in enumerate(lines):
+        last = k == len(lines) - 1
+        text += line + (pick(END_PARTS) if not last or draw(st.booleans()) else "")
+    return text.encode("utf-8", "surrogateescape"), plain
+
+
+@settings(max_examples=400, deadline=None)
+@given(edge_files())
+def test_bulk_reader_matches_csv_reader(case):
+    data, plain = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "g.csv"
+        path.write_bytes(data)
+        assert graph_or_error(ingest_csv, path) == graph_or_error(csv_reader_graph, path)
+    if plain:
+        assert graph_model._bulk_edges(data) is not None
+
+
+def test_synth_file_takes_the_bulk_reader(tmp_path, monkeypatch):
+    # synth writes CRLF rows under a header; they must not need csv
+    graph, _ = generate(SynthConfig(n_normal=300, n_phisher=20, seed=3))
+    p = tmp_path / "g.csv"
+    write_edge_csv(graph, p)
+    expected = graph_or_error(csv_reader_graph, p)
+
+    def refuse(*_):
+        raise AssertionError("the csv reader ran")
+    monkeypatch.setattr(graph_model, "_iter_csv_rows", refuse)
+    assert graph_or_error(ingest_csv, p) == expected
+    assert expected[1] == graph.n_edges
+
+
+@pytest.mark.parametrize("edges", ["\ufeffA,B,1\r\nB,C,2\r\n", '\ufeff"A",B,1\nB,C,2\n'])
+def test_byte_order_mark_is_not_part_of_a_key(tmp_path, edges):
+    # the bulk reader (plain rows) and csv (a quoted key) both drop the mark,
+    # so labels saved without one still find their accounts
+    p, q = tmp_path / "g.csv", tmp_path / "labels.csv"
+    p.write_bytes(edges.encode("utf-8"))
+    write_lines(q, ["A,1", "B,0"])
+    g = ingest_csv(p)
+    assert g.id_to_key == ["A", "B", "C"]
+    assert ingest_labels(q, g) == {0: 1, 1: 0}
+    q.write_bytes("\ufeffaccount,label\nC,1\n".encode("utf-8"))
+    assert ingest_labels(q, g) == {2: 1}
