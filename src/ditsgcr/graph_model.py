@@ -180,7 +180,7 @@ def _bulk_edges(data):
     read with numpy; None unless csv is sure to read the same rows: UTF-8
     with no quote, NUL or lone CR, lines within csv's field limit, the first
     three fields non-empty with printable ASCII ends, timestamps of 1-19
-    digits up to 2**63-1, and rows x longest key at most 4x the file."""
+    digits up to 2**63-1, a key matrix (rows x longest key) up to 4x the file."""
     data = data[3:] if data.startswith(b"\xef\xbb\xbf") else data  # a UTF-8 BOM
     data = data if data.endswith(b"\n") else data + b"\n"
     if b'"' in data or b"\0" in data or data.count(b"\r") != data.count(b"\r\n"):

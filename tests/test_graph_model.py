@@ -327,8 +327,9 @@ HEADER_PARTS = (["from,to,timestamp", "from,to,timestamp,amount", "a,b,c"], ["fr
 @st.composite
 def edge_files(draw):
     """(bytes of a small edge CSV, whether all its parts are plain)."""
-    # about half the files all plain, a quarter with one odd part, the rest mixed
-    one_odd = draw(st.integers(-12, 11))  # the index of the odd pick, if >= 0
+    # in half the files one pick may be odd (one_odd, if the file has that many
+    # picks), and in a quarter each pick is odd at 20%: about a third stay plain
+    one_odd = draw(st.integers(-12, 11))
     odd_percent = draw(st.sampled_from([0, 0, 0, 20]))
     picks, plain = 0, True
 

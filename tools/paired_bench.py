@@ -45,15 +45,17 @@ METRICS = {
 }
 
 
-def checkout(spec, tmp):
-    """(directory, sha or None) of a checkout directory or a git revision."""
+def checkout(spec, tmp, side):
+    """(directory, sha or None) of a checkout directory or a git revision,
+    exported to its own directory per side, so that a revision can be run
+    against itself."""
     if Path(spec).is_dir():
         sha = subprocess.run(["git", "-C", spec, "rev-parse", "HEAD"], capture_output=True,
                              text=True).stdout.strip() or None
         return Path(spec).resolve(), sha
     sha = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--verify", spec + "^{commit}"],
                          capture_output=True, text=True, check=True).stdout.strip()
-    target = Path(tmp) / sha[:12]
+    target = Path(tmp) / f"{side}-{sha[:12]}"
     target.mkdir()
     archive = subprocess.run(["git", "-C", str(ROOT), "archive", sha],
                              capture_output=True, check=True).stdout
@@ -130,8 +132,8 @@ def main(argv=None):
     parser.add_argument("--out-dir", default=".")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="paired_bench_") as tmp:
-        (base_dir, base_sha), (head_dir, head_sha) = (checkout(args.base, tmp),
-                                                      checkout(args.head, tmp))
+        (base_dir, base_sha), (head_dir, head_sha) = (checkout(args.base, tmp, "base"),
+                                                      checkout(args.head, tmp, "head"))
         runs = {"base": [], "head": []}
         failed = {"base": 0, "head": 0}
         for i in range(args.pairs):
