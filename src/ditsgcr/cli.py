@@ -14,10 +14,10 @@ import hashlib
 import json
 import logging
 import os
-import re
 import resource
 import shutil
 import sys
+import tempfile
 import time
 
 from . import __version__
@@ -52,11 +52,10 @@ def _digest(path):
     return {"path": str(path), "sha256": h.hexdigest()}
 
 
-def _reject_shared_outputs(outputs, manifested, inputs=(), parted=()):
+def _reject_shared_outputs(outputs, manifested, inputs=()):
     """Raise ValueError if two files the command writes are one: the outputs,
     {flag: path or None}, and "<path>.manifest.json" of the flags in
-    manifested. So is an input, (flag, path) pairs, that is such a manifest
-    or "<path>.part[.<digits>]", a working file of a flag in parted."""
+    manifested. So is an input, (flag, path) pairs, that is such a manifest."""
     named = {flag: path for flag, path in outputs.items() if path}
     named.update({f"the manifest of {flag}": f"{named[flag]}.manifest.json"
                   for flag in manifested if flag in named})
@@ -65,11 +64,6 @@ def _reject_shared_outputs(outputs, manifested, inputs=(), parted=()):
         first = seen.setdefault(os.path.realpath(path), flag)
         if first != flag and (flag in named or first.startswith("the manifest")):
             raise ValueError(f"{first} and {flag} are the same file: {path}")
-    for out in parted:
-        work = re.escape(os.path.realpath(f"{named[out]}.part")) + r"(\.[0-9]+)?"
-        for flag, path in inputs:
-            if re.fullmatch(work, os.path.realpath(path)):
-                raise ValueError(f"{flag} is a working file of {out}: {path}")
 
 
 def _write_manifest(args, output_path, inputs, stage_seconds, stop_reason=None,
@@ -148,8 +142,7 @@ def _cmd_embed(args):
     global _write_rows
     from . import graph_model, pipeline
 
-    _reject_shared_outputs({"--output": args.output}, ["--output"], [("--input", args.input)],
-                           parted=["--output"])
+    _reject_shared_outputs({"--output": args.output}, ["--output"], [("--input", args.input)])
     inputs = {"edges": _digest(args.input)}  # before --output can overwrite it
     seconds = {}
     graph = pipeline.timed(seconds, "ingest", graph_model.ingest_csv, args.input)
@@ -167,7 +160,9 @@ def _cmd_embed(args):
     # file; the parent writes the first to part and appends the side files
     runs = [starts[len(starts) * i // workers:len(starts) * (i + 1) // workers]
             for i in range(workers)] or [starts]
-    part = f"{args.output}.part"  # renamed onto --output once whole
+    # a new directory beside --output, so the working files are no existing file
+    work = tempfile.mkdtemp(prefix=".ditsgcr-", dir=os.path.dirname(os.path.abspath(args.output)))
+    part = os.path.join(work, "part")  # renamed onto --output once whole
     sides = [f"{part}.{i}" for i in range(1, len(runs))]
     head = "node_key," + ",".join(f"e{i}" for i in range(H.shape[1])) + "\n"
     _write_rows = keys, H, row
@@ -190,9 +185,7 @@ def _cmd_embed(args):
         os.replace(part, args.output)
     finally:
         _write_rows = None
-        for path in (part, *sides):
-            if os.path.exists(path):
-                os.remove(path)
+        shutil.rmtree(work)
     seconds["write"] = time.perf_counter() - started
 
     _write_manifest(args, args.output, inputs, {**result.stage_seconds, **seconds},

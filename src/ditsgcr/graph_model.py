@@ -210,16 +210,15 @@ def _bulk_edges(data):
         bad |= live & (digit > 9)
         t = np.where(live, t * 10 + digit, t)
     starts, lens = lo[:2].T.ravel(), (hi[:2] - lo[:2]).T.ravel()  # src, dst, src, ...
-    w = -(-int(lens.max(initial=0)) // 8) * 8  # whole uint64 words
+    w = int(lens.max(initial=0))
     if not rows or bad.any() or (t > np.uint64(_T_MAX)).any() or rows * w > 4 * len(a):
         return None
     keys = np.lib.stride_tricks.sliding_window_view(np.append(a, np.zeros(w, np.uint8)), w)
-    keys = keys[starts] * (np.arange(w) < lens[:, None])  # NUL-padded; no key holds a NUL
-    _, first, inverse = np.unique(keys.view(">u8" if w == 8 else f"S{w}").ravel(),
-                                  return_index=True, return_inverse=True)
+    keys = (keys[starts] * (np.arange(w) < lens[:, None])).view(f"S{w}").ravel()  # NUL-padded
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     order = np.argsort(first)  # first-seen order
     src, dst = np.argsort(order)[inverse].reshape(-1, 2).T
-    names = b"\n".join(keys[first[order]].view(f"S{w}").ravel().tolist()).decode("utf-8")
+    names = b"\n".join(keys[first[order]].tolist()).decode("utf-8")  # S drops the padding
     return src, dst, t.astype(np.int64), dict(zip(names.split("\n"), range(len(order))))
 
 

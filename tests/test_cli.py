@@ -583,11 +583,12 @@ def test_underflowing_mu_fails(tmp_path, capsys, mu):
     # 1e-300: the solve would return Z = 0 and the run keep the first lift
     edges, _ = make_dataset(tmp_path)
     out = tmp_path / "emb.csv"
+    before = sorted(p.name for p in tmp_path.iterdir())
     assert cli.main(["embed", "--input", str(edges), "--output", str(out),
                      "--clusters", "3", "--mu", mu]) == 1
     err = capsys.readouterr().err
     assert err == f"error: mu {float(mu):g} is too small: mu * subx underflows\n"
-    assert not out.exists() and not (tmp_path / "emb.csv.part").exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
 
 
 def test_conflicting_labels_fail(tmp_path, capsys):
@@ -749,21 +750,21 @@ def test_input_on_an_output_manifest_fails(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("name", ["out.csv.part", "out.csv.part.1"])
-def test_input_on_an_embed_working_file_fails(tmp_path, capsys, name):
-    # the writer used to truncate its own input: <output>.part was written
-    # and renamed onto --output, <output>.part.1 truncated by a worker
+def test_embed_writes_over_no_existing_file(tmp_path, name):
+    # the writer's working files used to be <output>.part and <output>.part.1,
+    # so an input of that name was deleted, or truncated by a worker
     edges, _ = make_dataset(tmp_path, normals=600, phishers=10)  # two blocks
     source = tmp_path / name
     source.write_bytes(edges.read_bytes())
     out = tmp_path / "out.csv"
-    capsys.readouterr()
     before = sorted(p.name for p in tmp_path.iterdir())
     assert cli.main(["embed", "--input", str(source), "--output", str(out),
-                     "--clusters", "3"]) == 1
-    assert capsys.readouterr().err == \
-        f"error: --input is a working file of --output: {source}\n"
-    assert sorted(p.name for p in tmp_path.iterdir()) == before
+                     "--clusters", "3"]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == \
+        sorted([*before, "out.csv", "out.csv.manifest.json"])
     assert source.read_bytes() == edges.read_bytes()
+    nodes = len({key for row in read_rows(edges)[1:] for key in row.split(",")[:2]})
+    assert len(read_rows(out)) == 1 + nodes
 
 
 def test_time_span_beyond_int64_fails(tmp_path, capsys):

@@ -313,7 +313,8 @@ def graph_or_error(read, path):
 
 # (plain, odd) choices of each part of an edge file: a file made of plain
 # parts only must take the bulk reader; any odd part may send it to csv
-KEY_PARTS = (["a", "b", "n0", "p12", "aéb", "x y", "k\u2028k"],
+KEY_PARTS = (["a", "b", "n0", "p12", "aéb", "x y", "k\u2028k", "abcdefgh", "abcdefghi",
+              "0x52908400098527886e0f7030069857d2e4169ee7"],
              ['"a,b"', '"q""x"', '"n\nl"', '"a"', " a", "a ", "a\t", "\u00a0a", "é",
               "\ufeffa", "a\0b", "\udcff", "", " "])
 TIME_PARTS = (["0", "5", "007", "12", "9223372036854775807"],
