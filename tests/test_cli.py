@@ -751,8 +751,8 @@ def test_input_on_an_output_manifest_fails(tmp_path, capsys, command):
 
 @pytest.mark.parametrize("name", ["out.csv.part", "out.csv.part.1"])
 def test_embed_writes_over_no_existing_file(tmp_path, name):
-    # the writer's working files used to be <output>.part and <output>.part.1,
-    # so an input of that name was deleted, or truncated by a worker
+    # the writer writes over no existing file, an input named like a working
+    # file included; two blocks give a second CPU a side file to write
     edges, _ = make_dataset(tmp_path, normals=600, phishers=10)  # two blocks
     source = tmp_path / name
     source.write_bytes(edges.read_bytes())
