@@ -72,19 +72,27 @@ class TemporalGraph:
         return zip(u.tolist(), v.tolist(), t.tolist())
 
 
-def _csr(rows, cols, n_rows):
-    """(ptr, ids) grouping cols by rows, stable within a row."""
-    ptr = np.zeros(n_rows + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=n_rows), out=ptr[1:])
-    return ptr, cols[np.argsort(rows, kind="stable")]
+def first_seen(ends):
+    """(ids, first) numbering the values of the 1-d array ends by first
+    appearance: ends[i] is numbered ids[i], and value j is ends[first[j]]."""
+    _, first, inverse = np.unique(ends, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    return np.argsort(order)[inverse], first[order]
+
+
+def _offsets(groups, n):
+    """CSR offsets (n + 1, int64) of sorted group numbers in 0..n-1."""
+    ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(groups, minlength=n), out=ptr[1:])
+    return ptr
 
 
 def build_graph(edges) -> TemporalGraph:
     """Build a TemporalGraph from an iterable of (src_key, dst_key, t) tuples.
 
     Ids are assigned in first-seen order, source field before target field
-    within a row. Timestamps must already be validated ints in
-    0..2**63-1.
+    within a row: first_seen's rule, here for Python keys. Timestamps must
+    already be validated ints in 0..2**63-1.
     """
     key_to_id = {}
     ends = []
@@ -99,26 +107,23 @@ def build_graph(edges) -> TemporalGraph:
 
 def graph_from_ids(src, dst, t, key_to_id) -> TemporalGraph:
     """TemporalGraph of int64 edge arrays; key_to_id maps keys to ids, in id order."""
-    n = len(key_to_id)
-    # one half-edge per endpoint: the source's out side, then the target's in side
+    n, m = len(key_to_id), len(t)
+    # one half-edge per endpoint: the source's out side (index < m), then the target's
+    # in side. lexsort is stable, which keeps each entry's neighbor runs in row order.
     owner = np.concatenate([src, dst])
     t2 = np.concatenate([t, t])
     order = np.lexsort((-t2, owner))
     owner_s, t_s = owner[order], t2[order]
     first = np.ones(len(order), dtype=bool)
     first[1:] = (owner_s[1:] != owner_s[:-1]) | (t_s[1:] != t_s[:-1])
-    entry_of = np.empty(len(order), dtype=np.int64)
-    entry_of[order] = np.cumsum(first) - 1
+    entry = np.cumsum(first) - 1  # of each sorted half-edge
     n_entries = int(first.sum())
-
-    m = len(t)
-    entry_ptr, entry_t = _csr(owner_s[first], t_s[first], n)
-    out_ptr, out_ids = _csr(entry_of[:m], dst, n_entries)
-    in_ptr, in_ids = _csr(entry_of[m:], src, n_entries)
+    out = order < m
     return TemporalGraph(
         n_nodes=n, n_edges=m, key_to_id=key_to_id, id_to_key=list(key_to_id),
-        entry_ptr=entry_ptr, entry_t=entry_t,
-        in_ptr=in_ptr, in_ids=in_ids, out_ptr=out_ptr, out_ids=out_ids,
+        entry_ptr=_offsets(owner_s[first], n), entry_t=t_s[first],
+        in_ptr=_offsets(entry[~out], n_entries), in_ids=src[order[~out] - m],
+        out_ptr=_offsets(entry[out], n_entries), out_ids=dst[order[out]],
     )
 
 
@@ -151,7 +156,8 @@ def _iter_csv_rows(path, columns, header_field):
     Rows are numbered by the physical line they start on; blank ones are
     skipped. A first row whose field header_field is not a number is a
     header, and skipped too. Raises ValueError, with the line number, on a
-    row with fewer than `columns` fields or that csv cannot read.
+    row with fewer than `columns` fields, with an empty account key (a
+    field before header_field), or that csv cannot read.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
@@ -170,6 +176,8 @@ def _iter_csv_rows(path, columns, header_field):
                     header = False
                     if not _is_number(fields[header_field]):
                         continue
+                if not all(fields[:header_field]):
+                    raise ValueError(f"line {lineno}: empty account key")
                 yield lineno, fields
         except csv.Error as exc:
             raise ValueError(f"line {start}: {exc}") from None
@@ -215,11 +223,10 @@ def _bulk_edges(data):
         return None
     keys = np.lib.stride_tricks.sliding_window_view(np.append(a, np.zeros(w, np.uint8)), w)
     keys = (keys[starts] * (np.arange(w) < lens[:, None])).view(f"S{w}").ravel()  # NUL-padded
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    order = np.argsort(first)  # first-seen order
-    src, dst = np.argsort(order)[inverse].reshape(-1, 2).T
-    names = b"\n".join(keys[first[order]].tolist()).decode("utf-8")  # S drops the padding
-    return src, dst, t.astype(np.int64), dict(zip(names.split("\n"), range(len(order))))
+    ids, first = first_seen(keys)
+    names = b"\n".join(keys[first].tolist()).decode("utf-8")  # S drops the padding
+    src, dst = ids.reshape(-1, 2).T
+    return src, dst, t.astype(np.int64), dict(zip(names.split("\n"), range(len(first))))
 
 
 def ingest_csv(path) -> TemporalGraph:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph_model import graph_from_ids
+from .graph_model import first_seen, graph_from_ids
 
 
 @dataclass
@@ -83,13 +83,13 @@ def generate_events(config: SynthConfig):
 
 
 def generate(config: SynthConfig):
-    """Build the (TemporalGraph, {node id: label}) pair for a config. Ids
-    follow first appearance in the edge arrays, source before target, as in
-    build_graph; accounts that never transacted are dropped from both."""
+    """Build the (TemporalGraph, {node id: label}) pair for a config. Ids are
+    numbered by graph_model.first_seen over the edge arrays, source before
+    target; accounts that never transact are dropped from both."""
     src, dst, t, keys, labels = generate_events(config)
     ends = np.column_stack([src, dst]).ravel()
-    seen = ends[np.sort(np.unique(ends, return_index=True)[1])].tolist()  # codes, first seen
-    ids = np.empty(len(keys), dtype=np.int64)
-    ids[seen] = np.arange(len(seen))
-    graph = graph_from_ids(ids[src], ids[dst], t, {keys[c]: i for i, c in enumerate(seen)})
+    ids, first = first_seen(ends)
+    seen = ends[first].tolist()  # account codes, in id order
+    src, dst = ids.reshape(-1, 2).T
+    graph = graph_from_ids(src, dst, t, {keys[c]: i for i, c in enumerate(seen)})
     return graph, {i: labels[c] for i, c in enumerate(seen)}

@@ -376,6 +376,24 @@ def test_bad_row_names_its_physical_line(tmp_path, capsys, edge_rows, label_rows
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("command, edge_rows, label_rows", [
+    ("embed", "a,b,1\n,b,12\n", None),
+    ("embed", "a,b,1\n ,b,12\n", None),
+    ("evaluate", "a,b,1\nb,c,2\nc,a,3\n", "a,1\n,1\n"),
+], ids=["empty-edge-key", "blank-edge-key", "empty-label-key"])
+def test_empty_account_key_fails(tmp_path, capsys, command, edge_rows, label_rows):
+    edges, labels = tmp_path / "e.csv", tmp_path / "l.csv"
+    edges.write_text(edge_rows, encoding="utf-8")
+    flags = ["--input", str(edges), "--output", str(tmp_path / "out.csv"), "--clusters", "2"]
+    if label_rows is not None:
+        labels.write_text(label_rows, encoding="utf-8")
+        flags += ["--labels", str(labels)]
+    inputs = sorted(tmp_path.iterdir())
+    assert cli.main([command, *flags]) == 1
+    assert capsys.readouterr().err == "error: line 2: empty account key\n"
+    assert sorted(tmp_path.iterdir()) == inputs  # no output, no manifest
+
+
 def test_manifest_digest_is_the_input_not_the_output(tmp_path):
     edges, _ = make_dataset(tmp_path)
     digest = hashlib.sha256(edges.read_bytes()).hexdigest()

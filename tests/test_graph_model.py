@@ -15,7 +15,9 @@ from ditsgcr.synthgen import SynthConfig, generate
 from helpers import canonical_form, group_rows, random_graph, weight_dict
 
 KEYS = st.sampled_from(["a", "b", "c", "d", "e"])
-ROWS = st.lists(st.tuples(KEYS, KEYS, st.integers(0, 6)), max_size=25)
+# timestamps near 2**63-1 too, where -t and the int64 grouping are at their edge
+TIMES = st.one_of(st.integers(0, 6), st.integers(2**63 - 4, 2**63 - 1))
+ROWS = st.lists(st.tuples(KEYS, KEYS, TIMES), max_size=25)
 
 
 def node_entries(graph, v):

@@ -15,8 +15,9 @@ Printed per metric: the median and quartiles of each side, raw and
 gauge-scaled (see perfbench/README.md), the number of pairs in which head
 was better, and a two-sided sign-test p (ties dropped). peak_rss_mb also
 gets its counts per whole MB, since it can be bimodal. The record goes to
-BENCH_<head sha>.json in --out-dir, one entry per workload and seed, so the
-records of several workloads share one file.
+BENCH_<head sha>.json in --out-dir (BENCH_<head sha>-dirty.json for a head
+directory with uncommitted changes), one entry per workload and seed, so
+the records of several workloads share one file.
 """
 
 import argparse
@@ -48,10 +49,15 @@ METRICS = {
 def checkout(spec, tmp, side):
     """(directory, sha or None) of a checkout directory or a git revision,
     exported to its own directory per side, so that a revision can be run
-    against itself."""
+    against itself. A directory with uncommitted changes is marked
+    <HEAD sha>-dirty, so that it is not taken for its HEAD."""
     if Path(spec).is_dir():
-        sha = subprocess.run(["git", "-C", spec, "rev-parse", "HEAD"], capture_output=True,
+        git = ["git", "-C", spec]
+        sha = subprocess.run(git + ["rev-parse", "HEAD"], capture_output=True,
                              text=True).stdout.strip() or None
+        if sha and subprocess.run(git + ["status", "--porcelain"], capture_output=True,
+                                  text=True, check=True).stdout:
+            sha += "-dirty"
         return Path(spec).resolve(), sha
     sha = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--verify", spec + "^{commit}"],
                          capture_output=True, text=True, check=True).stdout.strip()
@@ -156,7 +162,8 @@ def main(argv=None):
              "seconds": args.seconds, "base": {"spec": args.base, "sha": base_sha},
              "head": {"spec": args.head, "sha": head_sha}, "nproc": os.cpu_count(),
              "failed": failed, "runs": runs, "summary": summary}
-    path = Path(args.out_dir) / f"BENCH_{(head_sha or 'worktree')[:12]}.json"
+    stem = (head_sha[:12] + "-dirty" * head_sha.endswith("-dirty")) if head_sha else "worktree"
+    path = Path(args.out_dir) / f"BENCH_{stem}.json"
     record = json.loads(path.read_text()) if path.exists() else {}
     record[f"{args.workload}/seed{args.seed}"] = entry
     path.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
