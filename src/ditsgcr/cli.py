@@ -44,6 +44,28 @@ def _configure_threads():
         os.environ[var] = "1"
 
 
+def _defer_unused_numpy_modules():
+    # scipy.sparse loads scipy's vendored array_api_compat, whose
+    # `from numpy import *` imports numpy.f2py and numpy.testing (about
+    # 0.13 s per process). The program uses neither, so both are registered
+    # to load on first attribute access instead, each also as an attribute
+    # of numpy: without it, numpy's own __getattr__ recursed
+    import importlib.util
+    names = ("numpy.f2py", "numpy.testing")
+    if any(name in sys.modules for name in names):
+        return
+    import numpy
+    specs = [importlib.util.find_spec(name) for name in names]
+    if None in specs:
+        return
+    for name, spec in zip(names, specs):
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module
+        spec.loader.exec_module(module)
+        setattr(numpy, name.rpartition(".")[2], module)
+
+
 def _digest(path):
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -123,19 +145,20 @@ def _pipeline_config(args):
     )
 
 
-WRITE_BLOCK_ROWS = 512  # embedding CSV rows formatted as one string
-_write_rows = None  # (keys, H, row template) while the embedding CSV is written
+WRITE_BLOCK_ROWS = 512  # embedding CSV rows per unit of work of a writer process
+_write_rows = None  # (keys as bytes, H) while the embedding CSV is written
 
 
-def _write_blocks(path, starts, head=""):
+def _write_blocks(path, starts, head=b""):
     """Write head, then the embedding CSV blocks of WRITE_BLOCK_ROWS rows
-    at starts, each formatted as one string, to path."""
-    keys, H, row = _write_rows
-    with open(path, "w", encoding="utf-8") as fh:
+    at starts to path, through one RowFormatter per process."""
+    from .csvformat import RowFormatter
+    keys, H = _write_rows
+    rows = RowFormatter(H.shape[1])
+    with open(path, "wb") as fh:
         fh.write(head)
         for s in starts:
-            fh.write("".join([row % (key, *values) for key, values in zip(
-                keys[s:s + WRITE_BLOCK_ROWS], H[s:s + WRITE_BLOCK_ROWS].tolist())]))
+            rows.write(fh, H[s:s + WRITE_BLOCK_ROWS], keys[s:s + WRITE_BLOCK_ROWS])
 
 
 def _cmd_embed(args):
@@ -151,9 +174,8 @@ def _cmd_embed(args):
     started = time.perf_counter()
     H = result.embeddings
     # quoted once, as csv.writer's QUOTE_MINIMAL would
-    keys = ['"' + k.replace('"', '""') + '"' if set(k) & set(',"\r\n') else k
+    keys = [('"' + k.replace('"', '""') + '"' if set(k) & set(',"\r\n') else k).encode()
             for k in graph.id_to_key]
-    row = "%s," + ",".join(["%.9g"] * H.shape[1]) + "\n"
     starts = range(0, H.shape[0], WRITE_BLOCK_ROWS)
     workers = min(len(os.sched_getaffinity(0)), len(starts))
     # worker i writes the i-th of `workers` contiguous runs of blocks to a side
@@ -164,14 +186,15 @@ def _cmd_embed(args):
     work = tempfile.mkdtemp(prefix=".ditsgcr-", dir=os.path.dirname(os.path.abspath(args.output)))
     part = os.path.join(work, "part")  # renamed onto --output once whole
     sides = [f"{part}.{i}" for i in range(1, len(runs))]
-    head = "node_key," + ",".join(f"e{i}" for i in range(H.shape[1])) + "\n"
-    _write_rows = keys, H, row
+    head = ("node_key," + ",".join(f"e{i}" for i in range(H.shape[1])) + "\n").encode()
+    _write_rows = keys, H
     try:
         if sides:
             import multiprocessing
             # fork, so that the workers inherit _write_rows instead of a
-            # pickled H. They only format strings and never call BLAS, so
+            # pickled H. They only format numbers and never call BLAS, so
             # forking after OpenBLAS has started its thread pool is safe.
+            # Threads formatted these blocks slower than the forked writers.
             with multiprocessing.get_context("fork").Pool(len(sides)) as pool:
                 done = pool.starmap_async(_write_blocks, zip(sides, runs[1:]))
                 _write_blocks(part, runs[0], head)
@@ -196,7 +219,12 @@ def _cmd_embed(args):
 
 
 def _cmd_evaluate(args):
+    import io
+
+    import numpy as np
+
     from . import evaluation, graph_model, pipeline
+    from .csvformat import RowFormatter
 
     _reject_shared_outputs({"--output": args.output, "--emit-roc": args.emit_roc},
                            ["--output", "--emit-roc"],
@@ -223,13 +251,13 @@ def _cmd_evaluate(args):
             f"f1={metrics.f1:.6f} wf1={metrics.weighted_f1:.6f} auc={metrics.auc:.6f}")
     print(line)
 
-    roc = "fpr,tpr,threshold\n" + "".join(
-        "%.9g,%.9g,%.9g\n" % (fpr, tpr, thr)
-        for (fpr, tpr), thr in zip(metrics.roc_points, metrics.roc_thresholds))
-    for path, text in ((args.output, line + "\n"), (args.emit_roc, roc)):
+    roc = io.BytesIO()
+    roc.write(b"fpr,tpr,threshold\n")
+    RowFormatter(3).write(roc, np.column_stack([metrics.roc_points, metrics.roc_thresholds]))
+    for path, data in ((args.output, (line + "\n").encode()), (args.emit_roc, roc.getvalue())):
         if path:
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text)
+            with open(path, "wb") as fh:
+                fh.write(data)
             _write_manifest(args, path, inputs, {**result.stage_seconds, **seconds},
                             result.stop_reason)
     return 0
@@ -308,7 +336,8 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     _configure_threads()
     _configure_logging()
-    from .laplacian import SolverConvergenceError  # numpy loads after the thread cap
+    _defer_unused_numpy_modules()  # numpy loads after the thread cap, scipy after this
+    from .laplacian import SolverConvergenceError
     try:
         return args.func(args)
     except (ValueError, OSError, MemoryError, SolverConvergenceError) as exc:

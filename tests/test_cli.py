@@ -2,6 +2,7 @@ import ast
 import csv
 import hashlib
 import inspect
+import io
 import json
 import multiprocessing
 import os
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ditsgcr import cli, clustering, evaluation, laplacian, pipeline, synthgen
+from ditsgcr import cli, clustering, csvformat, evaluation, laplacian, pipeline, synthgen
 
 SRC = Path(cli.__file__).resolve().parents[1]
 
@@ -210,6 +211,75 @@ def test_embedding_csv_fields_match_format(tmp_path, monkeypatch):
     fields = [f for r in rows[1:] for f in r.split(",")[1:]]
     assert fields == [format(float(x), ".9g") for x in expected]
     assert {"-0", "1e-310", "inf", "-inf", "nan", "1.23456789e+11"} <= set(fields)
+
+
+def assert_rows_match_format(values, width, keys=None):
+    """RowFormatter's rows of values equal "%.9g" % x per value, joined by
+    commas and each led by its key: Python's formatting is the oracle."""
+    values = np.resize(np.asarray(values, dtype=np.float64), (-(-len(values) // width), width))
+    fh = io.BytesIO()
+    csvformat.RowFormatter(width).write(fh, values, keys)
+    leads = [k.decode() + "," for k in keys] if keys is not None else [""] * len(values)
+    expected = [lead + ",".join("%.9g" % x for x in row) for lead, row in
+                zip(leads, values.tolist())]
+    assert fh.getvalue().decode().split("\n") == [*expected, ""]
+
+
+# a float64 drawn as raw bits, so that every exponent, subnormals, infinities
+# and NaN payloads are as likely as any other pattern
+float_bits = st.integers(0, 2**64 - 1).map(
+    lambda b: float(np.array(b, dtype=np.uint64).view(np.float64)))
+# 9-digit decimals of every fixed-notation exponent, .5 of a last digit off:
+# the round-half-even ties of "%.9g" and their float neighbours
+near_ties = st.builds(lambda d, e, side: float(np.nextafter((d + 0.5) * 10.0 ** e,
+                                                           side * np.inf)),
+                      st.integers(10**8, 10**9 - 1), st.integers(-12, 0),
+                      st.sampled_from([-1, 0, 1]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(st.one_of(float_bits, near_ties, st.floats(-2e9, 2e9)),
+                       min_size=1, max_size=3 * csvformat.CHUNK_ROWS),
+       width=st.integers(1, 5), keyed=st.booleans())
+def test_row_formatter_matches_percent_format(values, width, keyed):
+    rows = -(-len(values) // width)
+    keys = [f"k{i}".encode() for i in range(rows)] if keyed else None
+    assert_rows_match_format(values, width, keys)
+
+
+def test_row_formatter_edge_values():
+    values = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+              float("inf"), float("-inf"), float("nan"), 1.7976931348623157e308,
+              999999999.5, 999999998.5, 99999999.95, 9.9999999995e-5, 0.5, 1.0, 123456789.0]
+    for edge in (1e-5, 1e-4, 1e8, 1e9):
+        values += [edge, np.nextafter(edge, 0.0), np.nextafter(edge, np.inf)]
+    # exact ties at e = 8 round half to even; the decimal ties below them are
+    # not exactly representable, so they round the way their binary value lies
+    for d in (123456788, 123456789, 999999998):
+        tie = d + 0.5
+        values += [tie, np.nextafter(tie, 0.0), np.nextafter(tie, np.inf)]
+    values += [0.1234567885, 0.1234567895, 1.0000000005, 12345.6789e-12]
+    values += [-v for v in values]
+    for width in (1, 3, 7):
+        assert_rows_match_format(values, width)
+
+
+def test_numpy_f2py_and_testing_load_lazily(tmp_path):
+    # scipy's `from numpy import *` would import both in every run
+    edges, _ = make_dataset(tmp_path)
+    code = "\n".join([
+        "import sys",
+        "from ditsgcr import cli",
+        f"assert cli.main(['embed', '--input', {str(edges)!r}, '--output', "
+        f"{str(tmp_path / 'emb.csv')!r}, '--clusters', '3']) == 0",
+        "print([m for m in ('numpy.f2py.crackfortran', 'numpy.testing._private.utils')"
+        " if m in sys.modules])",
+        "import numpy",
+        "numpy.testing.assert_equal([1.5], [1.5])",
+        "print('numpy.testing._private.utils' in sys.modules)"])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(SRC)}, check=True).stdout
+    assert out.splitlines()[-2:] == ["[]", "True"]
 
 
 def test_synth_byte_identical_reruns(tmp_path):
