@@ -7,17 +7,23 @@ rows of incoming and of outgoing neighbors are summed, concatenated to a
 that is W = normalize([A_in Z, A_out Z]) with the entry x node neighbor
 matrices of the graph's CSR arrays. Summing a node's w over its timeline
 gives the neighborhood term s_v. A recurrent temporal state z walks each
-timeline in chronological order; one Python step advances every node
-that still has entries at that timeline position. Once a single node is
-left (a hub's long tail), a second loop steps its contiguous entries
-in place through slice views, without index arrays. The outer products of
-each w with the state accumulate into a 2K x 2K structure matrix Z_v,
-computed as per-node segment sums one 2K-column block at a time, per
-block of whole nodes so the products stay small; each node still sums its
-entries in entry order, so the blocks may run on clustering.map_blocks'
-threads in any order. The output row is [flatten(Z_v), s_v], width 4K^2 + 2K.
+timeline in chronological order, z' = normalize(w + d z). A step restarts
+when w_j is a normal float with d * 2**55 < |w_j| in every column j that is
+non-zero in some entry of its node. Then w + d z == w, as from z = 0:
+  |z_j| <= 1 gives |fl(d z_j)| <= d < 2**-55 |w_j|, less than half the
+  spacing of the floats next to w_j, and the columns that are zero in the
+  whole node keep z_j = +0.0.
+So timelines split into independent chains at their first step and at each
+restart. One Python step advances every running chain; the last one left
+(a hub's long tail at a large alpha) steps in place through slice views.
+The outer products of each w with z sum into a 2K x 2K structure matrix
+Z_v, as per-node segment sums one 2K-column block at a time, per block of
+whole nodes so the products stay small; each node still sums its entries
+in entry order, so the blocks may run on clustering.map_blocks' threads in
+any order. The output row is [flatten(Z_v), s_v], width 4K^2 + 2K.
 """
 
+import logging
 import math
 
 import numpy as np
@@ -25,7 +31,10 @@ import scipy.sparse as sp
 
 from . import clustering
 
+logger = logging.getLogger(__name__)
+
 EPS = 1e-10
+SUBNORMAL = np.nextafter(np.finfo(np.float64).tiny, 0)  # x > it: x is normal or more
 # timeline entries per block of whole nodes in the structure sums; 8 times as
 # many on a pool, whose threads contend for the GIL that each block's 2K + 1
 # sparse products hold in Python (on one thread the small blocks ran faster)
@@ -38,7 +47,9 @@ def output_width(k: int) -> int:
 
 
 def _row_normalize(X: np.ndarray) -> np.ndarray:
-    return X / (np.sqrt(np.einsum("ij,ij->i", X, X)) + EPS)[:, None]
+    """Divides each row of X in place by (its L2 norm + EPS); returns X."""
+    X /= (np.sqrt(np.einsum("ij,ij->i", X, X)) + EPS)[:, None]
+    return X
 
 
 def _csr_ones(ptr, ids, n_cols):
@@ -72,10 +83,10 @@ def aggregate(graph, Z: np.ndarray, alpha: float) -> np.ndarray:
     entry_ptr, entry_t = graph.entry_ptr, graph.entry_t
     n_entries = len(entry_t)
 
-    W = np.empty((n_entries, two_k))  # [A_in Z, A_out Z], then normalized in place
+    W = np.empty((n_entries, two_k))  # [A_in Z, A_out Z], then normalized
     W[:, :k] = _csr_ones(graph.in_ptr, graph.in_ids, n) @ Z
     W[:, k:] = _csr_ones(graph.out_ptr, graph.out_ids, n) @ Z
-    W /= (np.sqrt(np.einsum("ij,ij->i", W, W)) + EPS)[:, None]  # as _row_normalize
+    _row_normalize(W)
 
     # entry e (descending storage) follows entry e + 1 in time within its node
     lengths = np.diff(entry_ptr)
@@ -86,25 +97,48 @@ def aggregate(graph, Z: np.ndarray, alpha: float) -> np.ndarray:
     with np.errstate(over="ignore"):  # a tiny alpha overflows to -inf, exp gives 0
         decay[e] = np.exp(-(entry_t[e] - entry_t[e + 1]) / alpha)
 
-    # step p advances the p-th entry (0-based, ascending time) of every node
-    # longer than p; sorting nodes by length keeps those a prefix of `order`
-    order = np.argsort(-lengths, kind="stable")
-    first = entry_ptr[order + 1] - 1  # each node's earliest entry
-    active = np.searchsorted(-lengths[order], -np.arange(lengths.max(initial=0)),
-                             side="left")
+    def node_blocks(size):  # (v0, v1) of at most `size` entries, or one node
+        cuts = [0]
+        while cuts[-1] < n:
+            end = np.searchsorted(entry_ptr, entry_ptr[cuts[-1]] + size, "right") - 1
+            cuts.append(max(cuts[-1] + 1, end))
+        return zip(cuts, cuts[1:])
+
+    # a step starts a chain at its node's first step and at each restart
+    start = np.zeros(n_entries, dtype=bool)
+    for v0, v1 in node_blocks(BLOCK_ENTRIES):
+        e0, e1 = entry_ptr[v0], entry_ptr[v1]
+        if e1 - e0 < 2:
+            continue
+        m = lengths[v0:v1]
+        dead = ~np.logical_or.reduceat(W[e0:e1] != 0, entry_ptr[v0:v1][m > 0] - e0)  # per node
+        exact = np.abs(W[e0 + 1:e1]) > np.maximum(decay[e0:e1 - 1] * 2.0**55, SUBNORMAL)[:, None]
+        exact |= np.repeat(dead, m[m > 0], axis=0)[1:]
+        e = e0 + np.flatnonzero(has_prev[e0:e1 - 1] & (exact.all(axis=1) | ~has_prev[e0 + 1:e1]))
+        start[e] = True
+
+    # step p advances the p-th step of every chain longer than p; sorting
+    # chains by length keeps those a prefix of `heads`
+    bounds = np.flatnonzero(start | ~has_prev)  # a chain ends above the bound below it
+    steps = np.diff(bounds, prepend=-1)[start[bounds]]
+    order = np.argsort(-steps, kind="stable")
+    heads = bounds[start[bounds]][order]  # each chain's first step
+    active = np.searchsorted(-steps[order], -np.arange(steps.max(initial=0)), side="left")
+    logger.debug("lift: %d entries, %d chains, %d restarts, longest chain %d steps",
+                 n_entries, len(heads), len(heads) - np.count_nonzero(lengths > 1), len(active))
     zrows = np.zeros((n_entries, two_k))
-    z = np.zeros((n, two_k))
-    multi = max(1, int(np.count_nonzero(active > 1)))  # steps with 2+ nodes
-    for p in range(1, multi):
-        e = first[:active[p]] - p
-        z = _row_normalize(W[e + 1] + decay[e, None] * z[:len(e)])
-        zrows[e] = z
-    if len(active) > multi:  # one node left: its entries are contiguous, step in place
-        z = z[:1]
-        for e in range(first[0] - multi, first[0] - len(active), -1):
+    multi = max(1, int(np.count_nonzero(active > 1)))  # steps with 2+ chains, and the first
+    for p in range(min(multi, len(active))):
+        for i in range(0, active[p], BLOCK_ENTRIES):  # blocks keep the temporaries small
+            e = heads[i:min(i + BLOCK_ENTRIES, active[p])] - p  # first steps: z = 0, d * 0 = +0.0
+            zrows[e] = _row_normalize(W[e + 1] + (decay[e, None] * zrows[e + 1] if p else 0.0))
+    if len(active) > multi:  # one chain left: its entries are contiguous, step in place
+        z = zrows[heads[0] - multi + 1:heads[0] - multi + 2]
+        for e in range(heads[0] - multi, heads[0] - len(active), -1):
             z = np.multiply(decay[e], z, out=zrows[e:e + 1])
             z += W[e + 1:e + 2]
             z /= math.sqrt(np.einsum("ij,ij->i", z, z)[0]) + EPS  # as _row_normalize
+    del start, bounds, steps, order, heads, active
 
     H = np.empty((n, output_width(k)))
 
@@ -116,10 +150,6 @@ def aggregate(graph, Z: np.ndarray, alpha: float) -> np.ndarray:
             H[v0:v1, a * two_k:(a + 1) * two_k] = seg @ (Wb[:, a:a + 1] * zb)
         H[v0:v1, two_k * two_k:] = seg @ Wb
 
-    size = BLOCK_ENTRIES * (8 if clustering.pooled() else 1)
-    cuts = [0]  # blocks of at most `size` entries, or one node
-    while cuts[-1] < n:
-        end = np.searchsorted(entry_ptr, entry_ptr[cuts[-1]] + size, "right") - 1
-        cuts.append(max(cuts[-1] + 1, end))
-    clustering.map_blocks(structure_sums, zip(cuts, cuts[1:]))
+    clustering.map_blocks(structure_sums,
+                          node_blocks(BLOCK_ENTRIES * (8 if clustering.pooled() else 1)))
     return H

@@ -425,10 +425,12 @@ def loop_aggregate(graph, Z, alpha):
     whole-array products.
 
     One step per timeline position advances all nodes still active there,
-    down to the last one, with no single-node path. W comes from np.hstack,
+    down to the last one, with no single-node path and no restarts: each
+    node's state runs through its whole timeline. W comes from np.hstack,
     and each structure block is one product over all timeline entries, with
-    no blocks of nodes. Otherwise this is the same arithmetic as
-    temporal_aggregation.aggregate, so outputs must match it bit for bit."""
+    no blocks of nodes. temporal_aggregation.aggregate also splits timelines
+    into chains at restarts, steps whose decayed state cannot change w; its
+    outputs must match this oracle bit for bit, so every restart is exact."""
     import scipy.sparse as sp
 
     def normalize(X):

@@ -1,6 +1,8 @@
 import dataclasses
+import logging
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -303,6 +305,153 @@ def test_aggregate_hub_tail_matches_loop_oracle_on_random_hubs():
         Z = rng.normal(size=(g.n_nodes, 2))
         alpha = float(rng.choice([0.5, 3.0, 1e6]))
         assert aggregate(g, Z, alpha).tobytes() == loop_aggregate(g, Z, alpha).tobytes()
+
+
+LIFT_LINE = re.compile(r"lift: (\d+) entries, (\d+) chains, (\d+) restarts, longest chain (\d+) steps")
+
+
+def lift_stats(caplog, g, Z, alpha):
+    """aggregate's H and its debug line's (entries, chains, restarts, longest chain)."""
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="ditsgcr.temporal_aggregation"):
+        H = aggregate(g, Z, alpha)
+    [line] = [r.getMessage() for r in caplog.records if r.name == "ditsgcr.temporal_aggregation"]
+    return H, tuple(int(x) for x in LIFT_LINE.fullmatch(line).groups())
+
+
+def star_edges(center, times, inbound):
+    """One edge per time between `center` and a fresh account, into the
+    center when inbound (a pure sink), out of it otherwise (a pure source)."""
+    ends = [(f"{center}-{i}", center) if inbound else (center, f"{center}-{i}")
+            for i in range(len(times))]
+    return [(a, b, int(t)) for (a, b), t in zip(ends, times)]
+
+
+def test_lift_logs_entries_chains_restarts_and_longest_chain(caplog):
+    # a 40-entry sink: gaps of 100 s restart every step after the first at
+    # alpha 1, while at alpha 60 (decay >= exp(-5/3)) it stays one chain
+    g = build_graph(star_edges("s", 100 * np.arange(40), inbound=True))
+    Z = np.random.default_rng(70).uniform(0.5, 1.0, size=(g.n_nodes, 2))
+    assert lift_stats(caplog, g, Z, 1.0)[1] == (80, 39, 38, 1)
+    assert lift_stats(caplog, g, Z, 60.0)[1] == (80, 1, 0, 39)
+
+
+@pytest.mark.parametrize("gaps", [(100,), (1, 2, 100), (1, 100, 100, 100)])
+def test_restarts_on_pure_sinks_and_sources_match_loop_oracle(gaps, caplog):
+    # every entry of a sink (source) is in-only (out-only): the other half of
+    # w is zero in the whole node, so only the live half decides a restart
+    rng = np.random.default_rng(len(gaps))
+    edges, restarts_at_1 = [], 0
+    for center, inbound in (("sink", True), ("src", False), ("sink2", True)):
+        steps = rng.choice(gaps, size=59)
+        edges += star_edges(center, np.cumsum(np.append(0, steps)), inbound)
+        restarts_at_1 += np.count_nonzero(steps[1:] >= 100)  # decay <= exp(-100)
+    g = build_graph(edges)
+    for Z in (rng.normal(size=(g.n_nodes, 3)), np.full((g.n_nodes, 3), 1 / 3)):
+        for alpha in (1.0, 60.0, NO_DECAY):
+            H, (_, chains, restarts, longest) = lift_stats(caplog, g, Z, alpha)
+            assert H.tobytes() == loop_aggregate(g, Z, alpha).tobytes(), alpha
+            assert chains == 3 + restarts
+            if alpha == 1.0:
+                assert restarts == restarts_at_1
+            if alpha == NO_DECAY:
+                assert (restarts, longest) == (0, 59)  # the one-chain loop steps each node
+
+
+def test_no_restart_where_a_live_column_is_zero(caplog):
+    # an account that alternately receives and pays: every entry is zero in
+    # the half of w that other entries fill, so decay * z is never negligible
+    rng = np.random.default_rng(71)
+    edges = [(f"a{i}", "x", 200 * i) if i % 2 == 0 else ("x", f"b{i}", 200 * i)
+             for i in range(50)]
+    g = build_graph(edges)
+    for Z in (rng.normal(size=(g.n_nodes, 2)), np.full((g.n_nodes, 2), 0.5)):
+        for alpha in (1e-300, 1.0):
+            H, stats = lift_stats(caplog, g, Z, alpha)
+            assert stats == (100, 1, 0, 49)
+            assert H.tobytes() == loop_aggregate(g, Z, alpha).tobytes()
+
+
+@pytest.mark.parametrize("ulps, restarts", [(0, 0), (1, 1), (-1, 0)])
+def test_restart_threshold_is_strict_at_two_to_the_minus_55(ulps, restarts, caplog):
+    # a sink paid by a, b and c at t = 0, 1, 39 (K = 1, so its live column is
+    # in-column 0): the step at t = 39 restarts iff decay * 2**55 < w_b, where
+    # w_b = z / (|z| + EPS) is set to decay * 2**55 moved by `ulps` ulps
+    alpha = 38 / 38.2
+    decay = np.exp(-np.array([38]) / alpha)[0]
+    target = decay * 2.0**55
+    for _ in range(abs(ulps)):
+        target = np.nextafter(target, 2.0 if ulps > 0 else 0.0)
+
+    def w(z):
+        X = np.array([[z, 0.0]])
+        return (X / (np.sqrt(np.einsum("ij,ij->i", X, X)) + 1e-10)[:, None])[0, 0]
+
+    z = target * 1e-10 / (1 - target)  # w(z) is close to target
+    for _ in range(200):
+        if w(z) == target:
+            break
+        z = np.nextafter(z, np.inf if w(z) < target else 0.0)
+    assert w(z) == target
+    g = build_graph([("a", "s", 0), ("b", "s", 1), ("c", "s", 39)])
+    Z = np.empty((4, 1))
+    for key, value in zip("abcs", (0.7, z, 0.3, 0.0)):
+        Z[g.key_to_id[key]] = value
+    H, (_, chains, got, longest) = lift_stats(caplog, g, Z, alpha)
+    assert (got, chains, longest) == (restarts, 1 + restarts, 2 - restarts)
+    assert H.tobytes() == loop_aggregate(g, Z, alpha).tobytes()
+
+
+def test_negative_zero_and_subnormal_z_match_loop_oracle():
+    # -0.0 and subnormal rows of Z give w components that are zero or
+    # subnormal in live columns, where no restart may fire; a tiny alpha makes
+    # every decay factor 0.0, so everything else restarts
+    rng = np.random.default_rng(72)
+    edges = star_edges("s", 100 * np.arange(30), inbound=True)
+    edges += [(f"a{i}", "x", 200 * i) if i % 2 == 0 else ("x", f"b{i}", 200 * i)
+              for i in range(20)]
+    edges += [(f"o{rng.integers(8)}", f"o{rng.integers(8)}", int(rng.integers(10**4)))
+              for _ in range(40)]
+    g = build_graph(edges)
+    odd = np.array([-0.0, 0.0, 5e-324, -5e-324, 1e-310, -2.5e-309, 1.0, -1.0, 3e-8])
+    for seed in range(4):
+        Z = np.random.default_rng(seed).choice(odd, size=(g.n_nodes, 3))
+        for alpha in (1e-300, 1.0, NO_DECAY):
+            assert aggregate(g, Z, alpha).tobytes() == loop_aggregate(g, Z, alpha).tobytes()
+
+
+def test_tiny_alpha_restarts_match_loop_oracle(caplog):
+    # every decay factor is exactly 0.0: all steps of sinks and sources restart
+    rng = np.random.default_rng(73)
+    for _ in range(10):
+        g = random_graph(rng, max_nodes=9, max_distinct_times=6, t_range=10**6)
+        Z = rng.normal(size=(g.n_nodes, 2))
+        H, stats = lift_stats(caplog, g, Z, 1e-300)
+        assert H.tobytes() == loop_aggregate(g, Z, 1e-300).tobytes()
+    g = build_graph(star_edges("s", np.arange(25), inbound=True))
+    Z = rng.normal(size=(g.n_nodes, 2))
+    H, stats = lift_stats(caplog, g, Z, 1e-300)
+    assert stats == (50, 24, 23, 1)
+    assert H.tobytes() == loop_aggregate(g, Z, 1e-300).tobytes()
+
+
+def test_lift_sequential_depth_is_the_longest_chain(monkeypatch):
+    # a 20,000-entry sink with 60 s gaps: at alpha 1 every step restarts, so
+    # the recurrence takes one vectorized step; with no decay it takes one
+    # Python step per entry. Counted as np.einsum calls, one of which
+    # normalizes W; one block holds all first steps.
+    n = 20000
+    g = build_graph(star_edges("s", 60 * np.arange(n), inbound=True))
+    Z = np.random.default_rng(74).uniform(0.5, 1.0, size=(g.n_nodes, 2))
+    monkeypatch.setattr(temporal_aggregation, "BLOCK_ENTRIES", 2 * len(g.entry_t))
+    calls = []
+    einsum = np.einsum
+    monkeypatch.setattr(np, "einsum", lambda *a, **kw: calls.append(1) or einsum(*a, **kw))
+    aggregate(g, Z, 1.0)
+    assert len(calls) <= 1 + 1  # longest chain (one step) plus one
+    calls.clear()
+    aggregate(g, Z, NO_DECAY)
+    assert len(calls) >= n - 1  # the sink's whole timeline, one step at a time
 
 
 def block_edge_graph():
