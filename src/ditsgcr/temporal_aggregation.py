@@ -35,9 +35,9 @@ logger = logging.getLogger(__name__)
 
 EPS = 1e-10
 SUBNORMAL = np.nextafter(np.finfo(np.float64).tiny, 0)  # x > it: x is normal or more
-# timeline entries per block of whole nodes in the structure sums; 8 times as
-# many on a pool, whose threads contend for the GIL that each block's 2K + 1
-# sparse products hold in Python (on one thread the small blocks ran faster)
+# timeline entries per block: of whole nodes in the restart test and structure
+# sums, of chains in a recurrence step. The sums take 8 times as many on a pool,
+# whose threads contend for the GIL that each block's 2K + 1 sparse products hold
 BLOCK_ENTRIES = 2048
 
 
@@ -83,7 +83,7 @@ def aggregate(graph, Z: np.ndarray, alpha: float) -> np.ndarray:
     entry_ptr, entry_t = graph.entry_ptr, graph.entry_t
     n_entries = len(entry_t)
 
-    W = np.empty((n_entries, two_k))  # [A_in Z, A_out Z], then normalized
+    W = np.empty((n_entries, two_k))  # [A_in Z, A_out Z], then normalized in place
     W[:, :k] = _csr_ones(graph.in_ptr, graph.in_ids, n) @ Z
     W[:, k:] = _csr_ones(graph.out_ptr, graph.out_ids, n) @ Z
     _row_normalize(W)
@@ -127,10 +127,10 @@ def aggregate(graph, Z: np.ndarray, alpha: float) -> np.ndarray:
     logger.debug("lift: %d entries, %d chains, %d restarts, longest chain %d steps",
                  n_entries, len(heads), len(heads) - np.count_nonzero(lengths > 1), len(active))
     zrows = np.zeros((n_entries, two_k))
-    multi = max(1, int(np.count_nonzero(active > 1)))  # steps with 2+ chains, and the first
+    multi = max(1, int(np.count_nonzero(active > 1)))  # steps with 2+ chains, at least 1
     for p in range(min(multi, len(active))):
         for i in range(0, active[p], BLOCK_ENTRIES):  # blocks keep the temporaries small
-            e = heads[i:min(i + BLOCK_ENTRIES, active[p])] - p  # first steps: z = 0, d * 0 = +0.0
+            e = heads[:active[p]][i:i + BLOCK_ENTRIES] - p  # p = 0: z = 0, and d * 0 is +0.0
             zrows[e] = _row_normalize(W[e + 1] + (decay[e, None] * zrows[e + 1] if p else 0.0))
     if len(active) > multi:  # one chain left: its entries are contiguous, step in place
         z = zrows[heads[0] - multi + 1:heads[0] - multi + 2]

@@ -426,8 +426,7 @@ def test_tiny_alpha_restarts_match_loop_oracle(caplog):
     for _ in range(10):
         g = random_graph(rng, max_nodes=9, max_distinct_times=6, t_range=10**6)
         Z = rng.normal(size=(g.n_nodes, 2))
-        H, stats = lift_stats(caplog, g, Z, 1e-300)
-        assert H.tobytes() == loop_aggregate(g, Z, 1e-300).tobytes()
+        assert aggregate(g, Z, 1e-300).tobytes() == loop_aggregate(g, Z, 1e-300).tobytes()
     g = build_graph(star_edges("s", np.arange(25), inbound=True))
     Z = rng.normal(size=(g.n_nodes, 2))
     H, stats = lift_stats(caplog, g, Z, 1e-300)
