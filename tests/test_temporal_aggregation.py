@@ -307,7 +307,8 @@ def test_aggregate_hub_tail_matches_loop_oracle_on_random_hubs():
         assert aggregate(g, Z, alpha).tobytes() == loop_aggregate(g, Z, alpha).tobytes()
 
 
-LIFT_LINE = re.compile(r"lift: (\d+) entries, (\d+) chains, (\d+) restarts, longest chain (\d+) steps")
+LIFT_LINE = re.compile(
+    r"lift: (\d+) entries, (\d+) chains, (\d+) restarts, longest chain (\d+) steps")
 
 
 def lift_stats(caplog, g, Z, alpha):
@@ -329,7 +330,8 @@ def star_edges(center, times, inbound):
 
 def test_lift_logs_entries_chains_restarts_and_longest_chain(caplog):
     # a 40-entry sink: gaps of 100 s restart every step after the first at
-    # alpha 1, while at alpha 60 (decay >= exp(-5/3)) it stays one chain
+    # alpha 1, while at alpha 60 (decay >= exp(-5/3)) it stays one chain,
+    # stepped by the one-chain loop
     g = build_graph(star_edges("s", 100 * np.arange(40), inbound=True))
     Z = np.random.default_rng(70).uniform(0.5, 1.0, size=(g.n_nodes, 2))
     assert lift_stats(caplog, g, Z, 1.0)[1] == (80, 39, 38, 1)
@@ -355,7 +357,7 @@ def test_restarts_on_pure_sinks_and_sources_match_loop_oracle(gaps, caplog):
             if alpha == 1.0:
                 assert restarts == restarts_at_1
             if alpha == NO_DECAY:
-                assert (restarts, longest) == (0, 59)  # the one-chain loop steps each node
+                assert (restarts, longest) == (0, 59)  # each node is one chain
 
 
 def test_no_restart_where_a_live_column_is_zero(caplog):
