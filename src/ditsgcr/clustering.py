@@ -166,8 +166,8 @@ def soft_kmeans(H_norm: np.ndarray, k: int, beta: float, iters: int, seed: int):
     (n x k, rows sum to 1), centroids the last-updated set (unit rows, up
     to the 1e-10 guard; all-zero input rows can leave zero centroids).
     """
-    if beta <= 0:
-        raise ValueError("beta must be positive")
+    if not 0 < beta < np.inf:  # NaN too
+        raise ValueError("beta must be finite and positive")
     if iters < 1:
         raise ValueError("need at least one iteration")
     centroids = kmeanspp_init(H_norm, k, seed)

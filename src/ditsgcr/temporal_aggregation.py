@@ -14,8 +14,7 @@ non-zero in some entry of its node. Then w + d z == w, as from z = 0:
   spacing of the floats next to w_j, and the columns that are zero in the
   whole node keep z_j = +0.0.
 So timelines split into independent chains at their first step and at each
-restart. One Python step advances every running chain; the last one left
-(a hub's long tail at a large alpha) steps in place through slice views.
+restart. One Python step advances every running chain.
 The outer products of each w with z sum into a 2K x 2K structure matrix
 Z_v, as per-node segment sums one 2K-column block at a time, per block of
 whole nodes so the products stay small; each node still sums its entries
@@ -24,7 +23,6 @@ any order. The output row is [flatten(Z_v), s_v], width 4K^2 + 2K.
 """
 
 import logging
-import math
 
 import numpy as np
 import scipy.sparse as sp
@@ -76,7 +74,7 @@ def aggregate(graph, Z: np.ndarray, alpha: float) -> np.ndarray:
     n = graph.n_nodes
     if Z.ndim != 2 or Z.shape[0] != n:
         raise ValueError(f"Z has shape {Z.shape}, expected ({n}, K)")
-    if alpha <= 0:
+    if not alpha > 0:  # NaN too
         raise ValueError("alpha must be positive")
     k = Z.shape[1]
     two_k = 2 * k
@@ -127,17 +125,10 @@ def aggregate(graph, Z: np.ndarray, alpha: float) -> np.ndarray:
     logger.debug("lift: %d entries, %d chains, %d restarts, longest chain %d steps",
                  n_entries, len(heads), len(heads) - np.count_nonzero(lengths > 1), len(active))
     zrows = np.zeros((n_entries, two_k))
-    multi = max(1, int(np.count_nonzero(active > 1)))  # steps with 2+ chains, at least 1
-    for p in range(min(multi, len(active))):
+    for p in range(len(active)):
         for i in range(0, active[p], BLOCK_ENTRIES):  # blocks keep the temporaries small
             e = heads[:active[p]][i:i + BLOCK_ENTRIES] - p  # p = 0: z = 0, and d * 0 is +0.0
             zrows[e] = _row_normalize(W[e + 1] + (decay[e, None] * zrows[e + 1] if p else 0.0))
-    if len(active) > multi:  # one chain left: its entries are contiguous, step in place
-        z = zrows[heads[0] - multi + 1:heads[0] - multi + 2]
-        for e in range(heads[0] - multi, heads[0] - len(active), -1):
-            z = np.multiply(decay[e], z, out=zrows[e:e + 1])
-            z += W[e + 1:e + 2]
-            z /= math.sqrt(np.einsum("ij,ij->i", z, z)[0]) + EPS  # as _row_normalize
     del start, bounds, steps, order, heads, active
 
     H = np.empty((n, output_width(k)))

@@ -124,8 +124,9 @@ def test_soft_kmeans_centroids_unit_norm():
 
 def test_soft_kmeans_validates_arguments():
     H = np.eye(4)
-    with pytest.raises(ValueError):
-        soft_kmeans(H, 2, beta=0.0, iters=5, seed=0)
+    for beta in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            soft_kmeans(H, 2, beta=beta, iters=5, seed=0)
     with pytest.raises(ValueError):
         soft_kmeans(H, 2, beta=1.0, iters=0, seed=0)
 

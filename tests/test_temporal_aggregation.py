@@ -212,8 +212,9 @@ def test_aggregate_shape_and_errors():
     assert H.shape == (2, 420)
     with pytest.raises(ValueError):
         aggregate(g, np.ones((3, 2)), alpha=1.0)
-    with pytest.raises(ValueError):
-        aggregate(g, np.ones((2, 2)), alpha=0.0)
+    for alpha in (0.0, float("nan")):
+        with pytest.raises(ValueError):
+            aggregate(g, np.ones((2, 2)), alpha=alpha)
 
 
 @settings(max_examples=100, deadline=None)
@@ -286,7 +287,7 @@ def test_aggregate_matches_loop_oracle_bit_for_bit(no_decay):
         "no accounts": empty,
     }
     top = timeline_lengths(hub)
-    assert top[0] > top[1] + 1  # the single-node tail takes several steps
+    assert top[0] > top[1] + 1  # the hub's chain takes several steps alone
     top = timeline_lengths(tied)
     assert top[0] == top[1] > top[2]  # no step is left with one node
     assert timeline_lengths(flat)[0] == 1
@@ -331,7 +332,7 @@ def star_edges(center, times, inbound):
 def test_lift_logs_entries_chains_restarts_and_longest_chain(caplog):
     # a 40-entry sink: gaps of 100 s restart every step after the first at
     # alpha 1, while at alpha 60 (decay >= exp(-5/3)) it stays one chain,
-    # stepped by the one-chain loop
+    # which steps alone through the blocked recurrence step
     g = build_graph(star_edges("s", 100 * np.arange(40), inbound=True))
     Z = np.random.default_rng(70).uniform(0.5, 1.0, size=(g.n_nodes, 2))
     assert lift_stats(caplog, g, Z, 1.0)[1] == (80, 39, 38, 1)
@@ -501,8 +502,8 @@ def test_aggregate_memory_budget():
 
 @pytest.mark.parametrize("extra", [1, 65, 255, 257])
 def test_pooled_aggregate_gives_the_serial_bits(extra, monkeypatch):
-    # above the pool's size gate, with a hub's single-node tail and more
-    # structure-sum blocks than threads
+    # above the pool's size gate, with a hub's chain that steps alone and
+    # more structure-sum blocks than threads
     rng = np.random.default_rng(extra)
     t = np.cumsum(1 + rng.integers(0, 4, size=12000))
     edges = [(f"o{rng.integers(3500)}", "hub", int(x)) for x in t]
