@@ -145,25 +145,24 @@ def _pipeline_config(args):
     )
 
 
-WRITE_BLOCK_ROWS = 512  # embedding CSV rows per unit of work of a writer process
 _write_rows = None  # (keys as bytes, H) while the embedding CSV is written
 
 
-def _write_blocks(path, starts, head=b""):
-    """Write head, then the embedding CSV blocks of WRITE_BLOCK_ROWS rows
-    at starts to path, through one RowFormatter per process."""
+def _write_range(path, a, b, head=b""):
+    """Write head, then rows a..b-1 of the embedding CSV, to path."""
     from .csvformat import RowFormatter
     keys, H = _write_rows
-    rows = RowFormatter(H.shape[1])
     with open(path, "wb") as fh:
         fh.write(head)
-        for s in starts:
-            rows.write(fh, H[s:s + WRITE_BLOCK_ROWS], keys[s:s + WRITE_BLOCK_ROWS])
+        RowFormatter(H.shape[1]).write(fh, H[a:b], keys[a:b])
 
 
 def _cmd_embed(args):
     global _write_rows
-    from . import graph_model, pipeline
+    import contextlib
+    import multiprocessing
+
+    from . import clustering, graph_model, pipeline
 
     _reject_shared_outputs({"--output": args.output}, ["--output"], [("--input", args.input)])
     inputs = {"edges": _digest(args.input)}  # before --output can overwrite it
@@ -176,31 +175,28 @@ def _cmd_embed(args):
     # quoted once, as csv.writer's QUOTE_MINIMAL would
     keys = [('"' + k.replace('"', '""') + '"' if set(k) & set(',"\r\n') else k).encode()
             for k in graph.id_to_key]
-    starts = range(0, H.shape[0], WRITE_BLOCK_ROWS)
-    workers = min(len(os.sched_getaffinity(0)), len(starts))
-    # worker i writes the i-th of `workers` contiguous runs of blocks to a side
-    # file; the parent writes the first to part and appends the side files
-    runs = [starts[len(starts) * i // workers:len(starts) * (i + 1) // workers]
-            for i in range(workers)] or [starts]
+    n = H.shape[0]
+    workers = min(len(os.sched_getaffinity(0)), -(-n // clustering.BLOCK_ROWS))
+    # rows cuts[i]:cuts[i + 1] go to side file i from a forked worker, the
+    # first range to part from the parent, which then appends the side files
+    cuts = [n * i // workers for i in range(workers + 1)] if workers else [0, 0]
     # a new directory beside --output, so the working files are no existing file
     work = tempfile.mkdtemp(prefix=".ditsgcr-", dir=os.path.dirname(os.path.abspath(args.output)))
     part = os.path.join(work, "part")  # renamed onto --output once whole
-    sides = [f"{part}.{i}" for i in range(1, len(runs))]
+    sides = [f"{part}.{i}" for i in range(1, workers)]
     head = ("node_key," + ",".join(f"e{i}" for i in range(H.shape[1])) + "\n").encode()
     _write_rows = keys, H
     try:
-        if sides:
-            import multiprocessing
-            # fork, so that the workers inherit _write_rows instead of a
-            # pickled H. They only format numbers and never call BLAS, so
-            # forking after OpenBLAS has started its thread pool is safe.
-            # Threads formatted these blocks slower than the forked writers.
-            with multiprocessing.get_context("fork").Pool(len(sides)) as pool:
-                done = pool.starmap_async(_write_blocks, zip(sides, runs[1:]))
-                _write_blocks(part, runs[0], head)
+        # fork, so that the workers inherit _write_rows instead of a pickled
+        # H. They only format numbers and never call BLAS, so forking after
+        # OpenBLAS has started its thread pool is safe. Threads formatted
+        # these rows slower than the forked writers.
+        with (multiprocessing.get_context("fork").Pool(len(sides)) if sides
+              else contextlib.nullcontext()) as pool:
+            done = pool and pool.starmap_async(_write_range, zip(sides, cuts[1:], cuts[2:]))
+            _write_range(part, 0, cuts[1], head)
+            if pool:
                 done.get()
-        else:
-            _write_blocks(part, runs[0], head)
         with open(part, "ab") as fh:
             for side in sides:
                 with open(side, "rb") as src:

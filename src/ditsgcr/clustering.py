@@ -40,11 +40,6 @@ def block_pool(n_rows):
             _helpers.clear()
 
 
-def pooled():
-    """Whether map_blocks runs on more than the calling thread."""
-    return bool(_helpers)
-
-
 def map_blocks(fn, blocks):
     """fn(start, stop) for every block, on this thread and block_pool's."""
     todo = iter(list(blocks))  # next() on it is atomic under the GIL
@@ -111,10 +106,9 @@ def kmeanspp_init(H_norm: np.ndarray, k: int, seed: int) -> np.ndarray:
     is_chosen[chosen[0]] = True
     d2 = _sq_dists(H_norm, H_norm[chosen[0]], np.full(n, np.inf))
     for j in range(1, k):
-        d2_eff = np.where(is_chosen, 0.0, d2)
-        total = d2_eff.sum()
+        total = d2.sum()  # _sq_dists left exactly 0.0 at every chosen row
         if total > 0:
-            idx = int(rng.choice(n, p=d2_eff / total))
+            idx = int(rng.choice(n, p=d2 / total))
         else:
             idx = int(rng.choice(np.flatnonzero(~is_chosen)))
         chosen[j] = idx

@@ -113,7 +113,7 @@ def test_embed_byte_identical_across_processes(tmp_path):
         outs.append(out.read_bytes())
         workers.append(json.loads(Path(f"{out}.manifest.json").read_text())["write_workers"])
     assert outs[0] == outs[1] == outs[2]
-    assert len(read_rows(out)) - 1 > cli.WRITE_BLOCK_ROWS
+    assert len(read_rows(out)) - 1 > clustering.BLOCK_ROWS
     assert workers == [1, 1, min(len(os.sched_getaffinity(0)), 2)]
 
 
@@ -176,7 +176,7 @@ def test_parallel_writer_matches_one_worker(n, width, block, data):
         edges = Path(tmp) / "edges.csv"
         write_chain(edges, n)
         mp.setattr(pipeline, "run", fake_pipeline(H))
-        mp.setattr(cli, "WRITE_BLOCK_ROWS", block)
+        mp.setattr(clustering, "BLOCK_ROWS", block)
         mp.setattr(cli, "_configure_threads", lambda: None)
         outputs = []
         for workers in (1, 2, 3, n_blocks + 1):
@@ -390,7 +390,7 @@ def test_writer_error_in_worker_is_one_line(tmp_path, capsys, monkeypatch):
     write_chain(edges, 4)
     H = np.array([[0.5], [1.5], [Unformattable()], [2.5]], dtype=object)
     monkeypatch.setattr(pipeline, "run", fake_pipeline(H))
-    monkeypatch.setattr(cli, "WRITE_BLOCK_ROWS", 1)
+    monkeypatch.setattr(clustering, "BLOCK_ROWS", 1)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     out = tmp_path / "e.csv"
     out.write_bytes(b"node_key,e0\nold,1\n")
