@@ -159,9 +159,6 @@ def _write_range(path, a, b, head=b""):
 
 def _cmd_embed(args):
     global _write_rows
-    import contextlib
-    import multiprocessing
-
     from . import clustering, graph_model, pipeline
 
     _reject_shared_outputs({"--output": args.output}, ["--output"], [("--input", args.input)])
@@ -187,16 +184,18 @@ def _cmd_embed(args):
     head = ("node_key," + ",".join(f"e{i}" for i in range(H.shape[1])) + "\n").encode()
     _write_rows = keys, H
     try:
-        # fork, so that the workers inherit _write_rows instead of a pickled
-        # H. They only format numbers and never call BLAS, so forking after
-        # OpenBLAS has started its thread pool is safe. Threads formatted
-        # these rows slower than the forked writers.
-        with (multiprocessing.get_context("fork").Pool(len(sides)) if sides
-              else contextlib.nullcontext()) as pool:
-            done = pool and pool.starmap_async(_write_range, zip(sides, cuts[1:], cuts[2:]))
-            _write_range(part, 0, cuts[1], head)
-            if pool:
+        if sides:
+            import multiprocessing
+            # fork, so that the workers inherit _write_rows instead of a
+            # pickled H. They only format numbers and never call BLAS, so
+            # forking after OpenBLAS has started its thread pool is safe.
+            # Threads formatted these rows slower than the forked writers.
+            with multiprocessing.get_context("fork").Pool(len(sides)) as pool:
+                done = pool.starmap_async(_write_range, zip(sides, cuts[1:], cuts[2:]))
+                _write_range(part, 0, cuts[1], head)
                 done.get()
+        else:
+            _write_range(part, 0, cuts[1], head)
         with open(part, "ab") as fh:
             for side in sides:
                 with open(side, "rb") as src:

@@ -27,11 +27,15 @@ POOL_MIN_ROWS = 8 * 512  # below this a pool gained no time and cost memory
 _helpers = []  # block_pool's executor, once per helper thread
 
 
+def pool_threads(n_rows):  # one per further CPU in the affinity mask, from POOL_MIN_ROWS on
+    return len(os.sched_getaffinity(0)) - 1 if n_rows >= POOL_MIN_ROWS else 0
+
+
 @contextmanager
 def block_pool(n_rows):
-    """Inside the body, map_blocks also runs on one thread per further CPU in
-    the affinity mask, from POOL_MIN_ROWS rows on; the threads end with it."""
-    threads = len(os.sched_getaffinity(0)) - 1 if n_rows >= POOL_MIN_ROWS else 0
+    """Inside the body, map_blocks also runs on pool_threads(n_rows) helper
+    threads; they end with it."""
+    threads = pool_threads(n_rows)
     with ThreadPoolExecutor(max(threads, 1)) as executor:
         _helpers[:] = [executor] * threads
         try:

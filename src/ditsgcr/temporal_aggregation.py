@@ -33,9 +33,9 @@ logger = logging.getLogger(__name__)
 
 SUBNORMAL = np.nextafter(np.finfo(np.float64).tiny, 0)  # x > it: x is normal or more
 # timeline entries per block: of whole nodes in the restart test and structure
-# sums, of chains in a recurrence step. The sums take 8 times as many from
-# clustering.POOL_MIN_ROWS nodes on, where block_pool starts threads that contend
-# for the GIL that each block's 2K + 1 sparse products hold
+# sums, of chains in a recurrence step. The sums take 8 times as many where
+# clustering.block_pool(n) starts threads, which contend for the GIL that each
+# block's 2K + 1 sparse products hold; on one thread they cost memory
 BLOCK_ENTRIES = 2048
 
 
@@ -141,6 +141,6 @@ def aggregate(graph, Z: np.ndarray, alpha: float) -> np.ndarray:
             H[v0:v1, a * two_k:(a + 1) * two_k] = seg @ (Wb[:, a:a + 1] * zb)
         H[v0:v1, two_k * two_k:] = seg @ Wb
 
-    clustering.map_blocks(structure_sums, node_blocks(
-        BLOCK_ENTRIES * (8 if n >= clustering.POOL_MIN_ROWS else 1)))
+    clustering.map_blocks(structure_sums,
+                          node_blocks(BLOCK_ENTRIES * (8 if clustering.pool_threads(n) else 1)))
     return H

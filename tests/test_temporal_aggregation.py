@@ -519,5 +519,5 @@ def test_pooled_aggregate_gives_the_serial_bits(extra, monkeypatch):
         with clustering.block_pool(g.n_nodes):
             assert len(clustering._helpers) == workers - 1
             assert aggregate(g, Z, 2.0).tobytes() == want.tobytes()
-    # outside block_pool the block size still follows the row count, on one thread
+    # outside block_pool, 3 CPUs still pick the large blocks, here on one thread
     assert aggregate(g, Z, 2.0).tobytes() == want.tobytes()

@@ -14,17 +14,18 @@ median over the processes it started.
 Printed per metric: the median and quartiles of each side, raw and
 gauge-scaled (see perfbench/README.md), the number of pairs in which head
 was better, a two-sided sign-test p (ties dropped) and, for the end-to-end
-metrics of BENCHMARK.json, a verdict under their `better` and `bound`:
-"worse beyond bound" when head's median is worse than base's by more than
-the bound; "gain" when head is better in at least nine tenths of the pairs
-run (ties count for neither side) and the medians differ by more than the
-base IQR; "unresolved" when the base IQR is wider than the bound, unless
-every head run beats every base run; "within bound" otherwise. Bounds and
-IQRs are read as fractions of base's median. peak_rss_mb also
-gets its counts per whole MB, since it can be bimodal. The record goes to
-BENCH_<head sha>.json in --out-dir (BENCH_<head sha>-dirty.json for a head
-directory with uncommitted changes), one entry per workload and seed, so
-the records of several workloads share one file.
+metrics of BENCHMARK.json, a verdict under their `bound`: "worse beyond
+bound" when head's median is worse than base's by more than the bound;
+"gain" when head is better in at least nine tenths of the pairs run (ties
+count for neither side), the medians differ by more than the base IQR and
+no more operations failed on head than on base; "unresolved" when the base
+IQR is wider than the bound, unless every head run beats every base run;
+"within bound" otherwise. Bounds and IQRs are read as fractions of base's
+median. peak_rss_mb also gets its counts per whole MB, since it can be
+bimodal. The record goes to BENCH_<head sha>.json in --out-dir
+(BENCH_<head sha>-dirty.json for a head directory with uncommitted
+changes), one entry per workload and seed, so the records of several
+workloads share one file.
 """
 
 import argparse
@@ -39,19 +40,19 @@ from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-END_TO_END = {m["name"]: m
-              for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+# end-to-end metric -> its bound, as a fraction of base's median
+BOUNDS = {m["name"]: m["bound"]
+          for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
 
-# metric -> (where it is in run.py's output, better direction); the
-# end-to-end metrics take their direction from END_TO_END
+# metric -> (where it is in run.py's output, better direction)
 METRICS = {
-    "wall_s": (("metrics", "wall_s", "value"), None),
+    "wall_s": (("metrics", "wall_s", "value"), "lower"),
     "raw_wall_s": (("record", "raw_wall_s", "median"), "lower"),
-    "edges_per_s": (("metrics", "edges_per_s", "value"), None),
+    "edges_per_s": (("metrics", "edges_per_s", "value"), "higher"),
     "raw_edges_per_s": (None, "higher"),  # input edges / raw_wall_s
-    "setup_s": (("metrics", "setup_s", "value"), None),
+    "setup_s": (("metrics", "setup_s", "value"), "lower"),
     "raw_setup_s": (("record", "raw_setup_s", "median"), "lower"),
-    "peak_rss_mb": (("metrics", "peak_rss_mb", "value"), None),
+    "peak_rss_mb": (("metrics", "peak_rss_mb", "value"), "lower"),
     "gauge_s": (("record", "gauge_s", "median"), "lower"),
 }
 
@@ -116,25 +117,26 @@ def quartiles(values):
     return q1, statistics.median(values), q3
 
 
-def verdict(b, h, sign, wins, bound):
+def verdict(b, h, sign, wins, bound, failed):
     """One end-to-end metric's verdict from base and head samples b and h,
-    sign 1 where higher is better and -1 where lower is, and head's wins."""
+    sign 1 where higher is better and -1 where lower is, head's wins and
+    the failed counts of each side."""
     (bq1, bmed, bq3), hmed = quartiles(b), statistics.median(h)
     if sign * (bmed - hmed) > bound * abs(bmed):
         return "worse beyond bound"
-    if wins >= 0.9 * len(b) and sign * (hmed - bmed) > bq3 - bq1:
+    if (wins >= 0.9 * len(b) and sign * (hmed - bmed) > bq3 - bq1
+            and failed["head"] <= failed["base"]):
         return "gain"
     if bq3 - bq1 > bound * abs(bmed) and min(sign * y for y in h) <= max(sign * x for x in b):
         return "unresolved"
     return "within bound"
 
 
-def summarize(base, head):
+def summarize(base, head, failed):
     out = {}
     for name, (_, better) in METRICS.items():
         b = [s[name] for s in base]
         h = [s[name] for s in head]
-        better = END_TO_END[name]["better"] if name in END_TO_END else better
         sign = 1 if better == "higher" else -1
         wins = sum(sign * (y - x) > 0 for x, y in zip(b, h))
         losses = sum(sign * (y - x) < 0 for x, y in zip(b, h))
@@ -145,8 +147,8 @@ def summarize(base, head):
                      "head_better_pairs": wins, "head_worse_pairs": losses,
                      "sign_test_p": sign_test(wins, losses),
                      "beyond_base_iqr": abs(hmed - bmed) > bq3 - bq1}
-        if name in END_TO_END:
-            out[name]["verdict"] = verdict(b, h, sign, wins, END_TO_END[name]["bound"])
+        if name in BOUNDS:
+            out[name]["verdict"] = verdict(b, h, sign, wins, BOUNDS[name], failed)
     rss = "peak_rss_mb"
     out[rss]["modes"] = {side: dict(sorted(Counter(round(s[rss]) for s in runs).items()))
                          for side, runs in (("base", base), ("head", head))}
@@ -177,7 +179,7 @@ def main(argv=None):
                 print(f"pair {i + 1} {side}: raw {sample['raw_wall_s']:.3f} s, scaled "
                       f"{sample['wall_s']:.3f} s, rss {sample['peak_rss_mb']:.1f} MB",
                       file=sys.stderr, flush=True)
-    summary = summarize(runs["base"], runs["head"])
+    summary = summarize(runs["base"], runs["head"], failed)
     for name, s in summary.items():
         print(f"{name:16s} base {s['base']['median']:10.4g} [{s['base']['q1']:.4g}, "
               f"{s['base']['q3']:.4g}]  head {s['head']['median']:10.4g} "
