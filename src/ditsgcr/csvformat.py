@@ -51,15 +51,20 @@ def _tables():
         point = e >= 0 and kept > e + 1
         offsets.append([((e - 3 * g if point and 0 <= e - 3 * g < 3 else 3) * 4
                          + min(max(kept - 3 * g, 0), 3)) * 1000 for g in range(3)])
-    groups = []
-    for p, kept, v in itertools.product(range(4), range(4), range(1000)):
-        d = f"{v:03d}"[:kept]
-        groups.append(d[:p + 1] + "." * (p < 3) + d[p + 1:])
-    words = np.concatenate([_words(prefixes + ["\n" + s for s in prefixes], 8),
-                            _words(groups, 4)])
+    # a group's text for each (p, kept), as columns of chars: v's three
+    # digits, the point and NUL, gathered for all v at once
+    v = np.arange(1000)
+    chars = np.array([48 + v // 100, 48 + v // 10 % 10, 48 + v % 10,
+                      np.full(1000, ord(".")), np.zeros(1000, int)], dtype=np.uint8).T
+    columns = []
+    for p, kept in itertools.product(range(4), range(4)):
+        d = "012"[:kept]
+        columns.append([int(c) for c in (d[:p + 1] + "3" * (p < 3) + d[p + 1:]).ljust(4, "4")])
+    groups = np.ascontiguousarray(chars[:, columns].transpose(1, 0, 2)).view(np.uint32)
+    words = np.concatenate([_words(prefixes + ["\n" + s for s in prefixes], 8), groups.ravel()])
     offsets = np.array(offsets, dtype=np.intp).T.copy() + 4 * _CODES  # past the prefixes
-    digits = np.array([[len(f"{v:03d}".rstrip("0")) and 3 * g + len(f"{v:03d}".rstrip("0"))
-                        for v in range(1000)] for g in range(3)], dtype=np.intp)
+    kept = 3 - (v % 10 == 0) - (v % 100 == 0)  # v's digits up to its last nonzero one
+    digits = np.where(v > 0, 3 * np.arange(3, dtype=np.intp)[:, None] + kept, 0)
     return words, offsets, digits
 
 

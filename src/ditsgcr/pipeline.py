@@ -9,9 +9,9 @@ embedding rows stops increasing; the result of the non-improving
 iteration is discarded.
 """
 
-import hashlib
 import logging
 import math
+import threading
 import time
 from dataclasses import dataclass, field
 
@@ -71,14 +71,64 @@ class PipelineResult:
     stage_seconds: dict = field(default_factory=dict)
 
 
+SHIFT = 0.7390851332151607  # any constant in (0.5, 1) with few trailing zero bits
+
+
+def _key_weights(width):
+    """Fixed random odd 64-bit weights, one per column, for row keys."""
+    rng = np.random.default_rng(0x5EED)
+    return rng.integers(0, 2**64, size=width, dtype=np.uint64) | np.uint64(1)
+
+
 def count_unique_embeddings(H: np.ndarray) -> int:
-    """Distinct rows of H after rounding every entry to 6 decimals, counted
-    by the sha256 of each rounded row instead of a copy of the row."""
-    seen = set()
-    for a, b in clustering.row_blocks(len(H)):
-        rounded = np.ascontiguousarray(np.round(H[a:b], 6)) + 0.0  # +0.0 folds -0.0
-        seen.update(hashlib.sha256(row).digest() for row in rounded)
-    return len(seen)
+    """Distinct rows of H after rounding every entry to 6 decimals, -0.0
+    folded into +0.0, counted exactly without a rounded copy of H.
+
+    A row's key is the sum mod 2**64 of the bits of row + SHIFT, read as
+    uint64, times _key_weights; the shift fills short mantissas (0.5, 3.0)
+    whose trailing zeros would leave only the top bits of each product set.
+    Each row whose key repeats is compared bit for bit with the first row of
+    its key's run, and only runs holding unequal rows go to np.unique. Both
+    passes run on clustering.map_blocks, each thread rounding into two
+    buffers of its own.
+    """
+    n, width = H.shape
+    local = threading.local()
+
+    def rounded(side, a, b, index=None, shift=0.0):  # bits of H[a:b] or H[index[a:b]]
+        if not hasattr(local, "buffers"):  # a row block has under 1.5 BLOCK_ROWS rows
+            local.buffers = np.empty((2, min(n, 3 * clustering.BLOCK_ROWS // 2), width))
+        out = local.buffers[side, :b - a]
+        if index is None:
+            np.round(H[a:b], 6, out=out)
+        else:
+            np.round(np.take(H, index[a:b], axis=0, out=out, mode="clip"), 6, out=out)
+        out += shift  # folds -0.0 into +0.0
+        return out.view(np.uint64)
+
+    keys = np.empty(n, dtype=np.uint64)
+    weights = _key_weights(width)
+    clustering.map_blocks(lambda a, b: np.matmul(rounded(0, a, b, shift=SHIFT), weights,
+                                                 out=keys[a:b]),
+                          clustering.row_blocks(n))
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    new = np.ones(n, dtype=bool)  # sorted position opens a run of equal keys
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    first = np.maximum.accumulate(np.where(new, np.arange(n), 0))  # its run's first position
+    repeat = np.flatnonzero(~new)
+    rows, leaders = order[repeat], order[first[repeat]]
+    unequal = np.empty(len(repeat), dtype=bool)
+
+    def compare(a, b):
+        np.any(rounded(0, a, b, rows) != rounded(1, a, b, leaders), axis=1, out=unequal[a:b])
+    clustering.map_blocks(compare, clustering.row_blocks(len(repeat)))
+    count = np.count_nonzero(new)
+    if unequal.any():
+        dirty = np.isin(first, first[repeat[unequal]])
+        bits = (np.round(H[order[dirty]], 6) + 0.0).view(np.uint64)
+        count += len(np.unique(bits, axis=0)) - np.count_nonzero(new[dirty])
+    return int(count)
 
 
 def timed(seconds, name, fn, *args, **kwargs):

@@ -18,8 +18,10 @@ restart. One Python step advances every running chain.
 The outer products of each w with z sum into a 2K x 2K structure matrix
 Z_v, as per-node segment sums one 2K-column block at a time, per block of
 whole nodes so the products stay small; each node still sums its entries
-in entry order, so the blocks may run on clustering.map_blocks' threads in
-any order. The output row is [flatten(Z_v), s_v], width 4K^2 + 2K.
+in entry order. W, the restart test, each recurrence step and the sums are
+all row-local on blocks that depend on the graph only, so their blocks may
+run on clustering.map_blocks' threads in any order. The output row is
+[flatten(Z_v), s_v], width 4K^2 + 2K.
 """
 
 import logging
@@ -32,10 +34,11 @@ from . import clustering
 logger = logging.getLogger(__name__)
 
 SUBNORMAL = np.nextafter(np.finfo(np.float64).tiny, 0)  # x > it: x is normal or more
-# timeline entries per block: of whole nodes in the restart test and structure
-# sums, of chains in a recurrence step. The sums take 8 times as many where
-# clustering.block_pool(n) starts threads, which contend for the GIL that each
-# block's 2K + 1 sparse products hold; on one thread they cost memory
+# timeline entries per block: of entries in W, of whole nodes in the restart
+# test and structure sums, of chains in a recurrence step. All but the steps
+# take 8 times as many where clustering.block_pool(n) starts threads, which
+# contend for the GIL that each block's sparse products hold; on one thread
+# larger blocks cost memory
 BLOCK_ENTRIES = 2048
 
 
@@ -81,10 +84,17 @@ def aggregate(graph, Z: np.ndarray, alpha: float) -> np.ndarray:
     entry_ptr, entry_t = graph.entry_ptr, graph.entry_t
     n_entries = len(entry_t)
 
-    W = np.empty((n_entries, two_k))  # [A_in Z, A_out Z], then normalized in place
-    W[:, :k] = _csr_ones(graph.in_ptr, graph.in_ids, n) @ Z
-    W[:, k:] = _csr_ones(graph.out_ptr, graph.out_ids, n) @ Z
-    _row_normalize(W)
+    # blocks of entries, and of whole nodes, that the pool's threads share
+    size = BLOCK_ENTRIES * (8 if clustering.pool_threads(n) else 1)
+    W = np.empty((n_entries, two_k))  # [A_in Z, A_out Z], normalized per row
+
+    def timestep_vectors(e0, e1):
+        for ptr, ids, c in ((graph.in_ptr, graph.in_ids, 0), (graph.out_ptr, graph.out_ids, k)):
+            W[e0:e1, c:c + k] = _csr_ones(ptr[e0:e1 + 1] - ptr[e0], ids[ptr[e0]:ptr[e1]], n) @ Z
+        _row_normalize(W[e0:e1])
+
+    clustering.map_blocks(timestep_vectors, ((e, min(e + size, n_entries))
+                                             for e in range(0, n_entries, size)))
 
     # entry e (descending storage) follows entry e + 1 in time within its node
     lengths = np.diff(entry_ptr)
@@ -104,16 +114,19 @@ def aggregate(graph, Z: np.ndarray, alpha: float) -> np.ndarray:
 
     # a step starts a chain at its node's first step and at each restart
     start = np.zeros(n_entries, dtype=bool)
-    for v0, v1 in node_blocks(BLOCK_ENTRIES):
+
+    def restarts(v0, v1):
         e0, e1 = entry_ptr[v0], entry_ptr[v1]
         if e1 - e0 < 2:
-            continue
+            return
         m = lengths[v0:v1]
         dead = ~np.logical_or.reduceat(W[e0:e1] != 0, entry_ptr[v0:v1][m > 0] - e0)  # per node
         exact = np.abs(W[e0 + 1:e1]) > np.maximum(decay[e0:e1 - 1] * 2.0**55, SUBNORMAL)[:, None]
         exact |= np.repeat(dead, m[m > 0], axis=0)[1:]
         e = e0 + np.flatnonzero(has_prev[e0:e1 - 1] & (exact.all(axis=1) | ~has_prev[e0 + 1:e1]))
         start[e] = True
+
+    clustering.map_blocks(restarts, node_blocks(size))
 
     # step p advances the p-th step of every chain longer than p; sorting
     # chains by length keeps those a prefix of `heads`
@@ -125,10 +138,17 @@ def aggregate(graph, Z: np.ndarray, alpha: float) -> np.ndarray:
     logger.debug("lift: %d entries, %d chains, %d restarts, longest chain %d steps",
                  n_entries, len(heads), len(heads) - np.count_nonzero(lengths > 1), len(active))
     zrows = np.zeros((n_entries, two_k))
-    for p in range(len(active)):
-        for i in range(0, active[p], BLOCK_ENTRIES):  # blocks keep the temporaries small
-            e = heads[:active[p]][i:i + BLOCK_ENTRIES] - p  # p = 0: z = 0, and d * 0 is +0.0
-            zrows[e] = _row_normalize(W[e + 1] + (decay[e, None] * zrows[e + 1] if p else 0.0))
+
+    def step(p, i0, i1):  # chains i0..i1-1 take their p-th step
+        e = heads[i0:i1] - p  # p = 0: z = 0, and d * 0 is +0.0
+        zrows[e] = _row_normalize(W[e + 1] + (decay[e, None] * zrows[e + 1] if p else 0.0))
+
+    for p, chains in enumerate(active.tolist()):  # blocks keep the temporaries small
+        if chains > BLOCK_ENTRIES:
+            clustering.map_blocks(step, ((p, i, min(i + BLOCK_ENTRIES, chains))
+                                         for i in range(0, chains, BLOCK_ENTRIES)))
+        else:  # one block, as on a hub's long chain, skips the pool's overhead
+            step(p, 0, chains)
     del start, bounds, steps, order, heads, active
 
     H = np.empty((n, output_width(k)))
@@ -141,6 +161,5 @@ def aggregate(graph, Z: np.ndarray, alpha: float) -> np.ndarray:
             H[v0:v1, a * two_k:(a + 1) * two_k] = seg @ (Wb[:, a:a + 1] * zb)
         H[v0:v1, two_k * two_k:] = seg @ Wb
 
-    clustering.map_blocks(structure_sums,
-                          node_blocks(BLOCK_ENTRIES * (8 if clustering.pool_threads(n) else 1)))
+    clustering.map_blocks(structure_sums, node_blocks(size))
     return H

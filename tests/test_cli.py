@@ -3,6 +3,7 @@ import csv
 import hashlib
 import inspect
 import io
+import itertools
 import json
 import multiprocessing
 import os
@@ -245,6 +246,43 @@ def test_row_formatter_matches_percent_format(values, width, keyed):
     rows = -(-len(values) // width)
     keys = [f"k{i}".encode() for i in range(rows)] if keyed else None
     assert_rows_match_format(values, width, keys)
+
+
+def string_tables():
+    """csvformat's (words, offsets, digits), built one Python string per
+    table entry: the oracle for its array construction."""
+    def words(texts, size):
+        return np.frombuffer(b"".join(t.encode().ljust(size, b"\0") for t in texts),
+                             dtype=np.uint32)
+
+    prefixes, offsets = [], []
+    for neg, e, t in itertools.product((0, 1), range(-4, 9), range(10)):
+        sign = "-" * neg
+        if t == 0:
+            prefixes.append("," + sign + "0")
+            offsets.append([(3 * 4 + 0) * 1000] * 3)
+            continue
+        prefixes.append("," + sign + "0." * (e < 0) + "0" * (-e - 1))
+        kept = max(t, e + 1)
+        point = e >= 0 and kept > e + 1
+        offsets.append([((e - 3 * g if point and 0 <= e - 3 * g < 3 else 3) * 4
+                         + min(max(kept - 3 * g, 0), 3)) * 1000 for g in range(3)])
+    groups = []
+    for p, kept, v in itertools.product(range(4), range(4), range(1000)):
+        d = f"{v:03d}"[:kept]
+        groups.append(d[:p + 1] + "." * (p < 3) + d[p + 1:])
+    all_words = np.concatenate([words(prefixes + ["\n" + s for s in prefixes], 8),
+                                words(groups, 4)])
+    offsets = np.array(offsets, dtype=np.intp).T.copy() + 4 * 2 * 13 * 10
+    digits = np.array([[len(f"{v:03d}".rstrip("0")) and 3 * g + len(f"{v:03d}".rstrip("0"))
+                        for v in range(1000)] for g in range(3)], dtype=np.intp)
+    return all_words, offsets, digits
+
+
+def test_formatter_tables_match_string_construction():
+    for got, want in zip(csvformat._tables(), string_tables()):
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
 
 
 def test_row_formatter_edge_values():

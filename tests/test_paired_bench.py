@@ -1,6 +1,7 @@
-"""Verdicts of tools/paired_bench.py on hand-made samples."""
+"""Verdicts and machine fields of tools/paired_bench.py, on hand-made samples."""
 
 import importlib.util
+import os
 from pathlib import Path
 
 import pytest
@@ -34,3 +35,9 @@ def test_verdict_unresolved_when_base_spreads_wider_than_bound():
 
 def test_every_end_to_end_metric_has_a_direction():
     assert set(paired_bench.BOUNDS) <= set(paired_bench.METRICS)
+
+
+def test_record_counts_the_cpus_of_the_affinity_mask(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})  # taskset -c 0
+    assert paired_bench.machine() == {"nproc": 2, "cpus": 1}

@@ -1,9 +1,12 @@
+import itertools
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ditsgcr import clustering
+from ditsgcr import clustering, pipeline
 from ditsgcr.graph_model import build_graph
 from ditsgcr.pipeline import (PipelineConfig, count_unique_embeddings, run)
 from ditsgcr.temporal_aggregation import output_width
@@ -33,16 +36,51 @@ def test_count_unique_matches_np_unique():
 VALUES = st.sampled_from([0.0, 1e-9, -1e-9, 2.5, -1.0, 0.1234564, 0.1234566])
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(pool=st.lists(st.tuples(VALUES, VALUES, VALUES), min_size=1, max_size=4),
-       picks=st.lists(st.integers(0, 3), max_size=24), block=st.integers(1, 5))
-def test_count_unique_matches_np_unique_across_row_blocks(pool, picks, block):
-    # few pool rows and many picks: duplicates straddle the block edges
+       picks=st.lists(st.integers(0, 3), max_size=24), block=st.integers(1, 5),
+       weight=st.sampled_from([None, 0, 1]), fortran=st.booleans())
+def test_count_unique_matches_np_unique_across_row_blocks(pool, picks, block, weight, fortran):
+    # few pool rows and many picks: duplicates straddle the block edges. Key
+    # weights of 0 give every row the same key, weights of 1 the plain sum of
+    # its bits, the same for rows that permute one another
     H = np.array([pool[i % len(pool)] for i in picks], dtype=np.float64).reshape(-1, 3)
+    H = np.asfortranarray(H) if fortran else H
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(clustering, "BLOCK_ROWS", block)
+        if weight is not None:
+            mp.setattr(pipeline, "_key_weights", lambda width: np.full(width, weight, np.uint64))
         got = count_unique_embeddings(H)
     assert got == np.unique(np.round(H, 6) + 0.0, axis=0).shape[0]
+
+
+def test_count_keys_tell_short_mantissas_apart(monkeypatch):
+    # 625 rows of halves and small integers, whose bits end in 51 or more
+    # zeros: unshifted, their keys would differ in the top 13 bits only
+    H = np.array(list(itertools.product([0.0, 0.5, 1.0, 2.0, 3.0], repeat=4)))
+    monkeypatch.setattr(np, "unique", lambda *args, **kwargs: pytest.fail("keys collided"))
+    assert count_unique_embeddings(H) == 625
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_pooled_count_matches_np_unique(workers, monkeypatch):
+    # above the pool's size gate: duplicates, signed zeros and rows that
+    # permute one another spread over every row block
+    n = clustering.POOL_MIN_ROWS + 300
+    rng = np.random.default_rng(workers)
+    pool = np.round(rng.normal(size=(900, 6)), 3)
+    pool[::5, 0] = -1e-9  # rounds to -0.0
+    pool[1::5] = pool[::5][:, ::-1]
+    pool[2::5] = pool[::5]
+    pool[2::5, 0] = 1e-9  # rounds to +0.0: the same row as pool[::5] after folding
+    H = pool[rng.integers(len(pool), size=n)]
+    want = np.unique(np.round(H, 6) + 0.0, axis=0).shape[0]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)))
+    with clustering.block_pool(n):
+        assert len(clustering._helpers) == workers - 1
+        assert count_unique_embeddings(H) == want
+        monkeypatch.setattr(pipeline, "_key_weights", lambda width: np.ones(width, np.uint64))
+        assert count_unique_embeddings(H) == want
 
 
 def test_empty_graph():

@@ -502,22 +502,35 @@ def test_aggregate_memory_budget():
 
 @pytest.mark.parametrize("extra", [1, 65, 255, 257])
 def test_pooled_aggregate_gives_the_serial_bits(extra, monkeypatch):
-    # above the pool's size gate, with a hub's chain that steps alone and
-    # more structure-sum blocks than threads
+    # above the pool's size gate, with a hub's chain that steps alone, more W,
+    # restart and structure-sum blocks than threads, and 256-entry blocks, so
+    # that the first recurrence steps span several pooled blocks
+    monkeypatch.setattr(temporal_aggregation, "BLOCK_ENTRIES", 256)
     rng = np.random.default_rng(extra)
-    t = np.cumsum(1 + rng.integers(0, 4, size=12000))
+    t = np.cumsum(1 + rng.integers(0, 4, size=4000))
     edges = [(f"o{rng.integers(3500)}", "hub", int(x)) for x in t]
     edges += [(f"o{rng.integers(3500)}", f"o{rng.integers(3500)}", int(rng.integers(10**6)))
-              for _ in range(12000)]
+              for _ in range(4000)]
     g = build_graph(edges)
     g = with_isolated(g, clustering.POOL_MIN_ROWS + extra - g.n_nodes)
     assert len(g.entry_t) > 2 * 8 * temporal_aggregation.BLOCK_ENTRIES  # pooled blocks
     Z = rng.normal(size=(g.n_nodes, 10))
-    want = loop_aggregate(g, Z, 2.0)
-    for workers in (1, 2, 3):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, w=workers: set(range(w)))
-        with clustering.block_pool(g.n_nodes):
-            assert len(clustering._helpers) == workers - 1
-            assert aggregate(g, Z, 2.0).tobytes() == want.tobytes()
-    # outside block_pool, 3 CPUs still pick the large blocks, here on one thread
-    assert aggregate(g, Z, 2.0).tobytes() == want.tobytes()
+    step_blocks = []
+    map_blocks = clustering.map_blocks
+
+    def counting_map_blocks(fn, blocks):
+        blocks = list(blocks)
+        if fn.__name__ == "step":
+            step_blocks.append(len(blocks))
+        map_blocks(fn, blocks)
+    monkeypatch.setattr(clustering, "map_blocks", counting_map_blocks)
+    for alpha in (2.0, 60.0, NO_DECAY):
+        want = loop_aggregate(g, Z, alpha)
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, w=workers: set(range(w)))
+            with clustering.block_pool(g.n_nodes):
+                assert len(clustering._helpers) == workers - 1
+                assert aggregate(g, Z, alpha).tobytes() == want.tobytes()
+        # outside block_pool, 3 CPUs still pick the large blocks, here on one thread
+        assert aggregate(g, Z, alpha).tobytes() == want.tobytes()
+    assert max(step_blocks) > 2

@@ -25,7 +25,9 @@ median. peak_rss_mb also gets its counts per whole MB, since it can be
 bimodal. The record goes to BENCH_<head sha>.json in --out-dir
 (BENCH_<head sha>-dirty.json for a head directory with uncommitted
 changes), one entry per workload and seed, so the records of several
-workloads share one file.
+workloads share one file. An entry also holds the machine's CPU count
+(`nproc`) and the number of CPUs the runs could use (`cpus`), 1 under
+`taskset -c 0`.
 """
 
 import argparse
@@ -78,6 +80,12 @@ def checkout(spec, tmp, side):
                              capture_output=True, check=True).stdout
     subprocess.run(["tar", "-x", "-C", str(target)], input=archive, check=True)
     return target, sha
+
+
+def machine():
+    """The machine's CPU count and the CPUs this process may run on, which
+    taskset narrows and run.py's children inherit."""
+    return {"nproc": os.cpu_count(), "cpus": len(os.sched_getaffinity(0))}
 
 
 def run_once(directory, workload, seed, seconds):
@@ -189,7 +197,7 @@ def main(argv=None):
     print("peak_rss_mb modes:", summary["peak_rss_mb"]["modes"])
     entry = {"workload": args.workload, "seed": args.seed, "pairs": args.pairs,
              "seconds": args.seconds, "base": {"spec": args.base, "sha": base_sha},
-             "head": {"spec": args.head, "sha": head_sha}, "nproc": os.cpu_count(),
+             "head": {"spec": args.head, "sha": head_sha}, **machine(),
              "failed": failed, "runs": runs, "summary": summary}
     stem = (head_sha[:12] + "-dirty" * head_sha.endswith("-dirty")) if head_sha else "worktree"
     path = Path(args.out_dir) / f"BENCH_{stem}.json"
