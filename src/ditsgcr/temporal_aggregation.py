@@ -19,8 +19,8 @@ The outer products of each w with z sum into a 2K x 2K structure matrix
 Z_v, as per-node segment sums one 2K-column block at a time, per block of
 whole nodes so the products stay small; each node still sums its entries
 in entry order. W, the restart test, each recurrence step and the sums are
-all row-local on blocks that depend on the graph only, so their blocks may
-run on clustering.map_blocks' threads in any order. The output row is
+row-local, so no bit depends on their blocks, which may run on
+clustering.map_blocks' threads in any order. The output row is
 [flatten(Z_v), s_v], width 4K^2 + 2K.
 """
 
