@@ -75,10 +75,14 @@ def _digest(path):
 
 
 def _reject_shared_outputs(outputs, manifested, inputs=()):
-    """Raise ValueError if two files the command writes are one: the outputs,
-    {flag: path or None}, and "<path>.manifest.json" of the flags in
-    manifested. So is an input, (flag, path) pairs, that is such a manifest."""
+    """Raise ValueError if an output, {flag: path or None}, is not in an
+    existing directory, or if two files the command writes are one: the
+    outputs and "<path>.manifest.json" of the flags in manifested. So is an
+    input, (flag, path) pairs, that is such a manifest."""
     named = {flag: path for flag, path in outputs.items() if path}
+    for flag, path in named.items():
+        if not os.path.isdir(parent := os.path.dirname(os.path.abspath(path))):
+            raise ValueError(f"{flag}: no directory {parent}")
     named.update({f"the manifest of {flag}": f"{named[flag]}.manifest.json"
                   for flag in manifested if flag in named})
     seen = {}

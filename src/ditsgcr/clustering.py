@@ -45,13 +45,15 @@ def block_pool(n_rows):
 
 
 def map_blocks(fn, blocks):
-    """fn(start, stop) for every block, on this thread and block_pool's."""
-    todo = iter(list(blocks))  # next() on it is atomic under the GIL
+    """fn(*block) for every block, on this thread and block_pool's; a call
+    of at most one block runs on this thread and wakes no helper."""
+    blocks = list(blocks)
+    todo = iter(blocks)  # next() on it is atomic under the GIL
 
     def drain():
         for block in todo:
             fn(*block)
-    helpers = [executor.submit(drain) for executor in _helpers]
+    helpers = [executor.submit(drain) for executor in _helpers] if len(blocks) > 1 else []
     drain()
     for helper in helpers:
         helper.result()

@@ -11,7 +11,6 @@ iteration is discarded.
 
 import logging
 import math
-import threading
 import time
 from dataclasses import dataclass, field
 
@@ -87,47 +86,35 @@ def count_unique_embeddings(H: np.ndarray) -> int:
     A row's key is the sum mod 2**64 of the bits of row + SHIFT, read as
     uint64, times _key_weights; the shift fills short mantissas (0.5, 3.0)
     whose trailing zeros would leave only the top bits of each product set.
-    Each row whose key repeats is compared bit for bit with the first row of
-    its key's run, and only runs holding unequal rows go to np.unique. Both
-    passes run on clustering.map_blocks, each thread rounding into two
-    buffers of its own.
+    Each row whose key repeats is compared as floats (-0.0 == +0.0) with
+    the first row of its key; only keys holding unequal rows go to
+    np.unique. Both passes run on clustering.map_blocks by row blocks.
     """
     n, width = H.shape
-    local = threading.local()
-
-    def rounded(side, a, b, index=None, shift=0.0):  # bits of H[a:b] or H[index[a:b]]
-        if not hasattr(local, "buffers"):  # a row block has under 1.5 BLOCK_ROWS rows
-            local.buffers = np.empty((2, min(n, 3 * clustering.BLOCK_ROWS // 2), width))
-        out = local.buffers[side, :b - a]
-        if index is None:
-            np.round(H[a:b], 6, out=out)
-        else:
-            np.round(np.take(H, index[a:b], axis=0, out=out, mode="clip"), 6, out=out)
-        out += shift  # folds -0.0 into +0.0
-        return out.view(np.uint64)
-
     keys = np.empty(n, dtype=np.uint64)
     weights = _key_weights(width)
-    clustering.map_blocks(lambda a, b: np.matmul(rounded(0, a, b, shift=SHIFT), weights,
-                                                 out=keys[a:b]),
-                          clustering.row_blocks(n))
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    new = np.ones(n, dtype=bool)  # sorted position opens a run of equal keys
-    np.not_equal(keys[1:], keys[:-1], out=new[1:])
-    first = np.maximum.accumulate(np.where(new, np.arange(n), 0))  # its run's first position
-    repeat = np.flatnonzero(~new)
-    rows, leaders = order[repeat], order[first[repeat]]
-    unequal = np.empty(len(repeat), dtype=bool)
+
+    def key(a, b):
+        x = np.round(H[a:b], 6)
+        x += SHIFT
+        np.matmul(x.view(np.uint64), weights, out=keys[a:b])
+    clustering.map_blocks(key, clustering.row_blocks(n))
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    rows = np.flatnonzero(first[inverse] != np.arange(n))
+    leaders = first[inverse[rows]]
+    unequal = np.empty(len(rows), dtype=bool)
 
     def compare(a, b):
-        np.any(rounded(0, a, b, rows) != rounded(1, a, b, leaders), axis=1, out=unequal[a:b])
-    clustering.map_blocks(compare, clustering.row_blocks(len(repeat)))
-    count = np.count_nonzero(new)
+        x, y = H[rows[a:b]], H[leaders[a:b]]
+        np.round(x, 6, out=x)
+        np.round(y, 6, out=y)
+        np.any(x != y, axis=1, out=unequal[a:b])
+    clustering.map_blocks(compare, clustering.row_blocks(len(rows)))
+    count = len(first)
     if unequal.any():
-        dirty = np.isin(first, first[repeat[unequal]])
-        bits = (np.round(H[order[dirty]], 6) + 0.0).view(np.uint64)
-        count += len(np.unique(bits, axis=0)) - np.count_nonzero(new[dirty])
+        dirty = np.isin(inverse, inverse[rows[unequal]])
+        bits = (np.round(H[dirty], 6) + 0.0).view(np.uint64)
+        count += len(np.unique(bits, axis=0)) - len(np.unique(inverse[rows[unequal]]))
     return int(count)
 
 

@@ -18,7 +18,8 @@ restart. One Python step advances every running chain.
 The outer products of each w with z sum into a 2K x 2K structure matrix
 Z_v, as per-node segment sums one 2K-column block at a time, per block of
 whole nodes so the products stay small; each node still sums its entries
-in entry order. W, the restart test, each recurrence step and the sums are
+in entry order. The same node blocks build W and run the restart test in
+one pass. W, the restart test, each recurrence step and the sums are
 row-local, so no bit depends on their blocks, which may run on
 clustering.map_blocks' threads in any order. The output row is
 [flatten(Z_v), s_v], width 4K^2 + 2K.
@@ -34,11 +35,11 @@ from . import clustering
 logger = logging.getLogger(__name__)
 
 SUBNORMAL = np.nextafter(np.finfo(np.float64).tiny, 0)  # x > it: x is normal or more
-# timeline entries per block: of entries in W, of whole nodes in the restart
-# test and structure sums, of chains in a recurrence step. All but the steps
-# take 8 times as many where clustering.block_pool(n) starts threads, which
-# contend for the GIL that each block's sparse products hold; on one thread
-# larger blocks cost memory
+# timeline entries per block of whole nodes, in the pass that builds W and
+# runs the restart test and in the structure sums; chains per recurrence
+# step. Node blocks take 8 times as many where clustering.block_pool(n)
+# starts threads, which contend for the GIL that each block's sparse
+# products hold; on one thread larger blocks cost memory
 BLOCK_ENTRIES = 2048
 
 
@@ -84,18 +85,6 @@ def aggregate(graph, Z: np.ndarray, alpha: float) -> np.ndarray:
     entry_ptr, entry_t = graph.entry_ptr, graph.entry_t
     n_entries = len(entry_t)
 
-    # blocks of entries, and of whole nodes, that the pool's threads share
-    size = BLOCK_ENTRIES * (8 if clustering.pool_threads(n) else 1)
-    W = np.empty((n_entries, two_k))  # [A_in Z, A_out Z], normalized per row
-
-    def timestep_vectors(e0, e1):
-        for ptr, ids, c in ((graph.in_ptr, graph.in_ids, 0), (graph.out_ptr, graph.out_ids, k)):
-            W[e0:e1, c:c + k] = _csr_ones(ptr[e0:e1 + 1] - ptr[e0], ids[ptr[e0]:ptr[e1]], n) @ Z
-        _row_normalize(W[e0:e1])
-
-    clustering.map_blocks(timestep_vectors, ((e, min(e + size, n_entries))
-                                             for e in range(0, n_entries, size)))
-
     # entry e (descending storage) follows entry e + 1 in time within its node
     lengths = np.diff(entry_ptr)
     has_prev = np.ones(n_entries, dtype=bool)
@@ -105,18 +94,24 @@ def aggregate(graph, Z: np.ndarray, alpha: float) -> np.ndarray:
     with np.errstate(over="ignore"):  # a tiny alpha overflows to -inf, exp gives 0
         decay[e] = np.exp(-(entry_t[e] - entry_t[e + 1]) / alpha)
 
-    def node_blocks(size):  # (v0, v1) of at most `size` entries, or one node
-        cuts = [0]
-        while cuts[-1] < n:
-            end = np.searchsorted(entry_ptr, entry_ptr[cuts[-1]] + size, "right") - 1
-            cuts.append(max(cuts[-1] + 1, end))
-        return zip(cuts, cuts[1:])
+    # (v0, v1) of whole nodes, at most `size` entries or one node, for the
+    # pool's threads: W with the restart test, then the structure sums
+    size = BLOCK_ENTRIES * (8 if clustering.pool_threads(n) else 1)
+    cuts = [0]
+    while cuts[-1] < n:
+        end = np.searchsorted(entry_ptr, entry_ptr[cuts[-1]] + size, "right") - 1
+        cuts.append(max(cuts[-1] + 1, end))
+    blocks = list(zip(cuts, cuts[1:]))
 
+    W = np.empty((n_entries, two_k))  # [A_in Z, A_out Z], normalized per row
     # a step starts a chain at its node's first step and at each restart
     start = np.zeros(n_entries, dtype=bool)
 
-    def restarts(v0, v1):
+    def timesteps(v0, v1):  # the rows of W of nodes v0..v1-1, then their restart test
         e0, e1 = entry_ptr[v0], entry_ptr[v1]
+        for ptr, ids, c in ((graph.in_ptr, graph.in_ids, 0), (graph.out_ptr, graph.out_ids, k)):
+            W[e0:e1, c:c + k] = _csr_ones(ptr[e0:e1 + 1] - ptr[e0], ids[ptr[e0]:ptr[e1]], n) @ Z
+        _row_normalize(W[e0:e1])
         if e1 - e0 < 2:
             return
         m = lengths[v0:v1]
@@ -126,7 +121,7 @@ def aggregate(graph, Z: np.ndarray, alpha: float) -> np.ndarray:
         e = e0 + np.flatnonzero(has_prev[e0:e1 - 1] & (exact.all(axis=1) | ~has_prev[e0 + 1:e1]))
         start[e] = True
 
-    clustering.map_blocks(restarts, node_blocks(size))
+    clustering.map_blocks(timesteps, blocks)
 
     # step p advances the p-th step of every chain longer than p; sorting
     # chains by length keeps those a prefix of `heads`
@@ -144,11 +139,8 @@ def aggregate(graph, Z: np.ndarray, alpha: float) -> np.ndarray:
         zrows[e] = _row_normalize(W[e + 1] + (decay[e, None] * zrows[e + 1] if p else 0.0))
 
     for p, chains in enumerate(active.tolist()):  # blocks keep the temporaries small
-        if chains > BLOCK_ENTRIES:
-            clustering.map_blocks(step, ((p, i, min(i + BLOCK_ENTRIES, chains))
-                                         for i in range(0, chains, BLOCK_ENTRIES)))
-        else:  # one block, as on a hub's long chain, skips the pool's overhead
-            step(p, 0, chains)
+        clustering.map_blocks(step, ((p, i, min(i + BLOCK_ENTRIES, chains))
+                                     for i in range(0, chains, BLOCK_ENTRIES)))
     del start, bounds, steps, order, heads, active
 
     H = np.empty((n, output_width(k)))
@@ -161,5 +153,5 @@ def aggregate(graph, Z: np.ndarray, alpha: float) -> np.ndarray:
             H[v0:v1, a * two_k:(a + 1) * two_k] = seg @ (Wb[:, a:a + 1] * zb)
         H[v0:v1, two_k * two_k:] = seg @ Wb
 
-    clustering.map_blocks(structure_sums, node_blocks(size))
+    clustering.map_blocks(structure_sums, blocks)
     return H

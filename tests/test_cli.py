@@ -851,6 +851,29 @@ def test_outputs_on_one_path_fail(tmp_path, capsys, monkeypatch, command, flags)
         [edges.name, labels.name, f"{edges.name}.manifest.json", "sub"])  # nothing written
 
 
+@pytest.mark.parametrize("command, flag", [
+    ("embed", "--output"), ("evaluate", "--emit-roc"), ("evaluate", "--output"),
+    ("synth", "--out-edges"), ("synth", "--out-labels"),
+])
+def test_output_in_a_missing_directory_fails_before_any_work(tmp_path, capsys, monkeypatch,
+                                                             command, flag):
+    # embed used to run the whole pipeline and then name its working
+    # directory; evaluate printed its metrics line first
+    edges, labels = make_dataset(tmp_path)
+    monkeypatch.setattr(pipeline, "run", lambda *a, **k: pytest.fail("the pipeline ran"))
+    monkeypatch.setattr(synthgen, "generate", lambda *a, **k: pytest.fail("synth ran"))
+    args = command_args(tmp_path, command, edges, labels)
+    missing = tmp_path / "missing"
+    if flag in args:
+        args[args.index(flag) + 1] = str(missing / "x.csv")
+    else:
+        args += [flag, str(missing / "x.csv")]
+    capsys.readouterr()
+    assert cli.main([command, *args]) == 1
+    assert capsys.readouterr() == ("", f"error: {flag}: no directory {missing}\n")
+    assert not list(tmp_path.rglob(".ditsgcr-*")) and not missing.exists()
+
+
 @pytest.mark.parametrize("command", ["embed", "evaluate"])
 def test_input_on_an_output_manifest_fails(tmp_path, capsys, command):
     # the manifest used to overwrite the input it describes, with exit code 0

@@ -1,5 +1,6 @@
 import os
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -335,3 +336,17 @@ def test_map_blocks_runs_every_block_once_under_contention(monkeypatch):
                 clustering.map_blocks(lambda a, b: 1 / (a - 250), blocks)
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_map_blocks_runs_one_block_on_the_calling_thread(monkeypatch):
+    # a helper woken for one block would only wait on the GIL
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    with clustering.block_pool(clustering.POOL_MIN_ROWS):
+        assert len(clustering._helpers) == 1
+        monkeypatch.setattr(clustering._helpers[0], "submit",
+                            lambda *args: pytest.fail("a helper was woken"))
+        seen = []
+        clustering.map_blocks(lambda a, b: seen.append((a, b, threading.get_ident())),
+                              iter([(0, 7)]))
+        assert seen == [(0, 7, threading.get_ident())]
+        clustering.map_blocks(lambda a, b: pytest.fail("no block to run"), [])

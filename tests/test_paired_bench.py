@@ -1,13 +1,14 @@
 """Verdicts and machine fields of tools/paired_bench.py, on hand-made samples."""
 
 import importlib.util
+import json
 import os
 from pathlib import Path
 
 import pytest
 
-_spec = importlib.util.spec_from_file_location(
-    "paired_bench", Path(__file__).resolve().parent.parent / "tools" / "paired_bench.py")
+ROOT = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location("paired_bench", ROOT / "tools" / "paired_bench.py")
 paired_bench = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(paired_bench)
 
@@ -41,3 +42,46 @@ def test_record_counts_the_cpus_of_the_affinity_mask(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})  # taskset -c 0
     assert paired_bench.machine() == {"nproc": 2, "cpus": 1}
+
+
+@pytest.mark.parametrize("raw_head, expected", [
+    ([x - 1.0 for x in BASE], "gain"),
+    ([x - 1.0 for x in BASE[:8]] + BASE[8:], "within bound"),  # raw better in 8 of 10
+    ([x - 0.2 for x in BASE], "within bound"),  # raw not beyond the base IQR
+])
+def test_scaled_gain_needs_a_raw_gain(raw_head, expected):
+    head = [x - 1.0 for x in BASE]
+    wins = sum(y < x for x, y in zip(BASE, head))
+    assert paired_bench.verdict(BASE, head, -1, wins, 0.25, {"base": 0, "head": 0},
+                                (BASE, raw_head)) == expected
+
+
+def sample(value, gauge):
+    return {name: value for name in paired_bench.METRICS} | {"gauge_s": gauge}
+
+
+@pytest.mark.parametrize("head_gauges, moved", [
+    ([1.2] * 9 + [0.9], True),  # slower in 9 of 10
+    ([0.8] * 9 + [1.1], True),  # faster in 9 of 10
+    ([1.2] * 8 + [0.9] * 2, False),
+])
+def test_gauge_moved_flag(head_gauges, moved):
+    base = [sample(x, 1.0) for x in BASE]
+    head = [sample(x, g) for x, g in zip(BASE, head_gauges)]
+    gauge = paired_bench.summarize(base, head, {"base": 0, "head": 0})["gauge_s"]
+    assert gauge["pair_ratios"] == pytest.approx(head_gauges)
+    assert gauge["gauge_moved"] is moved
+
+
+def test_rereading_a_record_whose_gauge_slowed():
+    # 9d1c791's hub-embed wall_s fell 28% scaled but 9% raw, better in 8 of
+    # 10 pairs and not beyond the raw base IQR; head's gauge was slower in all 10
+    record = json.loads((ROOT / "bench" / "BENCH_9d1c791f768d.json").read_text())
+    summary = {name: paired_bench.summarize(entry["runs"]["base"], entry["runs"]["head"],
+                                            entry["failed"])
+               for name, entry in record.items()}
+    hub = summary["hub-embed/seed0"]
+    assert hub["wall_s"]["verdict"] == "within bound"
+    assert hub["edges_per_s"]["verdict"] == "within bound"
+    assert hub["gauge_s"]["gauge_moved"] and min(hub["gauge_s"]["pair_ratios"]) > 1
+    assert summary["detect-2k/seed0"]["peak_rss_mb"]["verdict"] == "gain"

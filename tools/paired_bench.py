@@ -18,11 +18,16 @@ metrics of BENCHMARK.json, a verdict under their `bound`: "worse beyond
 bound" when head's median is worse than base's by more than the bound;
 "gain" when head is better in at least nine tenths of the pairs run (ties
 count for neither side), the medians differ by more than the base IQR and
-no more operations failed on head than on base; "unresolved" when the base
-IQR is wider than the bound, unless every head run beats every base run;
-"within bound" otherwise. Bounds and IQRs are read as fractions of base's
-median. peak_rss_mb also gets its counts per whole MB, since it can be
-bimodal. The record goes to BENCH_<head sha>.json in --out-dir
+no more operations failed on head than on base, and, for the gauge-scaled
+wall_s and edges_per_s, when their raw metric passes the same two tests;
+"unresolved" when the base IQR is wider than the bound, unless every head
+run beats every base run; "within bound" otherwise. Bounds and IQRs are
+read as fractions of base's median. peak_rss_mb also gets its counts per
+whole MB, since it can be bimodal. gauge_s gets each pair's ratio, head
+over base, and "gauge moved" when head's gauge was slower, or faster, in
+at least nine tenths of the pairs: the gauge shares the CPUs with the
+program, so a scaled time can move with it. The record goes to
+BENCH_<head sha>.json in --out-dir
 (BENCH_<head sha>-dirty.json for a head directory with uncommitted
 changes), one entry per workload and seed, so the records of several
 workloads share one file. An entry also holds the machine's CPU count
@@ -57,6 +62,8 @@ METRICS = {
     "peak_rss_mb": (("metrics", "peak_rss_mb", "value"), "lower"),
     "gauge_s": (("record", "gauge_s", "median"), "lower"),
 }
+# gauge-scaled metric -> the raw metric that must show its gain too
+RAW = {"wall_s": "raw_wall_s", "edges_per_s": "raw_edges_per_s"}
 
 
 def checkout(spec, tmp, side):
@@ -125,15 +132,27 @@ def quartiles(values):
     return q1, statistics.median(values), q3
 
 
-def verdict(b, h, sign, wins, bound, failed):
+def pair_wins(b, h, sign):
+    """Pairs in which head is better; ties count for neither side."""
+    return sum(sign * (y - x) > 0 for x, y in zip(b, h))
+
+
+def clear_gain(b, h, sign, wins):
+    """Head better in nine tenths of the pairs and beyond base's IQR."""
+    (bq1, bmed, bq3), hmed = quartiles(b), statistics.median(h)
+    return wins >= 0.9 * len(b) and sign * (hmed - bmed) > bq3 - bq1
+
+
+def verdict(b, h, sign, wins, bound, failed, raw=None):
     """One end-to-end metric's verdict from base and head samples b and h,
-    sign 1 where higher is better and -1 where lower is, head's wins and
-    the failed counts of each side."""
+    sign 1 where higher is better and -1 where lower is, head's wins, the
+    failed counts of each side and, for a gauge-scaled metric, the (base,
+    head) samples of its raw metric."""
     (bq1, bmed, bq3), hmed = quartiles(b), statistics.median(h)
     if sign * (bmed - hmed) > bound * abs(bmed):
         return "worse beyond bound"
-    if (wins >= 0.9 * len(b) and sign * (hmed - bmed) > bq3 - bq1
-            and failed["head"] <= failed["base"]):
+    if (clear_gain(b, h, sign, wins) and failed["head"] <= failed["base"]
+            and (raw is None or clear_gain(*raw, sign, pair_wins(*raw, sign)))):
         return "gain"
     if bq3 - bq1 > bound * abs(bmed) and min(sign * y for y in h) <= max(sign * x for x in b):
         return "unresolved"
@@ -146,8 +165,7 @@ def summarize(base, head, failed):
         b = [s[name] for s in base]
         h = [s[name] for s in head]
         sign = 1 if better == "higher" else -1
-        wins = sum(sign * (y - x) > 0 for x, y in zip(b, h))
-        losses = sum(sign * (y - x) < 0 for x, y in zip(b, h))
+        wins, losses = pair_wins(b, h, sign), pair_wins(b, h, -sign)
         (bq1, bmed, bq3), (hq1, hmed, hq3) = quartiles(b), quartiles(h)
         out[name] = {"better": better, "base": {"q1": bq1, "median": bmed, "q3": bq3},
                      "head": {"q1": hq1, "median": hmed, "q3": hq3},
@@ -156,7 +174,12 @@ def summarize(base, head, failed):
                      "sign_test_p": sign_test(wins, losses),
                      "beyond_base_iqr": abs(hmed - bmed) > bq3 - bq1}
         if name in BOUNDS:
-            out[name]["verdict"] = verdict(b, h, sign, wins, BOUNDS[name], failed)
+            raw = [[s[RAW[name]] for s in runs] for runs in (base, head)] if name in RAW else None
+            out[name]["verdict"] = verdict(b, h, sign, wins, BOUNDS[name], failed, raw)
+    gauge = out["gauge_s"]
+    gauge["pair_ratios"] = [y["gauge_s"] / x["gauge_s"] for x, y in zip(base, head)]
+    gauge["gauge_moved"] = max(gauge["head_better_pairs"],
+                               gauge["head_worse_pairs"]) >= 0.9 * len(base)
     rss = "peak_rss_mb"
     out[rss]["modes"] = {side: dict(sorted(Counter(round(s[rss]) for s in runs).items()))
                          for side, runs in (("base", base), ("head", head))}
@@ -193,7 +216,8 @@ def main(argv=None):
               f"{s['base']['q3']:.4g}]  head {s['head']['median']:10.4g} "
               f"[{s['head']['q1']:.4g}, {s['head']['q3']:.4g}]  head better in "
               f"{s['head_better_pairs']}/{args.pairs}, p = {s['sign_test_p']:.3g}"
-              + (f"  {s['verdict']}" if "verdict" in s else ""))
+              + (f"  {s['verdict']}" if "verdict" in s else "")
+              + ("  gauge moved" if s.get("gauge_moved") else ""))
     print("peak_rss_mb modes:", summary["peak_rss_mb"]["modes"])
     entry = {"workload": args.workload, "seed": args.seed, "pairs": args.pairs,
              "seconds": args.seconds, "base": {"spec": args.base, "sha": base_sha},
