@@ -44,28 +44,6 @@ def _configure_threads():
         os.environ[var] = "1"
 
 
-def _defer_unused_numpy_modules():
-    # scipy.sparse loads scipy's vendored array_api_compat, whose
-    # `from numpy import *` imports numpy.f2py and numpy.testing (about
-    # 0.13 s per process). The program uses neither, so both are registered
-    # to load on first attribute access instead, each also as an attribute
-    # of numpy: without it, numpy's own __getattr__ recursed
-    import importlib.util
-    names = ("numpy.f2py", "numpy.testing")
-    if any(name in sys.modules for name in names):
-        return
-    import numpy
-    specs = [importlib.util.find_spec(name) for name in names]
-    if None in specs:
-        return
-    for name, spec in zip(names, specs):
-        spec.loader = importlib.util.LazyLoader(spec.loader)
-        module = importlib.util.module_from_spec(spec)
-        sys.modules[name] = module
-        spec.loader.exec_module(module)
-        setattr(numpy, name.rpartition(".")[2], module)
-
-
 def _digest(path):
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -335,7 +313,6 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     _configure_threads()
     _configure_logging()
-    _defer_unused_numpy_modules()  # numpy loads after the thread cap, scipy after this
     from .laplacian import SolverConvergenceError
     try:
         return args.func(args)

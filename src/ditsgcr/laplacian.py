@@ -21,7 +21,8 @@ graph_model.adjacency_weights, with no per-cluster matrix.
 import math
 
 import numpy as np
-import scipy.sparse as sp
+
+from .csr import CSR
 
 CG_TOL = 1e-6  # relative residual ||Mz - b|| / ||b|| each column must reach
 
@@ -39,7 +40,7 @@ def default_cg_max_iters(n: int) -> int:
 
 
 def assemble_system(pairs: np.ndarray, R: np.ndarray, lam: float,
-                    mu: float) -> sp.csr_matrix:
+                    mu: float) -> CSR:
     """M = L + lam * sum_c L_c + mu * I as CSR, in one COO pass.
 
     pairs holds fields u, v (u < v, both in 0..n-1) and w >= 0, as
@@ -70,7 +71,7 @@ def assemble_system(pairs: np.ndarray, R: np.ndarray, lam: float,
     rows = np.concatenate([u, v, diagonal])
     cols = np.concatenate([v, u, diagonal])
     data = np.concatenate([-off, -off, diag + mu])
-    return sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
+    return CSR.from_coo(rows, cols, data, (n, n))
 
 
 def cg_solve(M, b: np.ndarray, tol: float, max_iters: int) -> np.ndarray:

@@ -28,9 +28,9 @@ clustering.map_blocks' threads in any order. The output row is
 import logging
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import clustering
+from .csr import CSR
 
 logger = logging.getLogger(__name__)
 
@@ -52,10 +52,6 @@ def _row_normalize(X: np.ndarray) -> np.ndarray:
     """Divides each row of X in place by (its L2 norm + 1e-10); returns X."""
     X /= (np.sqrt(np.einsum("ij,ij->i", X, X)) + clustering.EPS)[:, None]
     return X
-
-
-def _csr_ones(ptr, ids, n_cols):
-    return sp.csr_matrix((np.ones(len(ids)), ids, ptr), shape=(len(ptr) - 1, n_cols))
 
 
 def aggregate(graph, Z: np.ndarray, alpha: float) -> np.ndarray:
@@ -110,7 +106,9 @@ def aggregate(graph, Z: np.ndarray, alpha: float) -> np.ndarray:
     def timesteps(v0, v1):  # the rows of W of nodes v0..v1-1, then their restart test
         e0, e1 = entry_ptr[v0], entry_ptr[v1]
         for ptr, ids, c in ((graph.in_ptr, graph.in_ids, 0), (graph.out_ptr, graph.out_ids, k)):
-            W[e0:e1, c:c + k] = _csr_ones(ptr[e0:e1 + 1] - ptr[e0], ids[ptr[e0]:ptr[e1]], n) @ Z
+            nbrs = ids[ptr[e0]:ptr[e1]]
+            A = CSR(ptr[e0:e1 + 1] - ptr[e0], nbrs, np.ones(len(nbrs)), (e1 - e0, n))
+            W[e0:e1, c:c + k] = A @ Z
         _row_normalize(W[e0:e1])
         if e1 - e0 < 2:
             return
@@ -147,7 +145,8 @@ def aggregate(graph, Z: np.ndarray, alpha: float) -> np.ndarray:
 
     def structure_sums(v0, v1):  # nodes v0..v1-1, segment sums per node in entry order
         e0, e1 = entry_ptr[v0], entry_ptr[v1]
-        seg = _csr_ones(entry_ptr[v0:v1 + 1] - e0, np.arange(e1 - e0), e1 - e0)  # node x entry
+        seg = CSR(entry_ptr[v0:v1 + 1] - e0, np.arange(e1 - e0), np.ones(e1 - e0),
+                  (v1 - v0, e1 - e0))  # node x entry
         Wb, zb = W[e0:e1], zrows[e0:e1]
         for a in range(two_k):
             H[v0:v1, a * two_k:(a + 1) * two_k] = seg @ (Wb[:, a:a + 1] * zb)

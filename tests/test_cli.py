@@ -302,22 +302,20 @@ def test_row_formatter_edge_values():
         assert_rows_match_format(values, width)
 
 
-def test_numpy_f2py_and_testing_load_lazily(tmp_path):
-    # scipy's `from numpy import *` would import both in every run
-    edges, _ = make_dataset(tmp_path)
+@pytest.mark.parametrize("command", ["embed", "evaluate"])
+def test_only_the_sparse_kernels_of_scipy_load(tmp_path, command):
+    # scipy.sparse would load scipy's array_api_compat, whose `from numpy
+    # import *` imports numpy.f2py and numpy.testing
+    edges, labels = make_dataset(tmp_path)
     code = "\n".join([
         "import sys",
         "from ditsgcr import cli",
-        f"assert cli.main(['embed', '--input', {str(edges)!r}, '--output', "
-        f"{str(tmp_path / 'emb.csv')!r}, '--clusters', '3']) == 0",
-        "print([m for m in ('numpy.f2py.crackfortran', 'numpy.testing._private.utils')"
-        " if m in sys.modules])",
-        "import numpy",
-        "numpy.testing.assert_equal([1.5], [1.5])",
-        "print('numpy.testing._private.utils' in sys.modules)"])
+        f"assert cli.main({[command, *command_args(tmp_path, command, edges, labels)]!r}) == 0",
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'"
+        " or m.startswith(('numpy.f2py', 'numpy.testing'))))"])
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": str(SRC)}, check=True).stdout
-    assert out.splitlines()[-2:] == ["[]", "True"]
+    assert out.splitlines()[-1] == "['scipy.sparse._sparsetools']"
 
 
 def test_synth_byte_identical_reruns(tmp_path):

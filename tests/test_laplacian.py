@@ -4,6 +4,7 @@ import scipy.sparse as sp
 
 from ditsgcr.graph_model import adjacency_weights
 from ditsgcr import laplacian
+from ditsgcr.csr import CSR
 from ditsgcr.laplacian import SolverConvergenceError, assemble_system, cg_solve, solve
 from helpers import (cluster_laplacians, dense_solve, dense_system, pair_array,
                      random_connected_graph)
@@ -14,9 +15,14 @@ TRIANGLE_L = np.array([[2.0, -1.0, -1.0],
                        [-1.0, -1.0, 2.0]])
 
 
+def dense(M):
+    """The assembled CSR matrix M as a dense array, through scipy."""
+    return sp.csr_matrix((M.data, M.indices, M.indptr), shape=M.shape).toarray()
+
+
 def graph_laplacian(pairs, n):
     """L = D - A through assemble_system with lam = 0 and mu = 1."""
-    return assemble_system(pairs, np.zeros((n, 1)), 0.0, 1.0).toarray() - np.eye(n)
+    return dense(assemble_system(pairs, np.zeros((n, 1)), 0.0, 1.0)) - np.eye(n)
 
 
 def random_instance(rng, n_max=50):
@@ -60,7 +66,30 @@ def test_zero_weight_pair_matches_dense_system():
     R = np.full((3, 2), 0.5)
     for lam in (0.0, 1.0):
         M = assemble_system(pairs, R, lam, 1.0)
-        assert np.abs(M.toarray() - dense_system(pairs, R, lam, 1.0)).max() <= 1e-12
+        assert np.abs(dense(M) - dense_system(pairs, R, lam, 1.0)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("case", ["random", "no pairs", "zero weight", "no nodes"])
+def test_assembled_arrays_match_scipy_coo_to_csr(case, monkeypatch):
+    # M is built with scipy's coo_tocsr and csr_sort_indices kernels; the
+    # arrays must be those of scipy.sparse's own conversion of its triplets
+    built = []
+    from_coo = CSR.from_coo
+    monkeypatch.setattr(CSR, "from_coo", lambda *a: built.append(a) or from_coo(*a))
+    rng = np.random.default_rng(12)
+    for _ in range(10 if case == "random" else 1):
+        pairs, R, _ = random_instance(rng)
+        if case != "random":
+            n = {"no pairs": 3, "zero weight": 3, "no nodes": 0}[case]
+            pairs = pair_array({(0, 1): 0.0, (1, 2): 2.0} if case == "zero weight" else {})
+            R = np.full((n, 2), 0.5)
+        M = assemble_system(pairs, R, 0.7, 0.3)
+        rows, cols, data, shape = built[-1]
+        want = sp.coo_matrix((data, (rows, cols)), shape=shape).tocsr()
+        assert M.shape == want.shape and M.nnz == want.nnz
+        for name in ("indptr", "indices", "data"):
+            got, expected = getattr(M, name), getattr(want, name)
+            assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes(), name
 
 
 def test_cluster_laplacians_uniform_memberships():
@@ -84,7 +113,7 @@ def test_assembled_system_equals_cluster_laplacian_sum():
         weights, R, _ = random_instance(rng, n_max=25)
         n, _ = R.shape
         lam, mu = 0.7, 0.3
-        M = assemble_system(weights, R, lam, mu).toarray()
+        M = dense(assemble_system(weights, R, lam, mu))
         expected = dense_system(weights, R, 0.0, 0.0)  # L alone
         for Lc in cluster_laplacians(weights, R):
             expected = expected + lam * Lc

@@ -44,6 +44,19 @@ def test_record_counts_the_cpus_of_the_affinity_mask(monkeypatch):
     assert paired_bench.machine() == {"nproc": 2, "cpus": 1}
 
 
+@pytest.mark.parametrize("mask, name", [
+    ({0, 1}, "BENCH_0123456789ab.json"),
+    ({0}, "CPU0_0123456789ab.json"),  # taskset -c 0: not the two-CPU record
+    ({1}, "CPU1_0123456789ab.json"),
+])
+def test_record_name_tells_a_narrowed_affinity_mask_apart(mask, name, monkeypatch, tmp_path):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: mask)
+    assert paired_bench.record_path(tmp_path, "0123456789abcdef") == tmp_path / name
+    assert paired_bench.record_path(tmp_path, "0123456789abcdef-dirty").name == (
+        name.replace(".json", "-dirty.json"))
+
+
 @pytest.mark.parametrize("raw_head, expected", [
     ([x - 1.0 for x in BASE], "gain"),
     ([x - 1.0 for x in BASE[:8]] + BASE[8:], "within bound"),  # raw better in 8 of 10

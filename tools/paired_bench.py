@@ -30,9 +30,11 @@ program, so a scaled time can move with it. The record goes to
 BENCH_<head sha>.json in --out-dir
 (BENCH_<head sha>-dirty.json for a head directory with uncommitted
 changes), one entry per workload and seed, so the records of several
-workloads share one file. An entry also holds the machine's CPU count
-(`nproc`) and the number of CPUs the runs could use (`cpus`), 1 under
-`taskset -c 0`.
+workloads share one file. Runs under an affinity mask that leaves out
+some of the machine's CPUs go to CPU<ids>_<head sha>.json instead, CPU0_
+under `taskset -c 0`, so that they do not overwrite the entries of runs on
+every CPU. An entry also holds the machine's CPU count (`nproc`) and the
+number of CPUs the runs could use (`cpus`), 1 under `taskset -c 0`.
 """
 
 import argparse
@@ -93,6 +95,16 @@ def machine():
     """The machine's CPU count and the CPUs this process may run on, which
     taskset narrows and run.py's children inherit."""
     return {"nproc": os.cpu_count(), "cpus": len(os.sched_getaffinity(0))}
+
+
+def record_path(out_dir, head_sha):
+    """BENCH_<head sha>.json in out_dir, or CPU<ids>_<head sha>.json when
+    the affinity mask leaves out some of the machine's CPUs: CPU0_ under
+    `taskset -c 0`, CPU0-2_ under `taskset -c 0,2`."""
+    stem = (head_sha[:12] + "-dirty" * head_sha.endswith("-dirty")) if head_sha else "worktree"
+    cpus = sorted(os.sched_getaffinity(0))
+    prefix = "BENCH" if len(cpus) == os.cpu_count() else "CPU" + "-".join(map(str, cpus))
+    return Path(out_dir) / f"{prefix}_{stem}.json"
 
 
 def run_once(directory, workload, seed, seconds):
@@ -223,8 +235,7 @@ def main(argv=None):
              "seconds": args.seconds, "base": {"spec": args.base, "sha": base_sha},
              "head": {"spec": args.head, "sha": head_sha}, **machine(),
              "failed": failed, "runs": runs, "summary": summary}
-    stem = (head_sha[:12] + "-dirty" * head_sha.endswith("-dirty")) if head_sha else "worktree"
-    path = Path(args.out_dir) / f"BENCH_{stem}.json"
+    path = record_path(args.out_dir, head_sha)
     record = json.loads(path.read_text()) if path.exists() else {}
     record[f"{args.workload}/seed{args.seed}"] = entry
     path.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
