@@ -1,5 +1,5 @@
 """Sparse products on scipy's compiled kernels, without importing
-scipy.sparse (about 80 ms and 9 MB per process): scipy's private extension
+scipy.sparse (60-80 ms and 9 MB per process): scipy's private extension
 scipy.sparse._sparsetools loads from its file. scipy.sparse calls the same
 kernels on the same arrays, so every bit is as it would give it."""
 

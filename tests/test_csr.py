@@ -2,7 +2,6 @@
 every product and every built matrix must match it bit for bit."""
 
 import importlib.util
-import os
 
 import numpy as np
 import pytest
@@ -85,11 +84,6 @@ def test_operand_of_the_wrong_length_is_refused():
     for X in (np.ones(3), np.ones((1, 2))):
         with pytest.raises(ValueError, match="cannot multiply"):
             M @ X
-
-
-def test_the_kernels_load_from_their_file():
-    scipy_dir = importlib.util.find_spec("scipy").submodule_search_locations[0]
-    assert os.path.dirname(csr._sparsetools.__file__) == os.path.join(scipy_dir, "sparse")
 
 
 def test_fallback_import_gives_the_same_bits(monkeypatch):
