@@ -155,10 +155,10 @@ def _cmd_embed(args):
     keys = [('"' + k.replace('"', '""') + '"' if set(k) & set(',"\r\n') else k).encode()
             for k in graph.id_to_key]
     n = H.shape[0]
-    workers = min(len(os.sched_getaffinity(0)), -(-n // clustering.BLOCK_ROWS))
+    workers = clustering.pool_threads(n) + 1  # the CPUs the pipeline's pool used
     # rows cuts[i]:cuts[i + 1] go to side file i from a forked worker, the
     # first range to part from the parent, which then appends the side files
-    cuts = [n * i // workers for i in range(workers + 1)] if workers else [0, 0]
+    cuts = [n * i // workers for i in range(workers + 1)]
     # a new directory beside --output, so the working files are no existing file
     work = tempfile.mkdtemp(prefix=".ditsgcr-", dir=os.path.dirname(os.path.abspath(args.output)))
     part = os.path.join(work, "part")  # renamed onto --output once whole
@@ -203,6 +203,12 @@ def _cmd_evaluate(args):
     from . import evaluation, graph_model, pipeline
     from .csvformat import RowFormatter
 
+    config = _pipeline_config(args)
+    config.validate()  # before split meets a negative seed
+    if args.trees < 1:
+        raise ValueError("need at least one tree")
+    if not np.isfinite(args.threshold):
+        raise ValueError(f"threshold must be finite, got {args.threshold}")
     _reject_shared_outputs({"--output": args.output, "--emit-roc": args.emit_roc},
                            ["--output", "--emit-roc"],
                            [("--input", args.input), ("--labels", args.labels)])
@@ -212,10 +218,10 @@ def _cmd_evaluate(args):
     labels = pipeline.timed(seconds, "ingest", graph_model.ingest_labels, args.labels, graph)
     if not labels:
         raise ValueError("no usable labels: every labeled account is missing from the graph")
-    result = pipeline.timed(seconds, "total", pipeline.run, graph, _pipeline_config(args))
-
     train_ids, test_ids = evaluation.split(labels, train_fraction=args.train_frac,
                                            seed=args.seed)
+    result = pipeline.timed(seconds, "total", pipeline.run, graph, config)
+
     H_train, H_test = result.embeddings[train_ids], result.embeddings[test_ids]
     result.embeddings = None  # with H alive, the forest's presorted copy sets the peak
     forest = pipeline.timed(seconds, "forest", evaluation.train_forest, H_train,

@@ -177,13 +177,7 @@ def soft_kmeans(H_norm: np.ndarray, k: int, beta: float, iters: int, seed: int):
         sims = _cosine(H_norm, hn, centroids)
         R = soft_assign(sims, beta)
         totals = R.sum(axis=0)
-        # R.T @ H_norm; in two column halves from POOL_MIN_ROWS rows on (same bits
-        # there, but not on a few hundred rows)
-        sums = np.empty((k, H_norm.shape[1]))
-        half = H_norm.shape[1] // 2 if len(H_norm) >= POOL_MIN_ROWS else 0
-        map_blocks(lambda a, b: np.matmul(R.T, H_norm[:, a:b], out=sums[:, a:b]),
-                   [(0, half), (half, H_norm.shape[1])])
-        centroids = sums / (totals[:, None] + EPS)
+        centroids = (R.T @ H_norm) / (totals[:, None] + EPS)
         centroids = centroids / (np.linalg.norm(centroids, axis=1, keepdims=True) + EPS)
         if (totals < DEAD_CENTROID_TOTAL).any():
             centroids = _reseed_dead_centroids(H_norm, centroids, totals)

@@ -87,9 +87,8 @@ def count_unique_embeddings(H: np.ndarray) -> int:
     uint64, times _key_weights; the shift fills short mantissas (0.5, 3.0)
     whose trailing zeros would leave only the top bits of each product set.
     Each row whose key repeats is compared as floats (-0.0 == +0.0) with
-    the first row of its key, rounded once per row block it leads; only
-    keys holding unequal rows go to np.unique. Both passes run on
-    clustering.map_blocks by row blocks.
+    the first row of its key; only keys holding unequal rows go to
+    np.unique. Both passes run on clustering.map_blocks by row blocks.
     """
     n, width = H.shape
     keys = np.empty(n, dtype=np.uint64)
@@ -102,14 +101,13 @@ def count_unique_embeddings(H: np.ndarray) -> int:
     clustering.map_blocks(key, clustering.row_blocks(n))
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     rows = np.flatnonzero(first[inverse] != np.arange(n))
-    rows = rows[np.argsort(first[inverse[rows]], kind="stable")]  # by leader
-    leaders, slot = np.unique(first[inverse[rows]], return_inverse=True)
     unequal = np.empty(len(rows), dtype=bool)
 
-    def compare(a, b):  # the leaders of rows a..b-1 are leaders[slot[a]:slot[b - 1] + 1]
-        x, y = H[rows[a:b]], np.round(H[leaders[slot[a]:slot[b - 1] + 1]], 6)
+    def compare(a, b):
+        x, y = H[rows[a:b]], H[first[inverse[rows[a:b]]]]
         np.round(x, 6, out=x)
-        np.any(x != y[slot[a:b] - slot[a]], axis=1, out=unequal[a:b])
+        np.round(y, 6, out=y)
+        np.any(x != y, axis=1, out=unequal[a:b])
     clustering.map_blocks(compare, clustering.row_blocks(len(rows)))
     count = len(first)
     if unequal.any():

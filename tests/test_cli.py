@@ -85,7 +85,7 @@ def test_embed_flow(tmp_path, capsys):
     assert manifest["stage_seconds"]["total"] > 0
     assert manifest["stage_seconds"]["ingest"] > 0
     assert manifest["stage_seconds"]["write"] > 0
-    assert manifest["write_workers"] == 1  # fewer rows than one block
+    assert manifest["write_workers"] == 1  # fewer rows than the pool's gate
     assert manifest["stop_reason"] == "no_gain"
     assert isinstance(manifest["peak_rss_mb"], float) and manifest["peak_rss_mb"] > 0
 
@@ -102,8 +102,8 @@ def test_embed_byte_identical_reruns(tmp_path):
 
 
 def test_embed_byte_identical_across_processes(tmp_path):
-    # more nodes than one block, so that the default run formats on every core
-    edges, _ = make_dataset(tmp_path, normals=600, phishers=10)
+    # from the pool's gate on, the default run formats on every core
+    edges = synth_above_pool_gate(tmp_path)
     outs, workers = [], []
     for hash_seed, pin in (("1", on_one_cpu()), ("2", on_one_cpu()), ("1", None)):
         out = tmp_path / f"emb{len(outs)}.csv"
@@ -114,8 +114,9 @@ def test_embed_byte_identical_across_processes(tmp_path):
         outs.append(out.read_bytes())
         workers.append(json.loads(Path(f"{out}.manifest.json").read_text())["write_workers"])
     assert outs[0] == outs[1] == outs[2]
-    assert len(read_rows(out)) - 1 > clustering.BLOCK_ROWS
-    assert workers == [1, 1, min(len(os.sched_getaffinity(0)), 2)]
+    nodes = len(read_rows(out)) - 1
+    assert nodes >= clustering.POOL_MIN_ROWS
+    assert workers == [1, 1, clustering.pool_threads(nodes) + 1]
 
 
 def synth_above_pool_gate(tmp_path):
@@ -165,27 +166,26 @@ def write_chain(path, n):
 
 
 @settings(max_examples=25, deadline=None)
-@given(n=st.integers(1, 8), width=st.integers(1, 4), block=st.integers(1, 5),
+@given(n=st.integers(1, 8), width=st.integers(1, 4), gate=st.integers(1, 9),
        data=st.data())
-def test_parallel_writer_matches_one_worker(n, width, block, data):
+def test_parallel_writer_matches_one_worker(n, width, gate, data):
     specials = st.sampled_from([0.0, -0.0, float("inf"), float("-inf"), float("nan")])
     values = data.draw(st.lists(st.one_of(st.floats(), specials),
                                 min_size=n * width, max_size=n * width))
     H = np.array(values, dtype=float).reshape(n, width)
-    n_blocks = -(-n // block)
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
         edges = Path(tmp) / "edges.csv"
         write_chain(edges, n)
         mp.setattr(pipeline, "run", fake_pipeline(H))
-        mp.setattr(clustering, "BLOCK_ROWS", block)
+        mp.setattr(clustering, "POOL_MIN_ROWS", gate)
         mp.setattr(cli, "_configure_threads", lambda: None)
         outputs = []
-        for workers in (1, 2, 3, n_blocks + 1):
-            mp.setattr(os, "sched_getaffinity", lambda pid, n=workers: set(range(n)))
-            out = Path(tmp) / f"emb{workers}.csv"
+        for cpus in (1, 2, 3, n + 1):  # more writers than rows leave some ranges empty
+            mp.setattr(os, "sched_getaffinity", lambda pid, c=cpus: set(range(c)))
+            out = Path(tmp) / f"emb{cpus}.csv"
             assert cli.main(["embed", "--input", str(edges), "--output", str(out)]) == 0
             manifest = json.loads(Path(f"{out}.manifest.json").read_text())
-            assert manifest["write_workers"] == min(workers, n_blocks)
+            assert manifest["write_workers"] == clustering.pool_threads(n) + 1
             outputs.append(out.read_bytes())
     assert all(o == outputs[0] for o in outputs[1:])
     rows = list(csv.reader(outputs[0].decode("utf-8").splitlines()))
@@ -413,7 +413,7 @@ def test_embed_empty_input(tmp_path, capsys, monkeypatch):
     rows = read_rows(out)
     assert len(rows) == 1 and rows[0].startswith("node_key,e0,")
     assert "wrote 0 embeddings" in capsys.readouterr().out
-    assert json.loads((tmp_path / "emb.csv.manifest.json").read_text())["write_workers"] == 0
+    assert json.loads((tmp_path / "emb.csv.manifest.json").read_text())["write_workers"] == 1
 
 
 class Unformattable:
@@ -426,8 +426,8 @@ def test_writer_error_in_worker_is_one_line(tmp_path, capsys, monkeypatch):
     write_chain(edges, 4)
     H = np.array([[0.5], [1.5], [Unformattable()], [2.5]], dtype=object)
     monkeypatch.setattr(pipeline, "run", fake_pipeline(H))
-    monkeypatch.setattr(clustering, "BLOCK_ROWS", 1)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(clustering, "POOL_MIN_ROWS", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})  # row 2 is the worker's
     out = tmp_path / "e.csv"
     out.write_bytes(b"node_key,e0\nold,1\n")
 
@@ -872,6 +872,23 @@ def test_output_in_a_missing_directory_fails_before_any_work(tmp_path, capsys, m
     assert not list(tmp_path.rglob(".ditsgcr-*")) and not missing.exists()
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--train-frac", "1.5", "train_fraction must be strictly between 0 and 1"),
+    ("--trees", "0", "need at least one tree"),
+    ("--threshold", "nan", "threshold must be finite, got nan"),
+    ("--seed", "-1", "seed must be non-negative, got -1"),
+])
+def test_evaluate_flags_fail_before_the_pipeline(tmp_path, capsys, monkeypatch, flag, value,
+                                                 message):
+    # each used to fail after a whole pipeline run (--threshold after the forest too)
+    edges, labels = make_dataset(tmp_path)
+    monkeypatch.setattr(pipeline, "run", lambda *a, **k: pytest.fail("the pipeline ran"))
+    args = command_args(tmp_path, "evaluate", edges, labels)
+    capsys.readouterr()
+    assert cli.main(["evaluate", *args, flag, value]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("command", ["embed", "evaluate"])
 def test_input_on_an_output_manifest_fails(tmp_path, capsys, command):
     # the manifest used to overwrite the input it describes, with exit code 0
@@ -897,10 +914,11 @@ def test_input_on_an_output_manifest_fails(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("name", ["out.csv.part", "out.csv.part.1"])
-def test_embed_writes_over_no_existing_file(tmp_path, name):
+def test_embed_writes_over_no_existing_file(tmp_path, monkeypatch, name):
     # the writer writes over no existing file, an input named like a working
-    # file included; two blocks give a second CPU a side file to write
-    edges, _ = make_dataset(tmp_path, normals=600, phishers=10)  # two blocks
+    # file included; with the pool's gate lowered a second CPU writes a side file
+    monkeypatch.setattr(clustering, "POOL_MIN_ROWS", 1)
+    edges, _ = make_dataset(tmp_path)
     source = tmp_path / name
     source.write_bytes(edges.read_bytes())
     out = tmp_path / "out.csv"
@@ -934,8 +952,8 @@ def processes_naming(text):
 
 
 def test_entry_point_exits_without_teardown(tmp_path, capsys):
-    # more nodes than one block, so that the CSV is formatted by forked writers
-    edges, _ = make_dataset(tmp_path, normals=600, phishers=10)
+    # from the pool's gate on, the CSV is formatted by forked writers
+    edges = synth_above_pool_gate(tmp_path)
     capsys.readouterr()
     ref = tmp_path / "ref.csv"
     assert cli.main(["embed", "--input", str(edges), "--output", str(ref),
@@ -955,7 +973,9 @@ def test_entry_point_exits_without_teardown(tmp_path, capsys):
             assert proc.stdout == ref_out.replace(str(ref), str(out)) and proc.stderr == ""
             assert out.read_bytes() == ref.read_bytes()
             manifest = json.loads(Path(f"{out}.manifest.json").read_text())
-            assert manifest["write_workers"] == min(len(os.sched_getaffinity(0)), 2)
+            nodes = len(read_rows(out)) - 1
+            assert nodes >= clustering.POOL_MIN_ROWS
+            assert manifest["write_workers"] == clustering.pool_threads(nodes) + 1
         else:
             assert proc.stdout == "" and proc.stderr.startswith("error: [Errno 2]")
             assert len(proc.stderr.splitlines()) == 1

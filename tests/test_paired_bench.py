@@ -4,6 +4,7 @@ import importlib.util
 import json
 import os
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -98,3 +99,47 @@ def test_rereading_a_record_whose_gauge_slowed():
     assert hub["edges_per_s"]["verdict"] == "within bound"
     assert hub["gauge_s"]["gauge_moved"] and min(hub["gauge_s"]["pair_ratios"]) > 1
     assert summary["detect-2k/seed0"]["peak_rss_mb"]["verdict"] == "gain"
+
+
+def test_rereading_a_one_cpu_record_judges_the_raw_samples():
+    # under taskset -c 0 the gauge shares the program's CPU: 840f0b4's hub-embed
+    # scaled metrics spread over two modes, raw wall_s went 2.590 -> 2.562 s
+    entry = json.loads((ROOT / "bench" / "CPU0_840f0b45fc12.json").read_text())["hub-embed/seed0"]
+    assert entry["cpus"] < entry["nproc"]
+    runs = entry["runs"]["base"], entry["runs"]["head"]
+    scaled = paired_bench.summarize(*runs, entry["failed"])
+    pinned = paired_bench.summarize(*runs, entry["failed"], pinned=True)
+    for name, raw in (("wall_s", "raw_wall_s"), ("edges_per_s", "raw_edges_per_s"),
+                      ("setup_s", "raw_setup_s")):
+        assert scaled[name]["verdict"] == "unresolved" and "verdict_on" not in scaled[name]
+        assert pinned[name]["verdict"] == "within bound"
+        assert pinned[name]["verdict_on"] == raw
+    assert pinned["raw_wall_s"]["base"]["median"] == pytest.approx(2.590, abs=5e-4)
+    assert pinned["raw_wall_s"]["head"]["median"] == pytest.approx(2.562, abs=5e-4)
+    assert pinned["raw_wall_s"]["head_better_pairs"] == 6
+    assert pinned["peak_rss_mb"] == scaled["peak_rss_mb"]  # not gauge-scaled
+
+
+def test_entry_holds_each_sides_src_lines(monkeypatch, tmp_path, capsys):
+    # run.py's record line carries the lines of the src/ it ran
+    src_lines = {"base": 1966, "head": 1964}
+
+    def fake_run(cmd, **kwargs):
+        side = Path(cmd[1]).parent.parent.name
+        record = {"raw_wall_s": {"median": 2.0}, "raw_setup_s": {"median": 0.5},
+                  "gauge_s": {"median": 0.01}, "properties": {"edges": 100},
+                  "src_lines": src_lines[side]}
+        metrics = {"metrics": {name: {"value": 1.0} for name in paired_bench.BOUNDS},
+                   "failed": 0}
+        return SimpleNamespace(returncode=0, stderr="",
+                               stdout=f"{json.dumps(record)}\n{json.dumps(metrics)}\n")
+    monkeypatch.setattr(paired_bench, "checkout", lambda spec, tmp, side: (tmp_path / side, None))
+    monkeypatch.setattr(paired_bench.subprocess, "run", fake_run)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    assert paired_bench.main(["--base", "b", "--head", "h", "--workload", "hub-embed",
+                              "--pairs", "2", "--out-dir", str(tmp_path)]) == 0
+    assert "src_lines base 1966 -> head 1964 (-2)\n" in capsys.readouterr().out
+    entry = json.loads((tmp_path / "BENCH_worktree.json").read_text())["hub-embed/seed0"]
+    assert entry["src_lines"] == src_lines
+    assert "verdict_on" not in entry["summary"]["wall_s"]  # every CPU: scaled verdicts

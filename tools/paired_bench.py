@@ -26,15 +26,20 @@ read as fractions of base's median. peak_rss_mb also gets its counts per
 whole MB, since it can be bimodal. gauge_s gets each pair's ratio, head
 over base, and "gauge moved" when head's gauge was slower, or faster, in
 at least nine tenths of the pairs: the gauge shares the CPUs with the
-program, so a scaled time can move with it. The record goes to
+program, so a scaled time can move with it. When the runs had fewer CPUs
+than the machine (`taskset -c 0`, say), the gauge shared the program's
+CPU, so the verdicts of wall_s, edges_per_s and setup_s are given on their
+raw samples instead, and their entry names that metric (`verdict_on`).
+The record goes to
 BENCH_<head sha>.json in --out-dir
 (BENCH_<head sha>-dirty.json for a head directory with uncommitted
 changes), one entry per workload and seed, so the records of several
 workloads share one file. Runs under an affinity mask that leaves out
 some of the machine's CPUs go to CPU<ids>_<head sha>.json instead, CPU0_
 under `taskset -c 0`, so that they do not overwrite the entries of runs on
-every CPU. An entry also holds the machine's CPU count (`nproc`) and the
-number of CPUs the runs could use (`cpus`), 1 under `taskset -c 0`.
+every CPU. An entry also holds the machine's CPU count (`nproc`), the
+number of CPUs the runs could use (`cpus`), 1 under `taskset -c 0`, and
+the lines of each side's src/ (`src_lines`), printed base -> head.
 """
 
 import argparse
@@ -66,6 +71,9 @@ METRICS = {
 }
 # gauge-scaled metric -> the raw metric that must show its gain too
 RAW = {"wall_s": "raw_wall_s", "edges_per_s": "raw_edges_per_s"}
+# gauge-scaled metric -> the raw metric judged in its place on fewer CPUs
+# than the machine's, where the gauge shares the program's CPU
+PINNED_RAW = {**RAW, "setup_s": "raw_setup_s"}
 
 
 def checkout(spec, tmp, side):
@@ -108,7 +116,8 @@ def record_path(out_dir, head_sha):
 
 
 def run_once(directory, workload, seed, seconds):
-    """One run.py run; returns its samples and its failed count."""
+    """One run.py run; returns its samples, its failed count and the lines
+    of the src/ it ran."""
     proc = subprocess.run([sys.executable, str(directory / "perfbench" / "run.py"),
                            "--workload", workload, "--seed", str(seed),
                            "--seconds", str(seconds), "--trace", "0"],
@@ -125,7 +134,7 @@ def run_once(directory, workload, seed, seconds):
                 value = value[key]
             sample[name] = value
     sample["raw_edges_per_s"] = found["record"]["properties"]["edges"] / sample["raw_wall_s"]
-    return sample, json.loads(lines[-1])["failed"]
+    return sample, json.loads(lines[-1])["failed"], found["record"]["src_lines"]
 
 
 def sign_test(wins, losses):
@@ -171,7 +180,9 @@ def verdict(b, h, sign, wins, bound, failed, raw=None):
     return "within bound"
 
 
-def summarize(base, head, failed):
+def summarize(base, head, failed, pinned=False):
+    """Per metric statistics and, for the end-to-end ones, verdicts; pinned
+    when the runs had fewer CPUs than the machine (see PINNED_RAW)."""
     out = {}
     for name, (_, better) in METRICS.items():
         b = [s[name] for s in base]
@@ -185,7 +196,12 @@ def summarize(base, head, failed):
                      "head_better_pairs": wins, "head_worse_pairs": losses,
                      "sign_test_p": sign_test(wins, losses),
                      "beyond_base_iqr": abs(hmed - bmed) > bq3 - bq1}
-        if name in BOUNDS:
+        if name in BOUNDS and pinned and name in PINNED_RAW:
+            rb, rh = ([s[PINNED_RAW[name]] for s in runs] for runs in (base, head))
+            out[name]["verdict"] = verdict(rb, rh, sign, pair_wins(rb, rh, sign),
+                                           BOUNDS[name], failed)
+            out[name]["verdict_on"] = PINNED_RAW[name]
+        elif name in BOUNDS:
             raw = [[s[RAW[name]] for s in runs] for runs in (base, head)] if name in RAW else None
             out[name]["verdict"] = verdict(b, h, sign, wins, BOUNDS[name], failed, raw)
     gauge = out["gauge_s"]
@@ -213,27 +229,33 @@ def main(argv=None):
                                                       checkout(args.head, tmp, "head"))
         runs = {"base": [], "head": []}
         failed = {"base": 0, "head": 0}
+        src_lines = {}
         for i in range(args.pairs):
             for side in (("base", "head") if i % 2 == 0 else ("head", "base")):
-                sample, fails = run_once(base_dir if side == "base" else head_dir,
-                                         args.workload, args.seed, args.seconds)
+                sample, fails, src_lines[side] = run_once(
+                    base_dir if side == "base" else head_dir,
+                    args.workload, args.seed, args.seconds)
                 runs[side].append(sample)
                 failed[side] += fails
                 print(f"pair {i + 1} {side}: raw {sample['raw_wall_s']:.3f} s, scaled "
                       f"{sample['wall_s']:.3f} s, rss {sample['peak_rss_mb']:.1f} MB",
                       file=sys.stderr, flush=True)
-    summary = summarize(runs["base"], runs["head"], failed)
+    host = machine()
+    summary = summarize(runs["base"], runs["head"], failed, host["cpus"] < host["nproc"])
     for name, s in summary.items():
         print(f"{name:16s} base {s['base']['median']:10.4g} [{s['base']['q1']:.4g}, "
               f"{s['base']['q3']:.4g}]  head {s['head']['median']:10.4g} "
               f"[{s['head']['q1']:.4g}, {s['head']['q3']:.4g}]  head better in "
               f"{s['head_better_pairs']}/{args.pairs}, p = {s['sign_test_p']:.3g}"
               + (f"  {s['verdict']}" if "verdict" in s else "")
+              + (f" on {s['verdict_on']}" if "verdict_on" in s else "")
               + ("  gauge moved" if s.get("gauge_moved") else ""))
     print("peak_rss_mb modes:", summary["peak_rss_mb"]["modes"])
+    print(f"src_lines base {src_lines['base']} -> head {src_lines['head']} "
+          f"({src_lines['head'] - src_lines['base']:+d})")
     entry = {"workload": args.workload, "seed": args.seed, "pairs": args.pairs,
              "seconds": args.seconds, "base": {"spec": args.base, "sha": base_sha},
-             "head": {"spec": args.head, "sha": head_sha}, **machine(),
+             "head": {"spec": args.head, "sha": head_sha}, **host, "src_lines": src_lines,
              "failed": failed, "runs": runs, "summary": summary}
     path = record_path(args.out_dir, head_sha)
     record = json.loads(path.read_text()) if path.exists() else {}
