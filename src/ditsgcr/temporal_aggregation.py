@@ -14,14 +14,15 @@ non-zero in some entry of its node. Then w + d z == w, as from z = 0:
   spacing of the floats next to w_j, and the columns that are zero in the
   whole node keep z_j = +0.0.
 So timelines split into independent chains at their first step and at each
-restart. One Python step advances every running chain.
-The outer products of each w with z sum into a 2K x 2K structure matrix
-Z_v, as per-node segment sums one 2K-column block at a time, per block of
-whole nodes so the products stay small; each node still sums its entries
-in entry order. The same node blocks build W and run the restart test in
-one pass. W, the restart test, each recurrence step and the sums are
-row-local, so no bit depends on their blocks, which may run on
-clustering.map_blocks' threads in any order. The output row is
+restart; a chain never crosses a node. The outer products of each w with z
+sum into a 2K x 2K structure matrix Z_v, as per-node segment sums one
+2K-column block at a time; each node sums its entries in entry order.
+Every stage is node-local, so the lift runs one pass per block of whole
+nodes: it builds the block's rows of W, runs their restart test, sorts the
+block's chains by length and advances all of them one step per Python
+step, then sums the block's rows of H. W and z exist one block at a time.
+Every operation is row-local, so no bit depends on the blocks, which may
+run on clustering.map_blocks' threads in any order. The output row is
 [flatten(Z_v), s_v], width 4K^2 + 2K.
 """
 
@@ -35,9 +36,8 @@ from .csr import CSR
 logger = logging.getLogger(__name__)
 
 SUBNORMAL = np.nextafter(np.finfo(np.float64).tiny, 0)  # x > it: x is normal or more
-# timeline entries per block of whole nodes, in the pass that builds W and
-# runs the restart test and in the structure sums; chains per recurrence
-# step. Node blocks take 8 times as many where clustering.block_pool(n)
+# timeline entries per block of whole nodes, each lifted end to end in one
+# pass. Node blocks take 8 times as many where clustering.block_pool(n)
 # starts threads, which contend for the GIL that each block's sparse
 # products hold; on one thread larger blocks cost memory
 BLOCK_ENTRIES = 2048
@@ -90,67 +90,54 @@ def aggregate(graph, Z: np.ndarray, alpha: float) -> np.ndarray:
     with np.errstate(over="ignore"):  # a tiny alpha overflows to -inf, exp gives 0
         decay[e] = np.exp(-(entry_t[e] - entry_t[e + 1]) / alpha)
 
-    # (v0, v1) of whole nodes, at most `size` entries or one node, for the
-    # pool's threads: W with the restart test, then the structure sums
+    # (v0, v1) of whole nodes, at most `size` entries or one node; each is
+    # lifted end to end in one task, so W and z exist one block at a time
     size = BLOCK_ENTRIES * (8 if clustering.pool_threads(n) else 1)
     cuts = [0]
     while cuts[-1] < n:
         end = np.searchsorted(entry_ptr, entry_ptr[cuts[-1]] + size, "right") - 1
         cuts.append(max(cuts[-1] + 1, end))
-    blocks = list(zip(cuts, cuts[1:]))
+    H = np.empty((n, output_width(k)))
+    stats = []  # per block: chains, restarts, longest chain
 
-    W = np.empty((n_entries, two_k))  # [A_in Z, A_out Z], normalized per row
-    # a step starts a chain at its node's first step and at each restart
-    start = np.zeros(n_entries, dtype=bool)
-
-    def timesteps(v0, v1):  # the rows of W of nodes v0..v1-1, then their restart test
+    def lift(v0, v1):  # nodes v0..v1-1: W, restart test, chains, structure sums
         e0, e1 = entry_ptr[v0], entry_ptr[v1]
+        W = np.empty((e1 - e0, two_k))  # [A_in Z, A_out Z], normalized per row
         for ptr, ids, c in ((graph.in_ptr, graph.in_ids, 0), (graph.out_ptr, graph.out_ids, k)):
             nbrs = ids[ptr[e0]:ptr[e1]]
             A = CSR(ptr[e0:e1 + 1] - ptr[e0], nbrs, np.ones(len(nbrs)), (e1 - e0, n))
-            W[e0:e1, c:c + k] = A @ Z
-        _row_normalize(W[e0:e1])
-        if e1 - e0 < 2:
-            return
-        m = lengths[v0:v1]
-        dead = ~np.logical_or.reduceat(W[e0:e1] != 0, entry_ptr[v0:v1][m > 0] - e0)  # per node
-        exact = np.abs(W[e0 + 1:e1]) > np.maximum(decay[e0:e1 - 1] * 2.0**55, SUBNORMAL)[:, None]
+            W[:, c:c + k] = A @ Z
+        _row_normalize(W)
+        prev, d, m = has_prev[e0:e1], decay[e0:e1], lengths[v0:v1]
+        dead = ~np.logical_or.reduceat(W != 0, entry_ptr[v0:v1][m > 0] - e0)  # per node
+        exact = np.abs(W[1:]) > np.maximum(d[:-1] * 2.0**55, SUBNORMAL)[:, None]
         exact |= np.repeat(dead, m[m > 0], axis=0)[1:]
-        e = e0 + np.flatnonzero(has_prev[e0:e1 - 1] & (exact.all(axis=1) | ~has_prev[e0 + 1:e1]))
-        start[e] = True
+        # a step starts a chain at its node's first step and at each restart
+        start = np.zeros(e1 - e0, dtype=bool)
+        start[:-1] = prev[:-1] & (exact.all(axis=1) | ~prev[1:])
 
-    clustering.map_blocks(timesteps, blocks)
+        # step p advances the p-th step of every chain longer than p; sorting
+        # chains by length keeps those a prefix of `heads`
+        bounds = np.flatnonzero(start | ~prev)  # a chain ends above the bound below it
+        steps = np.diff(bounds, prepend=-1)[start[bounds]]
+        order = np.argsort(-steps, kind="stable")
+        heads = bounds[start[bounds]][order]  # each chain's first step
+        active = np.searchsorted(-steps[order], -np.arange(steps.max(initial=0)), side="left")
+        stats.append((len(heads), len(heads) - np.count_nonzero(m > 1), len(active)))
+        z = np.zeros((e1 - e0, two_k))
+        for p, chains in enumerate(active.tolist()):
+            e = heads[:chains] - p  # p = 0: z = 0, and d * 0 is +0.0
+            z[e] = _row_normalize(W[e + 1] + (d[e, None] * z[e + 1] if p else 0.0))
 
-    # step p advances the p-th step of every chain longer than p; sorting
-    # chains by length keeps those a prefix of `heads`
-    bounds = np.flatnonzero(start | ~has_prev)  # a chain ends above the bound below it
-    steps = np.diff(bounds, prepend=-1)[start[bounds]]
-    order = np.argsort(-steps, kind="stable")
-    heads = bounds[start[bounds]][order]  # each chain's first step
-    active = np.searchsorted(-steps[order], -np.arange(steps.max(initial=0)), side="left")
-    logger.debug("lift: %d entries, %d chains, %d restarts, longest chain %d steps",
-                 n_entries, len(heads), len(heads) - np.count_nonzero(lengths > 1), len(active))
-    zrows = np.zeros((n_entries, two_k))
-
-    def step(p, i0, i1):  # chains i0..i1-1 take their p-th step
-        e = heads[i0:i1] - p  # p = 0: z = 0, and d * 0 is +0.0
-        zrows[e] = _row_normalize(W[e + 1] + (decay[e, None] * zrows[e + 1] if p else 0.0))
-
-    for p, chains in enumerate(active.tolist()):  # blocks keep the temporaries small
-        clustering.map_blocks(step, ((p, i, min(i + BLOCK_ENTRIES, chains))
-                                     for i in range(0, chains, BLOCK_ENTRIES)))
-    del start, bounds, steps, order, heads, active
-
-    H = np.empty((n, output_width(k)))
-
-    def structure_sums(v0, v1):  # nodes v0..v1-1, segment sums per node in entry order
-        e0, e1 = entry_ptr[v0], entry_ptr[v1]
+        # segment sums per node in entry order
         seg = CSR(entry_ptr[v0:v1 + 1] - e0, np.arange(e1 - e0), np.ones(e1 - e0),
                   (v1 - v0, e1 - e0))  # node x entry
-        Wb, zb = W[e0:e1], zrows[e0:e1]
         for a in range(two_k):
-            H[v0:v1, a * two_k:(a + 1) * two_k] = seg @ (Wb[:, a:a + 1] * zb)
-        H[v0:v1, two_k * two_k:] = seg @ Wb
+            H[v0:v1, a * two_k:(a + 1) * two_k] = seg @ (W[:, a:a + 1] * z)
+        H[v0:v1, two_k * two_k:] = seg @ W
 
-    clustering.map_blocks(structure_sums, blocks)
+    clustering.map_blocks(lift, zip(cuts, cuts[1:]))
+    per_block = np.array(stats, dtype=np.int64).reshape(-1, 3)
+    logger.debug("lift: %d entries, %d chains, %d restarts, longest chain %d steps",
+                 n_entries, *per_block[:, :2].sum(axis=0), per_block[:, 2].max(initial=0))
     return H

@@ -332,7 +332,7 @@ def star_edges(center, times, inbound):
 def test_lift_logs_entries_chains_restarts_and_longest_chain(caplog):
     # a 40-entry sink: gaps of 100 s restart every step after the first at
     # alpha 1, while at alpha 60 (decay >= exp(-5/3)) it stays one chain,
-    # which steps alone through the blocked recurrence step
+    # which steps alone, one Python step per entry
     g = build_graph(star_edges("s", 100 * np.arange(40), inbound=True))
     Z = np.random.default_rng(70).uniform(0.5, 1.0, size=(g.n_nodes, 2))
     assert lift_stats(caplog, g, Z, 1.0)[1] == (80, 39, 38, 1)
@@ -489,22 +489,24 @@ def test_aggregate_node_blocks_match_loop_oracle_bit_for_bit(block, no_decay):
 
 
 def test_aggregate_memory_budget():
-    # far more timeline entries than a block: the lift may hold W, the
-    # recurrent states (same size) and small blocks on top of its output
+    # far more timeline entries than a block: W and the recurrent states
+    # exist one node block at a time, so on top of its output the lift holds
+    # the per-entry decay and timeline flags and one block's temporaries
     g, _ = synthgen.generate(synthgen.SynthConfig())
     n_entries = len(g.entry_t)
     assert n_entries > 8 * temporal_aggregation.BLOCK_ENTRIES
     Z = np.random.default_rng(64).random((g.n_nodes, 10))
     H, peak = extra_peak(aggregate, g, Z, 1.0)
     W_bytes = n_entries * 20 * 8
-    assert peak <= H.nbytes + 2.5 * W_bytes
+    assert peak <= H.nbytes + 0.5 * W_bytes
 
 
 @pytest.mark.parametrize("extra", [1, 65, 255, 257])
-def test_pooled_aggregate_gives_the_serial_bits(extra, monkeypatch):
-    # above the pool's size gate, with a hub's chain that steps alone, more W,
-    # restart and structure-sum blocks than threads, and 256-entry blocks, so
-    # that the first recurrence steps span several pooled blocks
+def test_pooled_aggregate_gives_the_serial_bits(extra, monkeypatch, caplog):
+    # above the pool's size gate, with a hub longer than a pooled block and
+    # 256-entry blocks, so that the lift's one map_blocks call gets more node
+    # blocks than threads; neither the bits nor the debug line's counts
+    # depend on the blocks or the threads
     monkeypatch.setattr(temporal_aggregation, "BLOCK_ENTRIES", 256)
     rng = np.random.default_rng(extra)
     t = np.cumsum(1 + rng.integers(0, 4, size=4000))
@@ -514,23 +516,31 @@ def test_pooled_aggregate_gives_the_serial_bits(extra, monkeypatch):
     g = build_graph(edges)
     g = with_isolated(g, clustering.POOL_MIN_ROWS + extra - g.n_nodes)
     assert len(g.entry_t) > 2 * 8 * temporal_aggregation.BLOCK_ENTRIES  # pooled blocks
+    hub = g.key_to_id["hub"]
     Z = rng.normal(size=(g.n_nodes, 10))
-    step_blocks = []
+    lift_blocks = []
     map_blocks = clustering.map_blocks
 
-    def counting_map_blocks(fn, blocks):
+    def recording_map_blocks(fn, blocks):
         blocks = list(blocks)
-        if fn.__name__ == "step":
-            step_blocks.append(len(blocks))
+        if fn.__name__ == "lift":
+            lift_blocks.append(blocks)
         map_blocks(fn, blocks)
-    monkeypatch.setattr(clustering, "map_blocks", counting_map_blocks)
+    monkeypatch.setattr(clustering, "map_blocks", recording_map_blocks)
     for alpha in (2.0, 60.0, NO_DECAY):
-        want = loop_aggregate(g, Z, alpha)
+        want, counts = loop_aggregate(g, Z, alpha), set()
         for workers in (1, 2, 3):
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid, w=workers: set(range(w)))
+            lift_blocks.clear()
             with clustering.block_pool(g.n_nodes):
                 assert len(clustering._helpers) == workers - 1
-                assert aggregate(g, Z, alpha).tobytes() == want.tobytes()
+                H, stats = lift_stats(caplog, g, Z, alpha)
+            assert H.tobytes() == want.tobytes()
+            counts.add(stats)
+            [blocks] = lift_blocks
+            assert len(blocks) > workers and (hub, hub + 1) in blocks
         # outside block_pool, 3 CPUs still pick the large blocks, here on one thread
-        assert aggregate(g, Z, alpha).tobytes() == want.tobytes()
-    assert max(step_blocks) > 2
+        H, stats = lift_stats(caplog, g, Z, alpha)
+        assert H.tobytes() == want.tobytes()
+        counts.add(stats)
+        assert len(counts) == 1, (alpha, counts)
