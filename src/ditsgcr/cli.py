@@ -155,7 +155,7 @@ def _cmd_embed(args):
     keys = [('"' + k.replace('"', '""') + '"' if set(k) & set(',"\r\n') else k).encode()
             for k in graph.id_to_key]
     n = H.shape[0]
-    workers = clustering.pool_threads(n) + 1  # the CPUs the pipeline's pool used
+    workers = clustering.pool_threads(n) + 1  # the CPUs an n-row map_blocks call uses
     # rows cuts[i]:cuts[i + 1] go to side file i from a forked worker, the
     # first range to part from the parent, which then appends the side files
     cuts = [n * i // workers for i in range(workers + 1)]

@@ -5,12 +5,12 @@ beta-scaled similarities, centroids are responsibility-weighted means
 renormalized to unit length. compute_subx turns distances to the final
 centroids into a low-dimensional row-stochastic embedding. The n-row
 kernels here and in the lift run over a grid of blocks that depends on n
-only, shared by block_pool's threads, so no bit depends on the thread count.
+only, shared by each map_blocks call's threads, so no bit depends on the
+thread count.
 """
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 
 import numpy as np
 
@@ -24,39 +24,34 @@ DEGENERATE_SPREAD = 1e-9
 
 BLOCK_ROWS = 512  # rows per block of norms and distances: no n x width temporaries
 POOL_MIN_ROWS = 8 * 512  # below this a pool gained no time and cost memory
-_helpers = []  # block_pool's executor, once per helper thread
 
 
 def pool_threads(n_rows):  # one per further CPU in the affinity mask, from POOL_MIN_ROWS on
     return len(os.sched_getaffinity(0)) - 1 if n_rows >= POOL_MIN_ROWS else 0
 
 
-@contextmanager
-def block_pool(n_rows):
-    """Inside the body, map_blocks also runs on pool_threads(n_rows) helper
-    threads; they end with it."""
-    threads = pool_threads(n_rows)
-    with ThreadPoolExecutor(max(threads, 1)) as executor:
-        _helpers[:] = [executor] * threads
-        try:
-            yield
-        finally:
-            _helpers.clear()
-
-
 def map_blocks(fn, blocks):
-    """fn(*block) for every block, on this thread and block_pool's; a call
-    of at most one block runs on this thread and wakes no helper."""
+    """fn(*block) for every (start, stop) block, blocks in ascending order.
+
+    This thread drains the blocks together with pool_threads(rows spanned)
+    helper threads, at most one per further block, which have all ended
+    when the call returns, also when a block raises; a call of at most one
+    block runs on this thread and starts no helper.
+    """
     blocks = list(blocks)
     todo = iter(blocks)  # next() on it is atomic under the GIL
 
     def drain():
         for block in todo:
             fn(*block)
-    helpers = [executor.submit(drain) for executor in _helpers] if len(blocks) > 1 else []
-    drain()
-    for helper in helpers:
-        helper.result()
+    threads = min(pool_threads(blocks[-1][1] - blocks[0][0]), len(blocks) - 1) if blocks else 0
+    if not threads:
+        return drain()
+    with ThreadPoolExecutor(threads) as executor:
+        helpers = [executor.submit(drain) for _ in range(threads)]
+        drain()
+        for helper in helpers:
+            helper.result()
 
 
 def row_blocks(n):

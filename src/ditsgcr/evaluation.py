@@ -110,9 +110,8 @@ def _best_split(xs_sorted, order, y, members, feats):
 
 def _presort(X):
     """Per feature, X's values in ascending order and the row ids they come from."""
-    Xt = np.ascontiguousarray(X.T)
-    order = np.argsort(Xt, axis=1).astype(np.int32)
-    return np.take_along_axis(Xt, order, axis=1), order
+    order = np.argsort(X.T, axis=1).astype(np.int32)
+    return np.take_along_axis(X.T, order, axis=1), order
 
 
 def _grow_tree(X, xs_sorted, order, y, rng, features_per_split, bootstrap):

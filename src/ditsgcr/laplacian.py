@@ -57,16 +57,14 @@ def assemble_system(pairs: np.ndarray, R: np.ndarray, lam: float,
     if ((u < 0) | (v < 0) | (u >= n) | (v >= n)).any():
         raise ValueError("edge endpoint outside 0..n-1")
     ends = np.concatenate([u, v])
-    off = w
     diag = np.bincount(ends, weights=np.concatenate([w, w]), minlength=n)
-    if lam != 0.0:
-        joint = w * np.einsum("ij,ij->i", R[u], R[v])
-        with np.errstate(over="ignore"):
-            off = w + lam * joint
-            diag = diag + lam * np.bincount(
-                ends, weights=np.concatenate([joint, joint]), minlength=n)
-        if not (np.isfinite(off).all() and np.isfinite(diag).all()):
-            raise ValueError(f"lambda {lam:g} makes the system matrix overflow")
+    joint = w * np.einsum("ij,ij->i", R[u], R[v])
+    with np.errstate(over="ignore"):
+        off = w + lam * joint
+        diag = diag + lam * np.bincount(
+            ends, weights=np.concatenate([joint, joint]), minlength=n)
+    if not (np.isfinite(off).all() and np.isfinite(diag).all()):
+        raise ValueError(f"lambda {lam:g} makes the system matrix overflow")
     diagonal = np.arange(n)
     rows = np.concatenate([u, v, diagonal])
     cols = np.concatenate([v, u, diagonal])

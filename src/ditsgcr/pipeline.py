@@ -160,33 +160,32 @@ def run(graph, config: PipelineConfig = PipelineConfig()) -> PipelineResult:
 
     pairs = adjacency_weights(graph) if "no_laplacian" not in config.ablation else None
 
-    with clustering.block_pool(n):  # its threads end before embed's writer forks
-        Z = np.full((n, k), 1.0 / k)
-        H = lift(Z)
-        unique_counts = [count_unique_embeddings(H)]
-        stop_reason = "max_iters"
+    Z = np.full((n, k), 1.0 / k)
+    H = lift(Z)
+    unique_counts = [count_unique_embeddings(H)]
+    stop_reason = "max_iters"
 
-        for i in range(1, config.max_iters + 1):
-            H_norm = clustering.normalize_rows(H)
-            R, centroids = timed(seconds, "soft_kmeans", clustering.soft_kmeans,
-                                 H_norm, k, config.beta, config.kmeans_iters, config.seed + i)
-            subx = timed(seconds, "subx", clustering.compute_subx, H_norm, centroids)
-            del H_norm  # free an n x width matrix before lift(Z) builds H_new
-            if pairs is not None:
-                Z = timed(seconds, "laplacian_solve", laplacian.solve,
-                          subx, pairs, R, lam=config.lam, mu=config.mu)
-            else:
-                Z = subx
-            del R, subx  # n x k each, freed for the lift's temporaries
-            H_new = lift(Z)
-            unique_counts.append(count_unique_embeddings(H_new))
-            logger.info("iteration %d: %d unique rows (previous %d), stage seconds %s",
-                        i, unique_counts[-1], unique_counts[-2],
-                        {s: round(t, 3) for s, t in seconds.items()})
-            if unique_counts[-2] >= unique_counts[-1]:
-                stop_reason = "no_gain"  # the non-improving result is not adopted
-                break
-            H = H_new
+    for i in range(1, config.max_iters + 1):
+        H_norm = clustering.normalize_rows(H)
+        R, centroids = timed(seconds, "soft_kmeans", clustering.soft_kmeans,
+                             H_norm, k, config.beta, config.kmeans_iters, config.seed + i)
+        subx = timed(seconds, "subx", clustering.compute_subx, H_norm, centroids)
+        del H_norm  # free an n x width matrix before lift(Z) builds H_new
+        if pairs is not None:
+            Z = timed(seconds, "laplacian_solve", laplacian.solve,
+                      subx, pairs, R, lam=config.lam, mu=config.mu)
+        else:
+            Z = subx
+        del R, subx  # n x k each, freed for the lift's temporaries
+        H_new = lift(Z)
+        unique_counts.append(count_unique_embeddings(H_new))
+        logger.info("iteration %d: %d unique rows (previous %d), stage seconds %s",
+                    i, unique_counts[-1], unique_counts[-2],
+                    {s: round(t, 3) for s, t in seconds.items()})
+        if unique_counts[-2] >= unique_counts[-1]:
+            stop_reason = "no_gain"  # the non-improving result is not adopted
+            break
+        H = H_new
 
     iterations_run = len(unique_counts) - 1
     logger.info("stopped after %d iterations: %s", iterations_run, stop_reason)

@@ -37,9 +37,9 @@ logger = logging.getLogger(__name__)
 
 SUBNORMAL = np.nextafter(np.finfo(np.float64).tiny, 0)  # x > it: x is normal or more
 # timeline entries per block of whole nodes, each lifted end to end in one
-# pass. Node blocks take 8 times as many where clustering.block_pool(n)
-# starts threads, which contend for the GIL that each block's sparse
-# products hold; on one thread larger blocks cost memory
+# pass. Node blocks take 8 times as many where the lift's map_blocks call
+# over n nodes starts threads, which contend for the GIL that each block's
+# sparse products hold; on one thread larger blocks cost memory
 BLOCK_ENTRIES = 2048
 
 

@@ -7,9 +7,11 @@ by computing the same mathematics.
 
 import math
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
+from ditsgcr import clustering
 from ditsgcr.graph_model import PAIR_DTYPE, TemporalGraph, build_graph
 
 EPS = 1e-10
@@ -69,6 +71,19 @@ def extra_peak(fn, *args):
         return out, tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
+
+
+def record_helpers(monkeypatch):
+    """A list that gets the max_workers of every executor clustering starts
+    from now on: the helper threads of one map_blocks call."""
+    started = []
+
+    class Recording(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers)
+    monkeypatch.setattr(clustering, "ThreadPoolExecutor", Recording)
+    return started
 
 
 def group_rows(rows):

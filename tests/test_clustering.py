@@ -11,7 +11,8 @@ from ditsgcr.clustering import (_reseed_dead_centroids, compute_subx,
                                 normalize_rows, soft_assign, soft_kmeans)
 from ditsgcr.pipeline import count_unique_embeddings
 from ditsgcr.temporal_aggregation import aggregate
-from helpers import extra_peak, hard_assign_onehot, loop_kmeanspp_init, loop_soft_kmeans
+from helpers import (extra_peak, hard_assign_onehot, loop_kmeanspp_init, loop_soft_kmeans,
+                     record_helpers)
 
 
 def unit_rows(rng, n, d):
@@ -285,29 +286,77 @@ def test_pooled_kernels_give_the_serial_bits(extra, monkeypatch):
         * (np.linalg.norm(want_C, axis=1)[None, :] + 1e-10))
     for workers in (1, 2, 3):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid, w=workers: set(range(w)))
-        with clustering.block_pool(n):
-            assert len(clustering._helpers) == workers - 1
-            H = normalize_rows(raw)
-            assert H.tobytes() == want_norm.tobytes()
-            assert kmeanspp_init(H, 10, extra).tobytes() == want_seeds.tobytes()
-            R, C = soft_kmeans(H, 10, 10.0, 4, extra)
-            assert R.tobytes() == want_R.tobytes()
-            assert C.tobytes() == want_C.tobytes()
-            assert cosine_similarities(H, C).tobytes() == want_sims.tobytes()
-        assert clustering._helpers == []
+        started = record_helpers(monkeypatch)
+        H = normalize_rows(raw)
+        assert H.tobytes() == want_norm.tobytes()
+        assert kmeanspp_init(H, 10, extra).tobytes() == want_seeds.tobytes()
+        R, C = soft_kmeans(H, 10, 10.0, 4, extra)
+        assert R.tobytes() == want_R.tobytes()
+        assert C.tobytes() == want_C.tobytes()
+        assert cosine_similarities(H, C).tobytes() == want_sims.tobytes()
+        # every n-row kernel call started workers - 1 helpers of its own
+        assert set(started) == ({workers - 1} if workers > 1 else set())
 
 
-def test_block_pool_size_gate_and_affinity(monkeypatch):
+def spanning(n_rows, count=3):
+    """count ascending blocks that span rows 0..n_rows."""
+    cuts = [n_rows * i // count for i in range(count + 1)]
+    return list(zip(cuts, cuts[1:]))
+
+
+def test_map_blocks_size_gate_and_affinity(monkeypatch):
+    started = record_helpers(monkeypatch)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-    for n_rows, helpers in ((clustering.POOL_MIN_ROWS - 1, 0), (clustering.POOL_MIN_ROWS, 2)):
-        with clustering.block_pool(n_rows):
-            assert len(clustering._helpers) == helpers
+    for n_rows, helpers in ((clustering.POOL_MIN_ROWS - 1, []), (clustering.POOL_MIN_ROWS, [2])):
+        started.clear()
+        clustering.map_blocks(lambda a, b: None, spanning(n_rows))
+        assert started == helpers
+    started.clear()  # the rows spanned count, not where the first block starts
+    clustering.map_blocks(lambda a, b: None, [(10 ** 6, 10 ** 6 + 1), (10 ** 6 + 1, 10 ** 6 + 2)])
+    assert started == []
+    clustering.map_blocks(lambda a, b: None, spanning(10 ** 6, count=2))
+    assert started == [1]  # at most one helper per further block
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3})  # taskset -c 3
-    with clustering.block_pool(10 ** 6):
-        assert clustering._helpers == []
-    with pytest.raises(RuntimeError), clustering.block_pool(10 ** 6):
+    started.clear()
+    clustering.map_blocks(lambda a, b: None, spanning(10 ** 6))
+
+    def fail(a, b):
         raise RuntimeError
-    assert clustering._helpers == []
+    with pytest.raises(RuntimeError):
+        clustering.map_blocks(fail, spanning(10 ** 6))
+    assert started == []
+
+
+def test_no_thread_outlives_map_blocks(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    started = record_helpers(monkeypatch)
+    before = threading.active_count()
+    seen = []
+    clustering.map_blocks(lambda a, b: seen.append(threading.active_count()),
+                          spanning(clustering.POOL_MIN_ROWS, count=12))
+    assert started == [2] and max(seen) > before
+    assert threading.active_count() == before
+
+    def fail_late(a, b):
+        if b == clustering.POOL_MIN_ROWS:
+            raise ZeroDivisionError
+    with pytest.raises(ZeroDivisionError):
+        clustering.map_blocks(fail_late, spanning(clustering.POOL_MIN_ROWS, count=12))
+    assert started == [2, 2]
+    assert threading.active_count() == before
+
+
+def test_library_normalize_rows_pools_itself(monkeypatch):
+    # outside pipeline.run, on two CPUs, a call on POOL_MIN_ROWS rows starts
+    # its own helper and gives the bits of one CPU
+    raw = np.random.default_rng(3).normal(size=(clustering.POOL_MIN_ROWS, 40))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    started = record_helpers(monkeypatch)
+    want = normalize_rows(raw)
+    assert started == []
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    assert normalize_rows(raw).tobytes() == want.tobytes()
+    assert started == [1, 1]  # the norms, then the division
 
 
 def test_row_blocks_merge_a_short_tail():
@@ -322,31 +371,30 @@ def test_map_blocks_runs_every_block_once_under_contention(monkeypatch):
     # more threads than cores and a short switch interval: a block lost or
     # run twice by the shared iterator would show in the sorted list
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
-    blocks = [(i, i + 1) for i in range(300)]
+    started = record_helpers(monkeypatch)
+    step = -(-clustering.POOL_MIN_ROWS // 300)  # 300 blocks over the gate
+    blocks = [(i * step, (i + 1) * step) for i in range(300)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        with clustering.block_pool(clustering.POOL_MIN_ROWS):
-            assert len(clustering._helpers) == 3
-            for _ in range(20):
-                seen = []
-                clustering.map_blocks(lambda a, b: seen.append(a), blocks)
-                assert sorted(seen) == list(range(300))
-            with pytest.raises(ZeroDivisionError):  # a helper's error reaches the caller
-                clustering.map_blocks(lambda a, b: 1 / (a - 250), blocks)
+        for _ in range(20):
+            seen = []
+            clustering.map_blocks(lambda a, b: seen.append(a // step), blocks)
+            assert sorted(seen) == list(range(300))
+        with pytest.raises(ZeroDivisionError):  # a helper's error reaches the caller
+            clustering.map_blocks(lambda a, b: 1 / (a // step - 250), blocks)
     finally:
         sys.setswitchinterval(interval)
+    assert started == [3] * 21
 
 
 def test_map_blocks_runs_one_block_on_the_calling_thread(monkeypatch):
     # a helper woken for one block would only wait on the GIL
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    with clustering.block_pool(clustering.POOL_MIN_ROWS):
-        assert len(clustering._helpers) == 1
-        monkeypatch.setattr(clustering._helpers[0], "submit",
-                            lambda *args: pytest.fail("a helper was woken"))
-        seen = []
-        clustering.map_blocks(lambda a, b: seen.append((a, b, threading.get_ident())),
-                              iter([(0, 7)]))
-        assert seen == [(0, 7, threading.get_ident())]
-        clustering.map_blocks(lambda a, b: pytest.fail("no block to run"), [])
+    started = record_helpers(monkeypatch)
+    seen = []
+    clustering.map_blocks(lambda a, b: seen.append((a, b, threading.get_ident())),
+                          iter([(0, clustering.POOL_MIN_ROWS)]))
+    assert seen == [(0, clustering.POOL_MIN_ROWS, threading.get_ident())]
+    clustering.map_blocks(lambda a, b: pytest.fail("no block to run"), [])
+    assert started == []

@@ -1,5 +1,6 @@
 import itertools
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from ditsgcr import clustering, pipeline
 from ditsgcr.graph_model import build_graph
 from ditsgcr.pipeline import (PipelineConfig, count_unique_embeddings, run)
 from ditsgcr.temporal_aggregation import output_width
-from helpers import edge_rows, edgeless_graph, random_connected_graph, straight_line_pipeline
+from helpers import (edge_rows, edgeless_graph, random_connected_graph, record_helpers,
+                     straight_line_pipeline)
 
 
 def test_count_unique_rounding():
@@ -96,11 +98,24 @@ def test_pooled_count_matches_np_unique(workers, monkeypatch):
     H = pool[rng.integers(len(pool), size=n)]
     want = np.unique(np.round(H, 6) + 0.0, axis=0).shape[0]
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)))
-    with clustering.block_pool(n):
-        assert len(clustering._helpers) == workers - 1
-        assert count_unique_embeddings(H) == want
-        monkeypatch.setattr(pipeline, "_key_weights", lambda width: np.ones(width, np.uint64))
-        assert count_unique_embeddings(H) == want
+    started = record_helpers(monkeypatch)
+    assert count_unique_embeddings(H) == want
+    monkeypatch.setattr(pipeline, "_key_weights", lambda width: np.ones(width, np.uint64))
+    assert count_unique_embeddings(H) == want
+    assert set(started) == ({workers - 1} if workers > 1 else set())
+    assert len(started) >= 2 * (workers > 1)  # at least each count's key pass
+
+
+def test_no_thread_outlives_run(monkeypatch):
+    # above the pool's gate on two CPUs every kernel call starts and joins its
+    # own helper, so none is left when run returns (embed's writer forks then)
+    g = random_connected_graph(np.random.default_rng(7), clustering.POOL_MIN_ROWS, 2000)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    started = record_helpers(monkeypatch)
+    before = threading.active_count()
+    run(g, PipelineConfig(clusters=3, max_iters=2, kmeans_iters=2))
+    assert started and set(started) == {1}
+    assert threading.active_count() == before
 
 
 def test_empty_graph():

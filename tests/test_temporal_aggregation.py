@@ -13,7 +13,7 @@ from ditsgcr import clustering, synthgen, temporal_aggregation
 from ditsgcr.graph_model import TemporalGraph, build_graph
 from ditsgcr.temporal_aggregation import aggregate, output_width
 from helpers import (brute_force_embeddings, edgeless_graph, extra_peak, loop_aggregate,
-                     random_graph)
+                     random_graph, record_helpers)
 
 KEYS = st.sampled_from(["a", "b", "c", "d", "e", "f"])
 ROWS = st.lists(st.tuples(KEYS, KEYS, st.integers(0, 40)), min_size=1, max_size=30)
@@ -532,15 +532,26 @@ def test_pooled_aggregate_gives_the_serial_bits(extra, monkeypatch, caplog):
         for workers in (1, 2, 3):
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid, w=workers: set(range(w)))
             lift_blocks.clear()
-            with clustering.block_pool(g.n_nodes):
-                assert len(clustering._helpers) == workers - 1
-                H, stats = lift_stats(caplog, g, Z, alpha)
+            started = record_helpers(monkeypatch)
+            H, stats = lift_stats(caplog, g, Z, alpha)
             assert H.tobytes() == want.tobytes()
             counts.add(stats)
             [blocks] = lift_blocks
             assert len(blocks) > workers and (hub, hub + 1) in blocks
-        # outside block_pool, 3 CPUs still pick the large blocks, here on one thread
-        H, stats = lift_stats(caplog, g, Z, alpha)
-        assert H.tobytes() == want.tobytes()
-        counts.add(stats)
+            assert started == ([workers - 1] if workers > 1 else [])
         assert len(counts) == 1, (alpha, counts)
+
+
+def test_library_aggregate_pools_itself(monkeypatch):
+    # outside pipeline.run, on two CPUs, a lift of POOL_MIN_ROWS nodes starts
+    # its own helper for its large blocks and gives the bits of one CPU
+    g, _ = synthgen.generate(synthgen.SynthConfig(n_normal=1100, n_phisher=3000, burst_fanin=2))
+    assert g.n_nodes >= clustering.POOL_MIN_ROWS
+    Z = np.random.default_rng(8).random((g.n_nodes, 4))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    started = record_helpers(monkeypatch)
+    want = aggregate(g, Z, 1.0)
+    assert started == []
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    assert aggregate(g, Z, 1.0).tobytes() == want.tobytes()
+    assert started == [1]
