@@ -35,15 +35,20 @@ def map_blocks(fn, blocks):
 
     This thread drains the blocks together with pool_threads(rows spanned)
     helper threads, at most one per further block, which have all ended
-    when the call returns, also when a block raises; a call of at most one
-    block runs on this thread and starts no helper.
+    when the call returns; after a block raises no block starts. A call of
+    at most one block runs on this thread and starts no helper.
     """
     blocks = list(blocks)
     todo = iter(blocks)  # next() on it is atomic under the GIL
 
     def drain():
-        for block in todo:
-            fn(*block)
+        try:
+            for block in todo:
+                fn(*block)
+        except BaseException:
+            for _ in todo:  # each other thread stops after its current block
+                pass
+            raise
     threads = min(pool_threads(blocks[-1][1] - blocks[0][0]), len(blocks) - 1) if blocks else 0
     if not threads:
         return drain()
@@ -71,9 +76,9 @@ def _by_rows(out, fn):
     return out
 
 
-def normalize_rows(H: np.ndarray) -> np.ndarray:
-    """Divide each row by (its L2 norm + 1e-10); zero rows stay zero."""
-    norms, out = _row_norms(H) + EPS, np.empty_like(H)
+def normalize_rows(H: np.ndarray, out=None) -> np.ndarray:
+    """Divide each row by (its L2 norm + 1e-10) into out, new or H; zero rows stay zero."""
+    norms, out = _row_norms(H) + EPS, np.empty_like(H) if out is None else out
     map_blocks(lambda a, b: np.divide(H[a:b], norms[a:b, None], out=out[a:b]),
                row_blocks(len(H)))
     return out

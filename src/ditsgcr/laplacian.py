@@ -75,10 +75,10 @@ def assemble_system(pairs: np.ndarray, R: np.ndarray, lam: float,
 def cg_solve(M, b: np.ndarray, tol: float, max_iters: int) -> np.ndarray:
     """Conjugate gradients from a zero start, relative-residual stopping.
 
-    Verifies the true residual ||Mx - b|| / ||b|| <= tol on exit and
-    raises SolverConvergenceError (carrying the achieved residual) when
-    the iteration cap is hit first or r.r or p.Mp stops being finite (a
-    NaN matrix). Raises OverflowError when r.r or p.Mp overflows to
+    Verifies ||Mx - b|| / ||b|| <= tol on exit, raising SolverConvergenceError
+    (carrying the achieved residual) at the iteration cap, at a non-finite r.r
+    or p.Mp (a NaN matrix) or when only the recursive residual met tol (an
+    ill-conditioned M). Raises OverflowError when r.r or p.Mp overflows to
     infinity. A zero right-hand side returns zeros.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite values end the loop
@@ -107,9 +107,11 @@ def cg_solve(M, b: np.ndarray, tol: float, max_iters: int) -> np.ndarray:
     if math.isinf(rr) or math.isinf(pMp):
         raise OverflowError(f"conjugate gradients overflowed after {iters} iterations")
     if not achieved <= tol:  # NaN fails too
+        cause = (", a false convergence: the system is too ill-conditioned"
+                 if math.sqrt(rr) / b_norm <= tol else "")  # only the recursive r met tol
         raise SolverConvergenceError(
             f"conjugate gradients stopped at relative residual {achieved:.3e} "
-            f"after {iters} iterations (tolerance {tol:.1e})", achieved)
+            f"after {iters} iterations (tolerance {tol:.1e}){cause}", achieved)
     return x
 
 

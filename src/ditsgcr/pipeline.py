@@ -5,8 +5,8 @@ Z to high-dimensional embeddings H (temporal aggregation), soft-clusters
 the normalized H, converts centroid distances to a fresh low-dimensional
 Z (subx), smooths Z over the transaction graph (Laplacian solve) and
 re-aggregates. Iteration stops early once the number of distinct
-embedding rows stops increasing; the result of the non-improving
-iteration is discarded.
+embedding rows stops increasing: the non-improving H is dropped and the
+adopted one lifted again from its Z, so one n x width matrix is kept.
 """
 
 import logging
@@ -131,8 +131,8 @@ def run(graph, config: PipelineConfig = PipelineConfig()) -> PipelineResult:
     Returns embeddings of width 4K^2 + 2K along with the number of loop
     iterations entered, the per-iteration distinct-row counts (initial
     count first), why the loop stopped and per-stage wall-times:
-    "no_gain" when an iteration did not add a distinct row (its result is
-    not adopted and its count is the last one), "max_iters" otherwise.
+    "no_gain" when an iteration did not add a distinct row (its count is the
+    last one, and the adopted Z is lifted again), "max_iters" otherwise.
     Deterministic for a fixed config: centroid seeding derives from
     config.seed + iteration index. Raises ValueError for invalid configs
     or graphs with fewer (but more than zero) nodes than clusters; an
@@ -166,26 +166,28 @@ def run(graph, config: PipelineConfig = PipelineConfig()) -> PipelineResult:
     stop_reason = "max_iters"
 
     for i in range(1, config.max_iters + 1):
-        H_norm = clustering.normalize_rows(H)
+        kept_Z = Z
+        H_norm = clustering.normalize_rows(H, out=H)
         R, centroids = timed(seconds, "soft_kmeans", clustering.soft_kmeans,
                              H_norm, k, config.beta, config.kmeans_iters, config.seed + i)
         subx = timed(seconds, "subx", clustering.compute_subx, H_norm, centroids)
-        del H_norm  # free an n x width matrix before lift(Z) builds H_new
+        del H, H_norm  # one array, freed before lift(Z) builds the next H
         if pairs is not None:
             Z = timed(seconds, "laplacian_solve", laplacian.solve,
                       subx, pairs, R, lam=config.lam, mu=config.mu)
         else:
             Z = subx
         del R, subx  # n x k each, freed for the lift's temporaries
-        H_new = lift(Z)
-        unique_counts.append(count_unique_embeddings(H_new))
+        H = lift(Z)
+        unique_counts.append(count_unique_embeddings(H))
         logger.info("iteration %d: %d unique rows (previous %d), stage seconds %s",
                     i, unique_counts[-1], unique_counts[-2],
                     {s: round(t, 3) for s, t in seconds.items()})
         if unique_counts[-2] >= unique_counts[-1]:
             stop_reason = "no_gain"  # the non-improving result is not adopted
+            del H  # freed before the lift gives the adopted H's bits again
+            H = lift(kept_Z)
             break
-        H = H_new
 
     iterations_run = len(unique_counts) - 1
     logger.info("stopped after %d iterations: %s", iterations_run, stop_reason)

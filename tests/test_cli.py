@@ -585,6 +585,7 @@ def test_solver_convergence_error_is_one_line(tmp_path, capsys, monkeypatch):
                      "--clusters", "3"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: conjugate gradients stopped")
+    assert "false convergence" not in err  # the iteration cap stopped it
     assert len(err.strip().splitlines()) == 1
 
 
@@ -598,6 +599,8 @@ def test_solver_convergence_error_names_lambda_and_mu(tmp_path, capsys):
     assert len(lines) == 1
     assert lines[0].startswith("error: conjugate gradients stopped at relative residual")
     assert lines[0].endswith(" with lambda 1 and mu 1e-12")
+    # only the recursive residual met the tolerance: the cause is named
+    assert ", a false convergence: the system is too ill-conditioned with lambda" in lines[0]
     assert not out.exists()
 
 

@@ -1,6 +1,7 @@
 import os
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -27,6 +28,8 @@ def test_normalize_rows():
     assert np.all(out[1] == 0.0)
     assert out[2] == pytest.approx([0.0, 1.0], abs=1e-9)
     assert H[0, 0] == 3.0  # input untouched
+    assert normalize_rows(H, out=H) is H
+    assert H.tobytes() == out.tobytes()
 
 
 def test_kmeanspp_deterministic():
@@ -244,6 +247,8 @@ def test_row_blocks_match_unblocked_oracles_bit_for_bit():
         mp.setattr(clustering, "BLOCK_ROWS", 3)
         H = normalize_rows(raw)
         assert H.tobytes() == want_norm.tobytes()
+        inplace = raw.copy()
+        assert normalize_rows(inplace, out=inplace).tobytes() == want_norm.tobytes()
         assert cosine_similarities(H, C).tobytes() == want_sims.tobytes()
         assert compute_subx(H, C).tobytes() == want_subx.tobytes()
         for seed, beta in ((3, 10.0), (4, 200.0)):
@@ -289,6 +294,8 @@ def test_pooled_kernels_give_the_serial_bits(extra, monkeypatch):
         started = record_helpers(monkeypatch)
         H = normalize_rows(raw)
         assert H.tobytes() == want_norm.tobytes()
+        inplace = raw.copy()
+        assert normalize_rows(inplace, out=inplace).tobytes() == want_norm.tobytes()
         assert kmeanspp_init(H, 10, extra).tobytes() == want_seeds.tobytes()
         R, C = soft_kmeans(H, 10, 10.0, 4, extra)
         assert R.tobytes() == want_R.tobytes()
@@ -386,6 +393,27 @@ def test_map_blocks_runs_every_block_once_under_contention(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert started == [3] * 21
+
+
+def test_map_blocks_stops_at_the_first_failure(monkeypatch):
+    # the thread whose block raises exhausts the shared iterator, so each
+    # other thread ends after the block it holds
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    started = record_helpers(monkeypatch)
+    step = -(-clustering.POOL_MIN_ROWS // 300)
+    raised, after = [], []
+
+    def block(a, b):
+        if a == 0:
+            raised.append(a)
+            raise ValueError
+        if raised:
+            after.append(a)
+        time.sleep(1e-4)  # lets the raising thread run
+    with pytest.raises(ValueError):
+        clustering.map_blocks(block, [(i * step, (i + 1) * step) for i in range(300)])
+    assert started == [1]
+    assert len(after) <= started[0] + 1
 
 
 def test_map_blocks_runs_one_block_on_the_calling_thread(monkeypatch):

@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ditsgcr import clustering, pipeline
+from ditsgcr import clustering, pipeline, synthgen, temporal_aggregation
 from ditsgcr.graph_model import build_graph
 from ditsgcr.pipeline import (PipelineConfig, count_unique_embeddings, run)
 from ditsgcr.temporal_aggregation import output_width
-from helpers import (edge_rows, edgeless_graph, random_connected_graph, record_helpers,
-                     straight_line_pipeline)
+from helpers import (edge_rows, edgeless_graph, extra_peak, random_connected_graph,
+                     record_helpers, straight_line_pipeline)
 
 
 def test_count_unique_rounding():
@@ -190,6 +190,37 @@ def test_all_distinct_rows_still_end_by_no_gain():
     assert res.unique_counts == [17, 18, 18] and g.n_nodes == 18
     assert res.stop_reason == "no_gain" and res.iterations_run == 2
     assert np.array_equal(res.embeddings, straight_line_pipeline(g, cfg))
+
+
+@pytest.mark.parametrize("ablation", [(), ("no_temporal",), ("no_laplacian",)])
+def test_no_gain_stop_lifts_the_adopted_z_again(ablation, monkeypatch):
+    # H is not kept beside the next one: a no_gain stop drops the new H and
+    # lifts the adopted iteration's Z again, which gives that H's bits
+    g = random_connected_graph(np.random.default_rng(3), 18, extra_edges=25)
+    calls = []
+    lift = temporal_aggregation.aggregate
+    monkeypatch.setattr(temporal_aggregation, "aggregate",
+                        lambda *args: calls.append(1) or lift(*args))
+    for max_iters, reason, lifts in ((1, "max_iters", 2), (10, "no_gain", 4)):
+        cfg = PipelineConfig(clusters=3, seed=0, max_iters=max_iters,
+                             ablation=frozenset(ablation))
+        calls.clear()
+        res = run(g, cfg)
+        assert res.stop_reason == reason
+        assert len(calls) == res.iterations_run + 1 + (reason == "no_gain") == lifts
+        assert res.embeddings.tobytes() == straight_line_pipeline(g, cfg).tobytes()
+
+
+def test_run_holds_one_embedding_matrix_at_a_time(monkeypatch):
+    # H is normalized in place and the adopted H is not kept beside the next
+    # one; with 64-row blocks (as in test_row_block_memory_budget) the block
+    # temporaries of a 2k-row graph stay small next to H
+    g, _ = synthgen.generate(synthgen.SynthConfig())
+    monkeypatch.setattr(clustering, "BLOCK_ROWS", 64)
+    res, peak = extra_peak(run, g, PipelineConfig())
+    assert res.stop_reason == "no_gain"
+    H = res.embeddings
+    assert peak - H.nbytes < 0.5 * H.nbytes  # the returned H is counted in peak
 
 
 def test_one_node_graph():
