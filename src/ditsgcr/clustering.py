@@ -35,8 +35,8 @@ def map_blocks(fn, blocks):
 
     This thread drains the blocks together with pool_threads(rows spanned)
     helper threads, at most one per further block, which have all ended
-    when the call returns; after a block raises no block starts. A call of
-    at most one block runs on this thread and starts no helper.
+    when the call returns; after a block raises no further block starts. A
+    call of at most one block runs on this thread and starts no helper.
     """
     blocks = list(blocks)
     todo = iter(blocks)  # next() on it is atomic under the GIL
