@@ -121,8 +121,8 @@ def test_embed_byte_identical_across_processes(tmp_path):
 
 def synth_above_pool_gate(tmp_path):
     """A 4101-node graph, above clustering.POOL_MIN_ROWS, whose sink holds 5993
-    of its 34844 timeline entries: a chain that steps alone and three
-    node blocks in each lift."""
+    of its 34844 timeline entries: a chain that steps alone, in one of the
+    nine node blocks of each lift."""
     edges, labels = tmp_path / "big_edges.csv", tmp_path / "big_labels.csv"
     assert cli.main(["synth", "--normal", "1100", "--phishers", "3000", "--burst-fanin", "2",
                      "--seed", "42", "--out-edges", str(edges), "--out-labels", str(labels)]) == 0

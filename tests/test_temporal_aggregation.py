@@ -492,7 +492,7 @@ def test_aggregate_memory_budget():
     # far more timeline entries than a block: W and the recurrent states
     # exist one node block at a time, so on top of its output the lift holds
     # the per-entry decay and timeline flags and one block's temporaries
-    g, _ = synthgen.generate(synthgen.SynthConfig())
+    g, _ = synthgen.generate(synthgen.SynthConfig(n_normal=3800, n_phisher=200))
     n_entries = len(g.entry_t)
     assert n_entries > 8 * temporal_aggregation.BLOCK_ENTRIES
     Z = np.random.default_rng(64).random((g.n_nodes, 10))
@@ -503,10 +503,10 @@ def test_aggregate_memory_budget():
 
 @pytest.mark.parametrize("extra", [1, 65, 255, 257])
 def test_pooled_aggregate_gives_the_serial_bits(extra, monkeypatch, caplog):
-    # above the pool's size gate, with a hub longer than a pooled block and
-    # 256-entry blocks, so that the lift's one map_blocks call gets more node
-    # blocks than threads; neither the bits nor the debug line's counts
-    # depend on the blocks or the threads
+    # above the pool's size gate, with a hub longer than a block and 256-entry
+    # blocks, so that the lift's one map_blocks call gets more node blocks
+    # than threads; the blocks do not depend on the threads, and neither the
+    # bits nor the debug line's counts on the blocks or the threads
     monkeypatch.setattr(temporal_aggregation, "BLOCK_ENTRIES", 256)
     rng = np.random.default_rng(extra)
     t = np.cumsum(1 + rng.integers(0, 4, size=4000))
@@ -515,10 +515,10 @@ def test_pooled_aggregate_gives_the_serial_bits(extra, monkeypatch, caplog):
               for _ in range(4000)]
     g = build_graph(edges)
     g = with_isolated(g, clustering.POOL_MIN_ROWS + extra - g.n_nodes)
-    assert len(g.entry_t) > 2 * 8 * temporal_aggregation.BLOCK_ENTRIES  # pooled blocks
+    assert len(g.entry_t) > 2 * temporal_aggregation.BLOCK_ENTRIES  # several blocks
     hub = g.key_to_id["hub"]
     Z = rng.normal(size=(g.n_nodes, 10))
-    lift_blocks = []
+    lift_blocks, plans = [], []
     map_blocks = clustering.map_blocks
 
     def recording_map_blocks(fn, blocks):
@@ -539,12 +539,14 @@ def test_pooled_aggregate_gives_the_serial_bits(extra, monkeypatch, caplog):
             [blocks] = lift_blocks
             assert len(blocks) > workers and (hub, hub + 1) in blocks
             assert started == ([workers - 1] if workers > 1 else [])
+            plans.append(blocks)
         assert len(counts) == 1, (alpha, counts)
+    assert all(blocks == plans[0] for blocks in plans)  # one plan for 1, 2 and 3 CPUs
 
 
 def test_library_aggregate_pools_itself(monkeypatch):
     # outside pipeline.run, on two CPUs, a lift of POOL_MIN_ROWS nodes starts
-    # its own helper for its large blocks and gives the bits of one CPU
+    # its own helper for its blocks and gives the bits of one CPU
     g, _ = synthgen.generate(synthgen.SynthConfig(n_normal=1100, n_phisher=3000, burst_fanin=2))
     assert g.n_nodes >= clustering.POOL_MIN_ROWS
     Z = np.random.default_rng(8).random((g.n_nodes, 4))
