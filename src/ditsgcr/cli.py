@@ -132,22 +132,24 @@ _write_rows = None  # (keys as bytes, H) while the embedding CSV is written
 
 def _write_range(path, a, b, head=b""):
     """Write head, then rows a..b-1 of the embedding CSV, to path."""
-    from .csvformat import RowFormatter
+    from . import csvformat
     keys, H = _write_rows
     with open(path, "wb") as fh:
         fh.write(head)
-        RowFormatter(H.shape[1]).write(fh, H[a:b], keys[a:b])
+        csvformat.write(fh, H[a:b], keys[a:b])
 
 
 def _cmd_embed(args):
     global _write_rows
     from . import clustering, graph_model, pipeline
 
+    config = _pipeline_config(args)
+    config.validate()  # before any input is read
     _reject_shared_outputs({"--output": args.output}, ["--output"], [("--input", args.input)])
     inputs = {"edges": _digest(args.input)}  # before --output can overwrite it
     seconds = {}
     graph = pipeline.timed(seconds, "ingest", graph_model.ingest_csv, args.input)
-    result = pipeline.timed(seconds, "total", pipeline.run, graph, _pipeline_config(args))
+    result = pipeline.timed(seconds, "total", pipeline.run, graph, config)
 
     started = time.perf_counter()
     H = result.embeddings
@@ -200,8 +202,7 @@ def _cmd_evaluate(args):
 
     import numpy as np
 
-    from . import evaluation, graph_model, pipeline
-    from .csvformat import RowFormatter
+    from . import csvformat, evaluation, graph_model, pipeline
 
     config = _pipeline_config(args)
     config.validate()  # before split meets a negative seed
@@ -236,7 +237,7 @@ def _cmd_evaluate(args):
 
     roc = io.BytesIO()
     roc.write(b"fpr,tpr,threshold\n")
-    RowFormatter(3).write(roc, np.column_stack([metrics.roc_points, metrics.roc_thresholds]))
+    csvformat.write(roc, np.column_stack([metrics.roc_points, metrics.roc_thresholds]))
     for path, data in ((args.output, (line + "\n").encode()), (args.emit_roc, roc.getvalue())):
         if path:
             with open(path, "wb") as fh:

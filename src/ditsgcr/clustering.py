@@ -27,7 +27,10 @@ POOL_MIN_ROWS = 8 * 512  # below this a pool gained no time and cost memory
 
 
 def pool_threads(n_rows):  # one per further CPU in the affinity mask, from POOL_MIN_ROWS on
-    return len(os.sched_getaffinity(0)) - 1 if n_rows >= POOL_MIN_ROWS else 0
+    if n_rows < POOL_MIN_ROWS:
+        return 0
+    affinity = getattr(os, "sched_getaffinity", None)  # macOS has no affinity mask
+    return (len(affinity(0)) if affinity else os.cpu_count() or 1) - 1
 
 
 def map_blocks(fn, blocks):

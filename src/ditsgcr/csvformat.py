@@ -2,8 +2,8 @@
 
 "%.9g" rounds to 9 significant digits, half to even, uses fixed notation
 when the rounded value's decimal exponent e is in -4..8, and drops trailing
-zeros and a bare point. RowFormatter does that with numpy for all of a
-chunk's values at once. A nonzero value takes the vectorized path when
+zeros and a bare point. write does that with numpy for all of a chunk's
+values at once. A nonzero value takes the vectorized path when
 p = |x| * 10**(8 - e), with e = floor(log10|x|) clipped to -4..8, rounds
 to an integer D in [1e8, 1e9) and p lies more than 1e-6 from a half: p is
 then within half an ulp (under 6e-8) of the exact product, so D is the
@@ -21,7 +21,7 @@ import itertools
 
 import numpy as np
 
-CHUNK_ROWS = 16  # rows per chunk: the buffers stay in cache and under 1 MB
+CHUNK_ROWS = 16  # rows per chunk: its temporaries stay near 1.4 MB at width 420
 _TIE = 0.5 - 1e-6  # |p - D| above this: too near a tie to trust p's rounding
 _POW10 = np.array([10.0 ** (8 - e) for e in range(-4, 9)])  # exact, by e + 4
 _CODES = 2 * 13 * 10  # (sign, e + 4, significant digits or 0 for a zero)
@@ -71,93 +71,49 @@ def _tables():
 _WORDS, _OFFSETS, _DIGITS = _tables()
 
 
-class RowFormatter:
-    """Writes rows of `width` values, CHUNK_ROWS at a time, through buffers
-    allocated once here (under 1 MB at width 420) and reused for every
-    chunk: fresh temporaries per chunk made glibc map and trim memory, a
-    page fault per touched page."""
+def write(fh, values, keys=None):
+    """Write the rows of values, (k, width) numbers, to the binary file fh,
+    each led by its bytes key or, without keys, by nothing."""
+    values = np.asarray(values, dtype=np.float64)
+    skip = 1 if keys is not None else 2  # the line break, and the comma after no key
+    keys = keys if keys is not None else [b""] * len(values)
+    for s in range(0, len(values), CHUNK_ROWS):
+        chunk = _chunk(values[s:s + CHUNK_ROWS])
+        starts = [0]
+        while len(starts) < min(CHUNK_ROWS, len(values) - s):
+            starts.append(chunk.find(b"\n", starts[-1] + 1))
+        view = memoryview(chunk)
+        pieces = [b"\n"] * (3 * len(starts))
+        pieces[0::3] = keys[s:s + CHUNK_ROWS]
+        pieces[1::3] = [view[a + skip:b] for a, b in zip(starts, starts[1:] + [len(chunk)])]
+        fh.write(b"".join(pieces))
 
-    def __init__(self, width):
-        n = CHUNK_ROWS * width
-        self.width = width
-        self._ax, self._f = np.empty(n), np.empty(n)
-        self._e, self._d, self._code = (np.empty(n, np.intp) for _ in range(3))
-        self._ok, self._b, self._c = (np.empty(n, bool) for _ in range(3))
-        self._groups, self._offsets = np.empty((3, n), np.intp), np.empty((3, n), np.intp)
-        self._index = np.empty((n, 5), np.intp)
-        # the words of each value, viewed by numpy in a bytearray for translate
-        self._raw = bytearray(20 * n)
-        self._slots = np.frombuffer(self._raw, dtype=np.uint32).reshape(n, 5)
 
-    def write(self, fh, values, keys=None):
-        """Write the rows of values, (k, width) numbers, to the binary file
-        fh, each led by its bytes key or, without keys, by nothing."""
-        values = np.asarray(values, dtype=np.float64)
-        skip = 1 if keys is not None else 2  # the line break, and the comma after no key
-        keys = keys if keys is not None else [b""] * len(values)
-        for s in range(0, len(values), CHUNK_ROWS):
-            chunk = self._chunk(values[s:s + CHUNK_ROWS])
-            starts = [0]
-            while len(starts) < min(CHUNK_ROWS, len(values) - s):
-                starts.append(chunk.find(b"\n", starts[-1] + 1))
-            view = memoryview(chunk)
-            pieces = [b"\n"] * (3 * len(starts))
-            pieces[0::3] = keys[s:s + CHUNK_ROWS]
-            pieces[1::3] = [view[a + skip:b] for a, b in zip(starts, starts[1:] + [len(chunk)])]
-            fh.write(b"".join(pieces))
-
-    def _chunk(self, x):
-        """The chunk's values as "\\n,v,v...\\n,v,v..." bytes, one line per row."""
-        n = len(x) * self.width
-        x = x.reshape(n)
-        ax, f, e, d, code, ok, b, c = (a[:n] for a in (
-            self._ax, self._f, self._e, self._d, self._code, self._ok, self._b, self._c))
-        groups, offsets, index = self._groups[:, :n], self._offsets[:, :n], self._index[:n]
-        with np.errstate(divide="ignore", invalid="ignore"):  # zeros, inf and nan
-            np.abs(x, out=ax)
-            np.log10(ax, out=f)
-            np.floor(f, out=f)
-            np.clip(f, -4, 8, out=f)
-            np.add(f, 4, out=f)
-            np.copyto(e, f, casting="unsafe")  # e + 4, garbage for nan
-            np.take(_POW10, e, out=f, mode="clip")
-            np.multiply(ax, f, out=f)  # p
-            np.equal(ax, 0, out=ok)  # a zero prints as "0"
-            np.rint(f, out=ax)  # D
-            np.copyto(d, ax, casting="unsafe")
-            np.subtract(f, ax, out=f)
-            np.abs(f, out=f)
-            np.less_equal(f, _TIE, out=b)  # false for nan
-            np.greater_equal(ax, 1e8, out=c)
-            np.logical_and(b, c, out=b)
-            np.less(ax, 1e9, out=c)
-            np.logical_and(b, c, out=b)
-            np.logical_or(ok, b, out=ok)
-        # D's digit groups, garbage where not ok, which mode="clip" keeps in the tables
-        np.divmod(d, 1000000, out=(groups[0], d))
-        np.divmod(d, 1000, out=(groups[1], groups[2]))
-        np.take(_DIGITS[0], groups[0], out=code, mode="clip")
-        for g in (1, 2):
-            np.take(_DIGITS[g], groups[g], out=d, mode="clip")
-            np.maximum(code, d, out=code)  # significant digits, 0 for a zero
-        np.multiply(e, 10, out=e)
-        np.add(code, e, out=code)
-        np.signbit(x, out=b)
-        np.multiply(b, 130, out=d)
-        np.add(code, d, out=code)  # (sign * 13 + e + 4) * 10 + digits
-        np.take(_OFFSETS, code, axis=1, out=offsets, mode="clip")
-        np.add(groups.T, offsets.T, out=index[:, 2:])
-        np.multiply(code, 2, out=index[:, 0])
-        index[::self.width, 0] += 2 * _CODES  # a row's first value opens its line
-        np.add(index[:, 0], 1, out=index[:, 1])
-        slots = self._slots[:n]
-        np.take(_WORDS, index, out=slots, mode="clip")
-        np.logical_not(ok, out=c)
-        bad = np.flatnonzero(c)
-        if len(bad):
-            text = b"".join((("\n" if i % self.width == 0 else "") + ",%.9g" % v)
-                            .encode().ljust(20, b"\0") for i, v in zip(bad.tolist(),
-                                                                      x[bad].tolist()))
-            slots[bad] = np.frombuffer(text, dtype=np.uint32).reshape(-1, 5)
-        raw = self._raw if 20 * n == len(self._raw) else self._raw[:20 * n]
-        return raw.translate(None, b"\0")
+def _chunk(rows):
+    """The rows' values as "\\n,v,v...\\n,v,v..." bytes, one line per row."""
+    width = rows.shape[1]
+    x = rows.ravel()
+    with np.errstate(divide="ignore", invalid="ignore"):  # zeros, inf and nan
+        ax = np.abs(x)
+        e = (np.clip(np.floor(np.log10(ax)), -4, 8) + 4).astype(np.intp)  # e + 4, garbage for nan
+        p = ax * _POW10.take(e, mode="clip")
+        D = np.rint(p)
+        # a zero prints as "0"; the tie test is false for nan
+        ok = (ax == 0) | ((np.abs(p - D) <= _TIE) & (D >= 1e8) & (D < 1e9))
+        high, low = np.divmod(D.astype(np.intp), 1000000)
+    # D's digit groups, garbage where not ok, which mode="clip" keeps in the tables
+    groups = (high, *np.divmod(low, 1000))
+    digits = [_DIGITS[g].take(v, mode="clip") for g, v in enumerate(groups)]
+    code = np.maximum(np.maximum(digits[0], digits[1]), digits[2]) + 10 * e + 130 * np.signbit(x)
+    first = 2 * code
+    first[::width] += 2 * _CODES  # a row's first value opens its line
+    # per-group rows, not (3, n) arrays: see test_a_second_write_faults_few_pages
+    index = np.column_stack([first, first + 1, *(v + _OFFSETS[g].take(code, mode="clip")
+                                                 for g, v in enumerate(groups))])
+    slots = _WORDS.take(index, mode="clip")
+    bad = np.flatnonzero(~ok)
+    if len(bad):
+        text = b"".join((("\n" if i % width == 0 else "") + ",%.9g" % v).encode().ljust(20, b"\0")
+                        for i, v in zip(bad.tolist(), x[bad].tolist()))
+        slots[bad] = np.frombuffer(text, dtype=np.uint32).reshape(-1, 5)
+    return slots.tobytes().translate(None, b"\0")

@@ -18,7 +18,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ditsgcr import cli, clustering, csvformat, evaluation, laplacian, pipeline, synthgen
+from ditsgcr import (cli, clustering, csvformat, evaluation, graph_model, laplacian, pipeline,
+                     synthgen)
 
 SRC = Path(cli.__file__).resolve().parents[1]
 
@@ -166,9 +167,10 @@ def write_chain(path, n):
 
 
 @settings(max_examples=25, deadline=None)
-@given(n=st.integers(1, 8), width=st.integers(1, 4), gate=st.integers(1, 9),
-       data=st.data())
+@given(n=st.integers(1, 3 * csvformat.CHUNK_ROWS), width=st.integers(1, 4),
+       gate=st.integers(1, 9), data=st.data())
 def test_parallel_writer_matches_one_worker(n, width, gate, data):
+    # past 2 * CHUNK_ROWS rows, a forked writer's range on two CPUs spans chunks
     specials = st.sampled_from([0.0, -0.0, float("inf"), float("-inf"), float("nan")])
     values = data.draw(st.lists(st.one_of(st.floats(), specials),
                                 min_size=n * width, max_size=n * width))
@@ -180,7 +182,7 @@ def test_parallel_writer_matches_one_worker(n, width, gate, data):
         mp.setattr(clustering, "POOL_MIN_ROWS", gate)
         mp.setattr(cli, "_configure_threads", lambda: None)
         outputs = []
-        for cpus in (1, 2, 3, n + 1):  # more writers than rows leave some ranges empty
+        for cpus in (1, 2, 3, 9):  # up to 8 rows, more writers than rows leave ranges empty
             mp.setattr(os, "sched_getaffinity", lambda pid, c=cpus: set(range(c)))
             out = Path(tmp) / f"emb{cpus}.csv"
             assert cli.main(["embed", "--input", str(edges), "--output", str(out)]) == 0
@@ -215,11 +217,11 @@ def test_embedding_csv_fields_match_format(tmp_path, monkeypatch):
 
 
 def assert_rows_match_format(values, width, keys=None):
-    """RowFormatter's rows of values equal "%.9g" % x per value, joined by
-    commas and each led by its key: Python's formatting is the oracle."""
+    """csvformat.write's rows of values equal "%.9g" % x per value, joined
+    by commas and each led by its key: Python's formatting is the oracle."""
     values = np.resize(np.asarray(values, dtype=np.float64), (-(-len(values) // width), width))
     fh = io.BytesIO()
-    csvformat.RowFormatter(width).write(fh, values, keys)
+    csvformat.write(fh, values, keys)
     leads = [k.decode() + "," for k in keys] if keys is not None else [""] * len(values)
     expected = [lead + ",".join("%.9g" % x for x in row) for lead, row in
                 zip(leads, values.tolist())]
@@ -300,6 +302,28 @@ def test_row_formatter_edge_values():
     values += [-v for v in values]
     for width in (1, 3, 7):
         assert_rows_match_format(values, width)
+
+
+def test_a_second_write_faults_few_pages():
+    # a fresh process's second 4000-row write reuses the memory of its
+    # first: about 400 minor page faults. A _chunk that built its word
+    # indices through (3, n) intp arrays faulted about 12,000 times, and
+    # rows cut by bytes.split instead of find about 4,600 times
+    code = "\n".join([
+        "import os, resource",
+        "import numpy as np",
+        "from ditsgcr import csvformat",
+        "values = np.random.default_rng(0).standard_normal((4000, 420))",
+        "keys = [b'k%d' % i for i in range(4000)]",
+        "with open(os.devnull, 'wb') as fh:",
+        "    csvformat.write(fh, values, keys)",
+        "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt",
+        "    csvformat.write(fh, values, keys)",
+        "    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)",
+    ])
+    faults = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": str(SRC)}, check=True).stdout
+    assert int(faults) < 4000
 
 
 @pytest.mark.parametrize("command", ["embed", "evaluate"])
@@ -890,6 +914,20 @@ def test_evaluate_flags_fail_before_the_pipeline(tmp_path, capsys, monkeypatch, 
     capsys.readouterr()
     assert cli.main(["evaluate", *args, flag, value]) == 1
     assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_embed_flags_fail_before_any_input_is_read(tmp_path, capsys, monkeypatch):
+    # embed used to hash and ingest the whole input, or to fail on a missing
+    # one, before the pipeline refused the flag
+    edges, _ = make_dataset(tmp_path)
+    ingested = []
+    monkeypatch.setattr(graph_model, "ingest_csv", lambda *a, **k: ingested.append(a))
+    for source in (edges, tmp_path / "absent.csv"):
+        capsys.readouterr()
+        assert cli.main(["embed", "--input", str(source), "--output", str(tmp_path / "emb.csv"),
+                         "--alpha", "nan"]) == 1
+        assert capsys.readouterr() == ("", "error: alpha must be finite, got nan\n")
+    assert ingested == []
 
 
 @pytest.mark.parametrize("command", ["embed", "evaluate"])

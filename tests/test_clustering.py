@@ -334,6 +334,16 @@ def test_map_blocks_size_gate_and_affinity(monkeypatch):
     assert started == []
 
 
+def test_pool_threads_without_an_affinity_mask(monkeypatch):
+    # macOS has no os.sched_getaffinity: pool_threads raised AttributeError
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert clustering.pool_threads(clustering.POOL_MIN_ROWS - 1) == 0
+    assert clustering.pool_threads(clustering.POOL_MIN_ROWS) == 2
+    monkeypatch.setattr(os, "cpu_count", lambda: None)  # undeterminable
+    assert clustering.pool_threads(clustering.POOL_MIN_ROWS) == 0
+
+
 def test_no_thread_outlives_map_blocks(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
     started = record_helpers(monkeypatch)
