@@ -308,7 +308,7 @@ def test_a_second_write_faults_few_pages():
     # a fresh process's second 4000-row write reuses the memory of its
     # first: about 400 minor page faults. A _chunk that built its word
     # indices through (3, n) intp arrays faulted about 12,000 times, and
-    # rows cut by bytes.split instead of find about 4,600 times
+    # rows cut by bytes.split instead of find about 72,000 times
     code = "\n".join([
         "import os, resource",
         "import numpy as np",
