@@ -52,9 +52,12 @@ class CSR:
 
     def __matmul__(self, X):
         """self @ X for a 1-D or 2-D float64 X."""
-        if X.shape[0] != self.shape[1]:
-            raise ValueError(f"cannot multiply a {self.shape} matrix by {X.shape}")
-        out = np.zeros((self.shape[0], *X.shape[1:]))
+        return self.add_product(X, np.zeros((self.shape[0], *X.shape[1:])))
+
+    def add_product(self, X, out):
+        """out += self @ X into a C-contiguous float64 out, row by row in entry order."""
+        if X.shape[0] != self.shape[1] or out.shape != (self.shape[0], *X.shape[1:]):
+            raise ValueError(f"cannot multiply a {self.shape} matrix by {X.shape} into {out.shape}")
         if X.ndim == 1:
             _sparsetools.csr_matvec(*self.shape, self.indptr, self.indices, self.data, X, out)
         else:

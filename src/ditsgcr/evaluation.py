@@ -67,9 +67,9 @@ class _Tree(NamedTuple):
         return self.value[node]
 
 
-def _best_split(xs_sorted, order, y, members, feats):
+def _best_split(X, order, y, members, feats):
     """Best (feature, threshold) by weighted-Gini minimization over the rows
-    order[f] lists by ascending feature f (values xs_sorted[f]), each weighted
+    order[f] lists by ascending feature f (values read from X), each weighted
     by its count in members. Candidate thresholds are midpoints between
     consecutive distinct values. Ties break toward the earlier feature in
     feats, then the lower threshold. None when no split separates the node.
@@ -79,7 +79,7 @@ def _best_split(xs_sorted, order, y, members, feats):
     rows = order[feats]
     present = np.take(weight, rows).ravel() > 0  # the same count u of rows per feature
     rows = np.compress(present, rows).reshape(len(feats), -1)
-    xs = np.compress(present, xs_sorted[feats]).reshape(rows.shape)
+    xs = np.take(X, rows * np.intp(X.shape[1]) + feats[:, None])  # intp: int32 * dim wraps
     pos_total = int(y[members].sum())
 
     n_left = np.cumsum(np.take(weight, rows), axis=1)[:, :-1].astype(np.float64)
@@ -109,12 +109,14 @@ def _best_split(xs_sorted, order, y, members, feats):
 
 
 def _presort(X):
-    """Per feature, X's values in ascending order and the row ids they come from."""
-    order = np.argsort(X.T, axis=1).astype(np.int32)
-    return np.take_along_axis(X.T, order, axis=1), order
+    """Per feature f, the int32 row ids of X in ascending X[:, f], one feature at a time."""
+    order = np.empty(X.shape[::-1], dtype=np.int32)
+    for f, column in enumerate(X.T):
+        order[f] = np.argsort(column)
+    return order
 
 
-def _grow_tree(X, xs_sorted, order, y, rng, features_per_split, bootstrap):
+def _grow_tree(X, order, y, rng, features_per_split, bootstrap):
     """Grow one tree to purity, or until no split separates a node."""
     n, dim = X.shape
     idx = rng.integers(0, n, n) if bootstrap else np.arange(n)
@@ -127,7 +129,7 @@ def _grow_tree(X, xs_sorted, order, y, rng, features_per_split, bootstrap):
         if counts.all():
             feats = rng.choice(dim, size=features_per_split, replace=False)
             feats.sort()
-            found = _best_split(xs_sorted, order, y, members, feats)
+            found = _best_split(X, order, y, members, feats)
         if found is None:
             rows[node] = (-1, 0.0, -1, -1, int(np.argmax(counts)))  # tie goes to class 0
             continue
@@ -170,8 +172,8 @@ def train_forest(X: np.ndarray, y: np.ndarray, n_trees: int = 100, seed: int = 4
         raise ValueError("training labels must contain both classes 0 and 1")
     dim = X.shape[1]
     features = min(math.ceil(math.sqrt(dim)), dim)
-    xs_sorted, order = _presort(X)
-    trees = [_grow_tree(X, xs_sorted, order, y, np.random.default_rng(s), features, True)
+    order = _presort(X)
+    trees = [_grow_tree(X, order, y, np.random.default_rng(s), features, True)
              for s in np.random.SeedSequence(seed).spawn(n_trees)]
     return Forest(trees=trees, n_features=dim)
 

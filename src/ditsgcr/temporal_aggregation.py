@@ -20,11 +20,12 @@ sum into a 2K x 2K structure matrix Z_v, as per-node segment sums one
 Every stage is node-local, so the lift runs one pass per block of whole
 nodes: it builds the block's rows of W, runs their restart test, sorts the
 block's chains by length and advances all of them one step per Python
-step, then sums the block's rows of H. W and z exist one block at a time.
-Every operation is row-local, so no bit depends on the blocks, which may
-run on clustering.map_blocks' threads in any order. Blocks hold 4096
-entries on every graph and CPU count: in process, 8192 or more lifted a
-2001-node graph 14-21% slower, 2048 a 16001-node one on two threads 20%.
+step, then sums the block's rows of H. Only W and z span the block: every
+other per-entry temporary spans at most 4096 entries. Every operation is
+row-local, so no bit depends on the blocks or chunks; blocks may run on
+clustering.map_blocks' threads in any order. Blocks hold 4096 entries on
+every graph and CPU count: in process, 8192 or more lifted a 2001-node
+graph 14-21% slower, 2048 a 16001-node one on two threads 20%.
 The output row is [flatten(Z_v), s_v], width 4K^2 + 2K.
 """
 
@@ -39,7 +40,7 @@ logger = logging.getLogger(__name__)
 
 SUBNORMAL = np.nextafter(np.finfo(np.float64).tiny, 0)  # x > it: x is normal or more
 # timeline entries per block of whole nodes, each lifted end to end in one
-# pass; fewer slow a pooled lift, more a small graph's (module docstring)
+# pass, and per chunk of a longer timeline's temporaries (module docstring)
 BLOCK_ENTRIES = 4096
 
 
@@ -86,12 +87,10 @@ def aggregate(graph, Z: np.ndarray, alpha: float) -> np.ndarray:
     has_prev = np.ones(n_entries, dtype=bool)
     has_prev[entry_ptr[1:][lengths > 0] - 1] = False
     decay = np.ones(n_entries)
-    e = np.flatnonzero(has_prev)
     with np.errstate(over="ignore"):  # a tiny alpha overflows to -inf, exp gives 0
-        decay[e] = np.exp(-(entry_t[e] - entry_t[e + 1]) / alpha)
+        decay[has_prev] = np.exp(-(entry_t[has_prev] - entry_t[1:][has_prev[:-1]]) / alpha)
 
-    # (v0, v1) of whole nodes, at most BLOCK_ENTRIES entries or one node; each
-    # is lifted end to end in one task, so W and z exist one block at a time
+    # (v0, v1) of whole nodes, at most BLOCK_ENTRIES entries or one node
     cuts = [0]
     while cuts[-1] < n:
         end = np.searchsorted(entry_ptr, entry_ptr[cuts[-1]] + BLOCK_ENTRIES, "right") - 1
@@ -101,19 +100,22 @@ def aggregate(graph, Z: np.ndarray, alpha: float) -> np.ndarray:
 
     def lift(v0, v1):  # nodes v0..v1-1: W, restart test, chains, structure sums
         e0, e1 = entry_ptr[v0], entry_ptr[v1]
+        chunks = [slice(c, c + BLOCK_ENTRIES) for c in range(0, e1 - e0, BLOCK_ENTRIES)]
         W = np.empty((e1 - e0, two_k))  # [A_in Z, A_out Z], normalized per row
         for ptr, ids, c in ((graph.in_ptr, graph.in_ids, 0), (graph.out_ptr, graph.out_ids, k)):
-            nbrs = ids[ptr[e0]:ptr[e1]]
-            A = CSR(ptr[e0:e1 + 1] - ptr[e0], nbrs, np.ones(len(nbrs)), (e1 - e0, n))
-            W[:, c:c + k] = A @ Z
+            for s in chunks:
+                p = ptr[e0:e1 + 1][s.start:s.stop + 1]
+                A = CSR(p - p[0], ids[p[0]:p[-1]], np.ones(p[-1] - p[0]), (len(p) - 1, n))
+                W[s, c:c + k] = A @ Z
         _row_normalize(W)
         prev, d, m = has_prev[e0:e1], decay[e0:e1], lengths[v0:v1]
-        dead = ~np.logical_or.reduceat(W != 0, entry_ptr[v0:v1][m > 0] - e0)  # per node
-        exact = np.abs(W[1:]) > np.maximum(d[:-1] * 2.0**55, SUBNORMAL)[:, None]
-        exact |= np.repeat(dead, m[m > 0], axis=0)[1:]
+        dead = np.repeat(~np.logical_or.reduceat(W != 0, entry_ptr[v0:v1][m > 0] - e0),
+                         m[m > 0], axis=0)  # the columns zero in the entry's whole node
         # a step starts a chain at its node's first step and at each restart
         start = np.zeros(e1 - e0, dtype=bool)
-        start[:-1] = prev[:-1] & (exact.all(axis=1) | ~prev[1:])
+        for s in chunks:
+            exact = np.abs(W[1:][s]) > np.maximum(d[:-1][s] * 2.0**55, SUBNORMAL)[:, None]
+            start[:-1][s] = prev[:-1][s] & ((exact | dead[1:][s]).all(axis=1) | ~prev[1:][s])
 
         # step p advances the p-th step of every chain longer than p; sorting
         # chains by length keeps those a prefix of `heads`
@@ -125,15 +127,18 @@ def aggregate(graph, Z: np.ndarray, alpha: float) -> np.ndarray:
         stats.append((len(heads), len(heads) - np.count_nonzero(m > 1), len(active)))
         z = np.zeros((e1 - e0, two_k))
         for p, chains in enumerate(active.tolist()):
-            e = heads[:chains] - p  # p = 0: z = 0, and d * 0 is +0.0
-            z[e] = _row_normalize(W[e + 1] + (d[e, None] * z[e + 1] if p else 0.0))
+            for c in range(0, chains, BLOCK_ENTRIES):
+                e = heads[c:min(c + BLOCK_ENTRIES, chains)] - p  # p = 0: z = 0, d * 0 is +0.0
+                z[e] = _row_normalize(W[e + 1] + (d[e, None] * z[e + 1] if p else 0.0))
 
-        # segment sums per node in entry order
-        seg = CSR(entry_ptr[v0:v1 + 1] - e0, np.arange(e1 - e0), np.ones(e1 - e0),
-                  (v1 - v0, e1 - e0))  # node x entry
-        for a in range(two_k):
-            H[v0:v1, a * two_k:(a + 1) * two_k] = seg @ (W[:, a:a + 1] * z)
-        H[v0:v1, two_k * two_k:] = seg @ W
+        # segment sums per node (node x entry), each node's entries added in order
+        segs = [(s, np.clip(entry_ptr[v0:v1 + 1] - e0, s.start, s.stop) - s.start) for s in chunks]
+        segs = [(s, CSR(q, np.arange(q[-1]), np.ones(q[-1]), (v1 - v0, q[-1]))) for s, q in segs]
+        for a in range(two_k + 1):  # column block a of H; a = 2K holds s_v
+            acc = np.zeros((v1 - v0, two_k))
+            for s, seg in segs:
+                seg.add_product(W[s, a:a + 1] * z[s] if a < two_k else W[s], acc)
+            H[v0:v1, a * two_k:(a + 1) * two_k] = acc
 
     clustering.map_blocks(lift, zip(cuts, cuts[1:]))
     per_block = np.array(stats, dtype=np.int64).reshape(-1, 3)

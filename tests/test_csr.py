@@ -55,6 +55,24 @@ def test_products_match_scipy(case):
     assert got.tobytes() == want.tobytes()
 
 
+@settings(max_examples=300, deadline=None)
+@given(products(), st.data())
+def test_products_added_in_two_parts_match_scipy(case, data):
+    # each row's first entries, then the rest, added into one output: the
+    # kernel adds into it, so every row sums its entries in order once
+    indptr, indices, values, shape, X = case
+    lengths = np.diff(indptr)
+    firsts = np.array([data.draw(st.integers(0, n)) for n in lengths], np.int64)
+    first_ptr = np.concatenate([[0], np.cumsum(firsts)])
+    rest_ptr = np.concatenate([[0], np.cumsum(lengths - firsts)])
+    in_first = np.arange(len(indices)) - np.repeat(indptr[:-1], lengths) < np.repeat(firsts,
+                                                                                   lengths)
+    out = np.zeros((shape[0], *X.shape[1:]))
+    for ptr, keep in ((first_ptr, in_first), (rest_ptr, ~in_first)):
+        CSR(ptr, indices[keep], values[keep], shape).add_product(X, out)
+    assert out.tobytes() == scipy_product(*case).tobytes()
+
+
 @st.composite
 def triplets(draw):
     """(rows, cols, data, shape) with no (row, col) twice, in any order."""
@@ -84,6 +102,9 @@ def test_operand_of_the_wrong_length_is_refused():
     for X in (np.ones(3), np.ones((1, 2))):
         with pytest.raises(ValueError, match="cannot multiply"):
             M @ X
+    for out in (np.zeros(2), np.zeros((1, 3))):
+        with pytest.raises(ValueError, match="cannot multiply"):
+            M.add_product(np.ones((2, 2)), out)
 
 
 def test_fallback_import_gives_the_same_bits(monkeypatch):

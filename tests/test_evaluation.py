@@ -1,3 +1,4 @@
+import functools
 import math
 import os
 import subprocess
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from ditsgcr import pipeline, synthgen
 from ditsgcr.evaluation import (Forest, _grow_tree, _presort, compute_metrics,
                                 predict_scores, roc_curve, split, train_forest)
-from helpers import (cart_fit, cart_predict, loop_roc_curve, pairwise_auc,
+from helpers import (cart_fit, cart_predict, extra_peak, loop_roc_curve, pairwise_auc,
                      resorting_grow_tree)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -113,7 +114,7 @@ def test_forest_rejects_zero_trees():
 
 
 def grow(X, y, seed, features_per_split, bootstrap):
-    return _grow_tree(X, *_presort(X), y, np.random.default_rng(seed),
+    return _grow_tree(X, _presort(X), y, np.random.default_rng(seed),
                       features_per_split, bootstrap)
 
 
@@ -152,6 +153,18 @@ def test_detect_benchmark_trees_match_resorting_oracle():
     for tree, s in zip(forest.trees, np.random.SeedSequence(42).spawn(100), strict=True):
         assert_same_tree(tree, resorting_grow_tree(X, y, np.random.default_rng(s),
                                                    features, True))
+
+
+def test_forest_memory_budget():
+    # the presort keeps only the int32 row orders (half of X) and reads split
+    # values from X; a sorted copy of X, or an int64 order, breaks the bound
+    rng = np.random.default_rng(65)
+    X = rng.normal(size=(1600, 420))
+    y = (rng.random(1600) < 0.05).astype(np.int64)
+    y[:2] = 0, 1
+    train_forest(X[:4], y[:4], n_trees=1)  # first-call imports are not the forest's
+    _, peak = extra_peak(functools.partial(train_forest, n_trees=2), X, y)
+    assert peak <= 1.2 * X.nbytes
 
 
 FOREST_RUN = """

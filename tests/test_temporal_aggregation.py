@@ -501,6 +501,18 @@ def test_aggregate_memory_budget():
     assert peak <= H.nbytes + 0.5 * W_bytes
 
 
+def test_long_timeline_memory_budget():
+    # one sink of over 6 blocks' entries from 8 accounts, 60 s apart, so that
+    # at alpha 1 each step restarts and all run as the chains' first step: W
+    # and z span the timeline, every other per-entry temporary one chunk
+    block = temporal_aggregation.BLOCK_ENTRIES
+    entries = 6 * block + 100
+    g = build_graph([(f"o{i % 8}", "hub", 60 * i) for i in range(entries)])
+    Z = np.random.default_rng(66).uniform(0.5, 1.0, size=(g.n_nodes, 10))
+    H, peak = extra_peak(aggregate, g, Z, 1.0)
+    assert peak <= H.nbytes + 2 * entries * 20 * 8 + 6 * block * 20 * 8
+
+
 @pytest.mark.parametrize("extra", [1, 65, 255, 257])
 def test_pooled_aggregate_gives_the_serial_bits(extra, monkeypatch, caplog):
     # above the pool's size gate, with a hub longer than a block and 256-entry
