@@ -161,7 +161,7 @@ def train_forest(X: np.ndarray, y: np.ndarray, n_trees: int = 100, seed: int = 4
     """
     if n_trees < 1:
         raise ValueError("need at least one tree")
-    X = np.asarray(X, dtype=np.float64)
+    X = np.ascontiguousarray(X, dtype=np.float64)  # _best_split reads it by flat index
     y = np.asarray(y, dtype=np.int64)
     if X.ndim != 2 or X.shape[0] != len(y):
         raise ValueError("X and y disagree on the number of rows")

@@ -39,8 +39,7 @@ from .csr import CSR
 logger = logging.getLogger(__name__)
 
 SUBNORMAL = np.nextafter(np.finfo(np.float64).tiny, 0)  # x > it: x is normal or more
-# timeline entries per block of whole nodes, each lifted end to end in one
-# pass, and per chunk of a longer timeline's temporaries (module docstring)
+# entries per block of whole nodes and per chunk of temporaries (module docstring)
 BLOCK_ENTRIES = 4096
 
 
@@ -70,7 +69,8 @@ def aggregate(graph, Z: np.ndarray, alpha: float) -> np.ndarray:
     cancels under the normalization; it is alpha = 1e300, which makes
     every decay factor exactly 1.0 for any int64 gap. Nodes without
     entries get an all-zero row. Raises ValueError when Z's row count
-    does not match the graph or alpha is not positive.
+    does not match the graph or alpha is not positive. Beyond H it keeps
+    per-entry decays, one block's W and z, and BLOCK_ENTRIES-entry chunks.
     """
     n = graph.n_nodes
     if Z.ndim != 2 or Z.shape[0] != n:

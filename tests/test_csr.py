@@ -65,8 +65,8 @@ def test_products_added_in_two_parts_match_scipy(case, data):
     firsts = np.array([data.draw(st.integers(0, n)) for n in lengths], np.int64)
     first_ptr = np.concatenate([[0], np.cumsum(firsts)])
     rest_ptr = np.concatenate([[0], np.cumsum(lengths - firsts)])
-    in_first = np.arange(len(indices)) - np.repeat(indptr[:-1], lengths) < np.repeat(firsts,
-                                                                                   lengths)
+    place = np.arange(len(indices)) - np.repeat(indptr[:-1], lengths)  # within its row
+    in_first = place < np.repeat(firsts, lengths)
     out = np.zeros((shape[0], *X.shape[1:]))
     for ptr, keep in ((first_ptr, in_first), (rest_ptr, ~in_first)):
         CSR(ptr, indices[keep], values[keep], shape).add_product(X, out)

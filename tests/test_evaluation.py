@@ -94,7 +94,7 @@ def test_forest_deterministic():
     rng = np.random.default_rng(5)
     X, y = blob_data(rng, n_per_class=20, gap=1.0)
     a = train_forest(X, y, n_trees=10, seed=3)
-    b = train_forest(X, y, n_trees=10, seed=3)
+    b = train_forest(np.asfortranarray(X), y, n_trees=10, seed=3)  # read by flat index
     for ta, tb in zip(a.trees, b.trees):
         assert np.array_equal(ta.feature, tb.feature)
         assert np.array_equal(ta.threshold, tb.threshold)
